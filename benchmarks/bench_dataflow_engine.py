@@ -1,0 +1,124 @@
+"""DFENG: macro benchmark of the self-timed dataflow engine (DESIGN.md §11).
+
+``verify_system`` on the paper's PAL system (block sizes 10136/1267 at the
+0.127% rate margin that reproduces them) runs every stream's Fig. 5 CSDF
+and Fig. 7 SDF models self-timed — about 10**6 firings, most of them in the
+η-phase gateway actors — and is the largest layer of the end-to-end PAL
+flow.  This bench runs it on the production engine and on the frozen
+reference engine (``tests/refdataflow.py``) in one process and asserts
+
+* the two ``VerificationReport`` objects are **identical** (``==`` and
+  ``repr``),
+* CPU time improves by at least :data:`MIN_SPEEDUP` (full mode).
+
+Full mode verifies all four streams, best-of-3 per engine, and persists
+the comparison as ``BENCH_dataflow_engine.json`` next to this file.
+Setting ``DATAFLOW_BENCH_SMOKE=1`` (CI) verifies only the two stage-2
+streams (η = 1267) once per engine with a lenient speedup gate, keeping
+the identity assertion strict.  Run from the repository root:
+``PYTHONPATH=src python -m pytest benchmarks/bench_dataflow_engine.py -s``.
+"""
+
+import os
+import sys
+import time
+from contextlib import ExitStack
+from unittest import mock
+
+from repro.api import Scenario
+from repro.core import csdf_builder, sdf_abstraction, verification
+from repro.core.config_io import dump_report, make_report
+from repro.dataflow import SelfTimedEngine, simulation, statespace
+
+from conftest import banner
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+# the reference engine is a test oracle under tests/, never shipped in src/
+sys.path.insert(0, os.path.dirname(HERE))
+from tests import refdataflow  # noqa: E402
+
+#: CI smoke mode: stage-2 streams only, no artifact, lenient speedup gate
+SMOKE = os.environ.get("DATAFLOW_BENCH_SMOKE") == "1"
+MIN_SPEEDUP = 1.5 if SMOKE else 3.5
+#: timing runs per engine; the min damps scheduler/GC noise in the ratio
+BEST_OF = 1 if SMOKE else 3
+ARTIFACT = os.path.join(HERE, "BENCH_dataflow_engine.json")
+#: the paper's block sizes, at the rate margin where Algorithm 1 reproduces them
+PAPER_PAL = "scenario://pal_decoder?eta_stage1=10136&eta_stage2=1267&margin_ppm=1270"
+
+
+def verify(system, streams, reference=False):
+    """Verify ``streams``; returns (cpu_s, results) on the chosen engine."""
+    with ExitStack() as stack:
+        if reference:
+            for module in (verification, csdf_builder):
+                stack.enter_context(mock.patch.object(module, "execute", refdataflow.execute))
+            stack.enter_context(mock.patch.object(
+                sdf_abstraction, "steady_state_throughput",
+                refdataflow.steady_state_throughput))
+        started = time.process_time()
+        if len(streams) == len(system.streams):
+            results = verification.verify_system(system)
+        else:
+            results = [verification.verify_stream(system, name) for name in streams]
+        return time.process_time() - started, results
+
+
+def count_firings(system, streams):
+    """Firings the production engine runs for ``streams`` (untimed pass)."""
+    engines = []
+
+    class Counted(SelfTimedEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    with mock.patch.object(simulation, "SelfTimedEngine", Counted), \
+            mock.patch.object(statespace, "SelfTimedEngine", Counted):
+        verify(system, streams)
+    return sum(sum(e.completions.values()) for e in engines)
+
+
+def test_dataflow_engine_verify_pal_vs_reference():
+    system = Scenario.from_registry(PAPER_PAL).system
+    streams = [s.name for s in system.streams if not SMOKE or s.name.endswith(".s2")]
+
+    new_s, new = verify(system, streams)
+    ref_s, ref = verify(system, streams, reference=True)
+    for _ in range(BEST_OF - 1):
+        new_s = min(new_s, verify(system, streams)[0])
+        ref_s = min(ref_s, verify(system, streams, reference=True)[0])
+    assert new == ref, "verification differs from the reference engine"
+    assert repr(new) == repr(ref)
+    firings = count_firings(system, streams)
+
+    speedup = ref_s / new_s
+    banner(f"DFENG: verify {len(streams)} PAL stream(s) ({firings:.2e} firings)")
+    print(f"reference engine: {ref_s:.3f}s CPU ({firings / ref_s / 1e3:.0f}k firings/s)")
+    print(f"tick engine:      {new_s:.3f}s CPU ({firings / new_s / 1e3:.0f}k firings/s)")
+    print(f"speedup {speedup:.2f}x on {os.cpu_count()} CPU(s), reports identical")
+    assert speedup >= MIN_SPEEDUP, (
+        f"verify CPU time improved only {speedup:.2f}x "
+        f"(gate {MIN_SPEEDUP}x, smoke={SMOKE})"
+    )
+
+    if not SMOKE:
+        report = make_report("bench", {
+            "name": "dataflow_engine",
+            "workload": {
+                "call": "verify_system",
+                "system": PAPER_PAL,
+                "block_sizes": {s.name: s.block_size for s in system.streams},
+                "firings": firings,
+            },
+            "before": {"engine": "frozen reference (tests/refdataflow.py)",
+                       "cpu_s": ref_s, "firings_per_s": firings / ref_s},
+            "after": {"engine": "integer-tick dirty-set engine (DESIGN.md §11)",
+                      "cpu_s": new_s, "firings_per_s": firings / new_s},
+            "timing": {"clock": "process_time", "best_of": BEST_OF},
+            "cpu_count": os.cpu_count(),
+            "speedup": speedup,
+            "report_identical": True,
+        })
+        with open(ARTIFACT, "w") as fh:
+            fh.write(dump_report(report) + "\n")

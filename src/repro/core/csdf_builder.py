@@ -151,7 +151,7 @@ def build_stream_csdf(
 
 def measure_block_time(
     graph: CSDFGraph, info: StreamModelInfo, blocks: int = 1
-) -> list[float]:
+) -> list[int | Fraction]:
     """Observed per-block processing times ``τ_s`` in a self-timed run.
 
     A block spans from the start of ``vG0``'s phase 0 to the end of

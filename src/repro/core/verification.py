@@ -26,7 +26,7 @@ from .params import GatewaySystem
 from .sdf_abstraction import build_stream_sdf, verify_with_sdf_model
 from .timing import guaranteed_throughput, tau_hat, throughput_satisfied
 
-__all__ = ["StreamVerification", "VerificationReport", "verify_system"]
+__all__ = ["StreamVerification", "VerificationReport", "verify_stream", "verify_system"]
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class StreamVerification:
     sdf_rate: Fraction
     sdf_ok: bool
     tau_bound: int
-    tau_measured: float
+    tau_measured: int | Fraction
     tau_ok: bool
     refinement_ok: bool
 
@@ -100,54 +100,57 @@ def _csdf_refines_sdf(system: GatewaySystem, stream_name: str, blocks: int = 3) 
     coarse = execute(sdf, iterations=blocks, record=True)
 
     fine_tokens = fine.production_times(info.exit)  # one token per vG1 firing
-    coarse_tokens: list[float] = []
+    coarse_tokens: list[int | Fraction] = []
     for t in coarse.production_times("vS"):
         coarse_tokens.extend([t] * eta)  # atomic block production
     n = min(len(fine_tokens), len(coarse_tokens), blocks * eta)
-    return bool(refines_times(fine_tokens[:n], coarse_tokens[:n]))
+    # both models run exact (int/Fraction) durations: compare without slack
+    return bool(refines_times(fine_tokens[:n], coarse_tokens[:n], tolerance=0))
+
+
+def verify_stream(system: GatewaySystem, stream_name: str,
+                  blocks: int = 2) -> StreamVerification:
+    """Run the verification battery for one stream of a sized system."""
+    s = system.stream(stream_name)
+    eq5 = throughput_satisfied(system, s.name)
+    sdf_ok, sdf_rate = verify_with_sdf_model(system, s.name)
+
+    # conservativeness of τ̂: measure the CSDF model with a pre-queued
+    # block and maximum interference folded into phase 0
+    csdf, info = build_stream_csdf(
+        system, s.name,
+        producer_period=Fraction(1, 1000), consumer_period=Fraction(1, 1000),
+        alpha0=2 * (s.block_size or 1), alpha3=2 * (s.block_size or 1),
+        prequeued=2 * (s.block_size or 1),
+    )
+    taus = measure_block_time(csdf, info, blocks=blocks)
+    measured = max(taus)
+    # τ̂ compares against the block time *without* the other-stream wait
+    # (ε̂ is accounted separately in Eq. 3); subtract it from the model.
+    from .timing import epsilon_hat
+
+    eps = epsilon_hat(system, s.name) if len(system.streams) > 1 else 0
+    bound = tau_hat(system, s.name)
+    tau_ok = measured - eps <= bound
+
+    return StreamVerification(
+        stream=s.name,
+        eta=s.block_size or 0,
+        mu=s.throughput,
+        guaranteed=guaranteed_throughput(system, s.name),
+        eq5_ok=eq5,
+        sdf_rate=sdf_rate,
+        sdf_ok=sdf_ok,
+        tau_bound=bound,
+        tau_measured=measured - eps,
+        tau_ok=tau_ok,
+        refinement_ok=_csdf_refines_sdf(system, s.name),
+    )
 
 
 def verify_system(system: GatewaySystem, blocks: int = 2) -> VerificationReport:
     """Run the full verification battery over every stream."""
     system.require_block_sizes()
-    report = VerificationReport()
-    for s in system.streams:
-        eq5 = throughput_satisfied(system, s.name)
-        sdf_ok, sdf_rate = verify_with_sdf_model(system, s.name)
-
-        # conservativeness of τ̂: measure the CSDF model with a pre-queued
-        # block and maximum interference folded into phase 0
-        csdf, info = build_stream_csdf(
-            system, s.name,
-            producer_period=Fraction(1, 1000), consumer_period=Fraction(1, 1000),
-            alpha0=2 * (s.block_size or 1), alpha3=2 * (s.block_size or 1),
-            prequeued=2 * (s.block_size or 1),
-        )
-        taus = measure_block_time(csdf, info, blocks=blocks)
-        measured = max(taus)
-        # τ̂ compares against the block time *without* the other-stream wait
-        # (ε̂ is accounted separately in Eq. 3); subtract it from the model.
-        from .timing import epsilon_hat
-
-        eps = epsilon_hat(system, s.name) if len(system.streams) > 1 else 0
-        bound = tau_hat(system, s.name)
-        tau_ok = measured - eps <= bound + 1e-9
-
-        refinement_ok = _csdf_refines_sdf(system, s.name)
-
-        report.streams.append(
-            StreamVerification(
-                stream=s.name,
-                eta=s.block_size or 0,
-                mu=s.throughput,
-                guaranteed=guaranteed_throughput(system, s.name),
-                eq5_ok=eq5,
-                sdf_rate=sdf_rate,
-                sdf_ok=sdf_ok,
-                tau_bound=bound,
-                tau_measured=measured - eps,
-                tau_ok=tau_ok,
-                refinement_ok=refinement_ok,
-            )
-        )
-    return report
+    return VerificationReport(
+        [verify_stream(system, s.name, blocks) for s in system.streams]
+    )

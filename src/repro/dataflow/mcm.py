@@ -15,9 +15,10 @@ The implementation uses Lawler's parametric search: a candidate ratio ``λ``
 is feasible (``λ ≥ MCM``) iff the graph re-weighted with
 ``w(e) = ρ(src(e)) − λ·tokens(e)`` has no positive cycle.  The search is done
 with exact :class:`~fractions.Fraction` arithmetic over the Stern–Brocot
-bound: since MCM is a ratio of (Σ durations)/(Σ tokens) with bounded
-denominator, binary search plus ``limit_denominator`` recovers the exact
-value.
+bound: durations are first scaled to integers by the self-timed engine's
+:func:`~repro.dataflow.simulation.time_scale`, so the scaled MCM is a ratio
+(Σ durations)/(Σ tokens) with denominator at most the token count, and binary
+search plus ``limit_denominator`` recovers it exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from fractions import Fraction
 from .graph import CSDFGraph, GraphError, SDFGraph
 from .hsdf import expand_to_hsdf
 from .repetition import firing_repetition_vector
+from .simulation import time_scale
 
 __all__ = ["max_cycle_ratio", "mcm_throughput", "CycleRatioResult"]
 
@@ -52,7 +54,7 @@ class CycleRatioResult:
 
 def _positive_cycle(
     nodes: list[str],
-    edges: list[tuple[str, str, Fraction, int]],
+    edges: list[tuple[str, str, int, int]],
     lam: Fraction,
 ) -> list[str] | None:
     """Bellman-Ford longest-path: return a cycle with Σρ − λ·Στokens > 0."""
@@ -92,9 +94,12 @@ def max_cycle_ratio(hsdf: SDFGraph) -> CycleRatioResult:
         if e.total_production != 1 or e.total_consumption != 1:
             raise GraphError("max_cycle_ratio requires an HSDF (unit-rate) graph")
     nodes = sorted(hsdf.actors)
+    durations = [_to_fraction(hsdf.actor(e.src).duration[0]) for e in hsdf.edges.values()]
+    # integer durations bound the MCM's denominator by the token count
+    scale = time_scale(durations)
     edges = [
-        (e.src, e.dst, _to_fraction(hsdf.actor(e.src).duration[0]), e.tokens)
-        for e in hsdf.edges.values()
+        (e.src, e.dst, int(d * scale), e.tokens)
+        for e, d in zip(hsdf.edges.values(), durations)
     ]
     if not edges:
         return CycleRatioResult(Fraction(0), [])
@@ -126,7 +131,7 @@ def max_cycle_ratio(hsdf: SDFGraph) -> CycleRatioResult:
     if not witness:
         cyc = _positive_cycle(nodes, edges, ratio - Fraction(1, 4 * bound * bound))
         witness = cyc or []
-    return CycleRatioResult(ratio, witness)
+    return CycleRatioResult(ratio / scale, witness)
 
 
 def mcm_throughput(graph: CSDFGraph, actor: str | None = None) -> Fraction:

@@ -10,25 +10,41 @@ tokens are **consumed at firing start** and **produced at firing end**
 (the firing duration is "the duration between the consumption of input
 tokens and the production of output tokens").
 
-The engine is event-driven over a sorted completion list and supports:
+The engine is event-driven over a completion heap and supports:
 
 * execution for a fixed number of graph *iterations* or up to a time horizon,
 * exact deadlock detection,
 * full firing records (used to build Fig. 6-style schedules),
 * state capture hooks used by :mod:`repro.dataflow.statespace` for exact
   steady-state throughput of bounded graphs.
+
+Time is kept in integer *ticks* for exact graphs (DESIGN.md §11): when every
+duration is an int or a Fraction, durations are multiplied by
+:func:`time_scale` and the run is pure int arithmetic, so ``now == clock /
+scale`` exactly.  A graph with any float duration runs the same code with
+scale 1 on the durations as given, i.e. in float time.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from fractions import Fraction
+from functools import cached_property
+from heapq import heappop, heappush
+from itertools import repeat
+from math import ceil, lcm
+from typing import Iterable, NamedTuple
 
 from .graph import CSDFGraph, GraphError
 from .repetition import firing_repetition_vector
 
-__all__ = ["Firing", "ExecutionResult", "SelfTimedEngine", "execute", "DeadlockError"]
+__all__ = [
+    "Firing",
+    "ExecutionResult",
+    "SelfTimedEngine",
+    "execute",
+    "DeadlockError",
+    "time_scale",
+]
 
 _MICRO_GUARD = 1_000_000
 
@@ -46,24 +62,13 @@ class Firing(NamedTuple):
     end: float
 
 
-@dataclass
-class ExecutionResult:
-    """Outcome of a self-timed execution run."""
+def time_scale(durations: Iterable[int | Fraction]) -> int:
+    """Least positive integer that makes every exact duration an integer.
 
-    firings: list[Firing]
-    completions: dict[str, int]
-    end_time: float
-    deadlocked: bool
-    iterations_completed: int
-    tokens: dict[str, int] = field(default_factory=dict)
-
-    def firings_of(self, actor: str) -> list[Firing]:
-        """Completed firings of one actor, ordered by start time."""
-        return [f for f in self.firings if f.actor == actor]
-
-    def production_times(self, actor: str) -> list[float]:
-        """End times of an actor's firings — token production instants."""
-        return [f.end for f in self.firings if f.actor == actor]
+    The LCM of the denominators: multiplying every duration by it maps the
+    graph's time onto integer ticks without changing any comparison.
+    """
+    return lcm(*(d.denominator for d in durations))
 
 
 class SelfTimedEngine:
@@ -71,7 +76,9 @@ class SelfTimedEngine:
 
     The public entry point for plain runs is :func:`execute`; the state-space
     analyses drive the engine directly through :meth:`advance` and
-    :meth:`state_key`.
+    :meth:`state_key`.  ``clock`` is the current time in ticks and ``scale``
+    the ticks per time unit (1 for float graphs), so ``now`` is
+    ``clock / scale``.
     """
 
     def __init__(self, graph: CSDFGraph, record: bool = True) -> None:
@@ -79,77 +86,136 @@ class SelfTimedEngine:
         self.record = record
         self._actor_order = sorted(graph.actors)
         self._edge_order = sorted(graph.edges)
-        self.tokens: dict[str, int] = {e: graph.edge(e).tokens for e in self._edge_order}
-        self.phase: dict[str, int] = {a: 0 for a in self._actor_order}
-        self.busy: dict[str, tuple[float, int] | None] = {a: None for a in self._actor_order}
-        self.completions: dict[str, int] = {a: 0 for a in self._actor_order}
-        # int start so exact (int/Fraction) durations stay exact; floats
-        # contaminate locally only when an actor actually uses them
-        self.now: float = 0
-        self.firings: list[Firing] = []
-        self._heap: list[tuple[float, str]] = []
-        self._in = {a: graph.in_edges(a) for a in self._actor_order}
-        self._out = {a: graph.out_edges(a) for a in self._actor_order}
-        self._start_enabled()
+        self._index = {a: i for i, a in enumerate(self._actor_order)}
+        specs = [graph.actor(a) for a in self._actor_order]
+        durations = [d for spec in specs for d in spec.duration]
+        self._exact = not any(isinstance(d, float) for d in durations)
+        self.scale = time_scale(durations) if self._exact else 1
 
-    # -- core mechanics ---------------------------------------------------
-    def _is_enabled(self, actor: str) -> bool:
-        if self.busy[actor] is not None:
-            return False
-        p = self.phase[actor]
-        return all(self.tokens[e.name] >= e.consumption[p] for e in self._in[actor])
+        # Per actor, per phase: (ticks, consumed, produced, wake, next phase).
+        # ``consumed``/``produced`` list (edge, quantum) for nonzero quanta;
+        # ``wake`` is the bit set of actors a completion may enable: the
+        # actor itself and the consumers of the edges it produces to.
+        edge_index = {e: k for k, e in enumerate(self._edge_order)}
+        self._phases: list[tuple[tuple, ...]] = []
+        for i, (name, spec) in enumerate(zip(self._actor_order, specs)):
+            ins, outs = graph.in_edges(name), graph.out_edges(name)
+            in_edges = [edge_index[e.name] for e in ins]
+            out_edges = [(edge_index[e.name], 1 << self._index[e.dst]) for e in outs]
+            # per-phase quanta columns; an η-phase gateway repeats a few
+            # patterns, so each distinct (consumed, produced, wake) is built once
+            flows: dict[tuple, tuple] = {}
+            phases = []
+            columns = zip(
+                spec.duration,
+                zip(*(e.consumption for e in ins)) if ins else repeat(()),
+                zip(*(e.production for e in outs)) if outs else repeat(()),
+            )
+            for p, (d, consumption, production) in enumerate(columns):
+                flow = flows.get((consumption, production))
+                if flow is None:
+                    wake = 1 << i
+                    for (_k, bit), q in zip(out_edges, production):
+                        if q:
+                            wake |= bit
+                    flow = flows[consumption, production] = (
+                        tuple((k, q) for k, q in zip(in_edges, consumption) if q),
+                        tuple((k, q) for (k, _bit), q in zip(out_edges, production) if q),
+                        wake,
+                    )
+                ticks = int(d * self.scale) if self._exact else d
+                phases.append((ticks, *flow, (p + 1) % spec.phases))
+            self._phases.append(tuple(phases))
 
-    def _begin_firing(self, actor: str) -> None:
-        p = self.phase[actor]
-        spec = self.graph.actor(actor)
-        for e in self._in[actor]:
-            self.tokens[e.name] -= e.consumption[p]
-        end = self.now + spec.duration[p]
-        self.busy[actor] = (end, p)
-        heapq.heappush(self._heap, (end, actor))
+        n = len(self._actor_order)
+        self._tokens = [graph.edge(e).tokens for e in self._edge_order]
+        self._phase = [0] * n
+        self._busy: list = [None] * n  # end tick of the firing in flight
+        self._done = [0] * n
+        # iteration stop (see execute): completions that finish an actor's
+        # quota, and how many actors are still short of theirs (-1: no quota)
+        self._target = [0] * n
+        self._below = -1
+        self._records: list[tuple] = []  # (actor index, phase, end tick)
+        self._heap: list[tuple] = []  # (end tick, actor index)
+        self.clock = 0
+        self._settle((1 << n) - 1)
 
-    def _complete_firing(self, actor: str) -> None:
-        end, p = self.busy[actor]  # type: ignore[misc]
-        for e in self._out[actor]:
-            self.tokens[e.name] += e.production[p]
-        self.busy[actor] = None
-        self.phase[actor] = (p + 1) % self.graph.actor(actor).phases
-        self.completions[actor] += 1
+    # -- time ---------------------------------------------------------------
+    def _time(self, ticks):
+        """Ticks as public time: int when whole, else Fraction (or as-is)."""
+        if self.scale == 1:
+            return ticks
+        whole, rest = divmod(ticks, self.scale)
+        return Fraction(ticks, self.scale) if rest else whole
+
+    @property
+    def now(self):
+        """Current simulated time."""
+        return self._time(self.clock)
+
+    # -- core mechanics -----------------------------------------------------
+    def _complete(self, i: int, end) -> int:
+        """Finish actor ``i``'s firing at tick ``end``; return its wake set."""
+        p = self._phase[i]
+        _ticks, _consumed, produced, wake, nxt = self._phases[i][p]
+        tokens = self._tokens
+        for e, q in produced:
+            tokens[e] += q
+        self._busy[i] = None
+        self._phase[i] = nxt
+        self._done[i] += 1
+        if self._done[i] == self._target[i]:
+            self._below -= 1
         if self.record:
-            self.firings.append(Firing(actor, p, end - self.graph.actor(actor).duration[p], end))
+            self._records.append((i, p, end))
+        return wake
 
-    def _start_enabled(self) -> None:
-        """Start every enabled actor; resolve zero-duration firings in place."""
+    def _settle(self, dirty: int) -> None:
+        """Start every enabled actor; resolve zero-duration firings in place.
+
+        Equivalent to rescanning all actors in sorted order until a pass
+        starts no zero-duration firing, but only actors in ``dirty`` (a bit
+        set: completed, or fed tokens) are checked, since no other actor can
+        have become enabled.  A zero-duration firing dirties later actors
+        for the current pass and earlier ones for the next, as the rescan
+        would reach them.
+        """
+        phases, phase, tokens, busy, heap = (
+            self._phases, self._phase, self._tokens, self._busy, self._heap,
+        )
+        clock = self.clock
         guard = 0
-        progress = True
-        while progress:
-            progress = False
-            for actor in self._actor_order:
-                while self._is_enabled(actor):
-                    guard += 1
-                    if guard > _MICRO_GUARD:
-                        raise GraphError(
-                            f"zero-delay livelock at t={self.now} in graph {self.graph.name!r}"
-                        )
-                    self._begin_firing(actor)
-                    end, _p = self.busy[actor]  # type: ignore[misc]
-                    if end == self.now:
-                        # zero-duration firing completes instantly
-                        self._remove_from_heap(actor)
-                        self._complete_firing(actor)
-                        progress = True
+        while dirty:
+            todo, dirty = dirty, 0
+            while todo:
+                low = todo & -todo  # lowest pending actor
+                todo ^= low
+                i = low.bit_length() - 1
+                while busy[i] is None:  # an idle actor fires while enabled
+                    ticks, consumed, _produced, _wake, _nxt = phases[i][phase[i]]
+                    for e, q in consumed:
+                        if tokens[e] < q:
+                            break
                     else:
-                        break
-
-    def _remove_from_heap(self, actor: str) -> None:
-        # Rare path (zero-duration firings only); rebuild without the entry.
-        for i, (t, a) in enumerate(self._heap):
-            if a == actor and t == self.now:
-                self._heap[i] = self._heap[-1]
-                self._heap.pop()
-                heapq.heapify(self._heap)
-                return
-        raise AssertionError("zero-duration firing missing from heap")
+                        guard += 1
+                        if guard > _MICRO_GUARD:
+                            raise GraphError(
+                                f"zero-delay livelock at t={self.now} "
+                                f"in graph {self.graph.name!r}"
+                            )
+                        for e, q in consumed:
+                            tokens[e] -= q
+                        end = clock + ticks
+                        if end != clock:
+                            busy[i] = end
+                            heappush(heap, (end, i))
+                        else:  # zero duration: completes in place
+                            wake = self._complete(i, end)
+                            todo |= wake & -(low << 1)  # later actors: this pass
+                            dirty |= wake & (low - 1)  # earlier ones: the next
+                        continue
+                    break  # not enabled
 
     def advance(self) -> bool:
         """Advance to the next completion instant.
@@ -158,33 +224,120 @@ class SelfTimedEngine:
         enabled actors.  Returns False when nothing is in flight (the graph
         is deadlocked or has simply run dry).
         """
-        if not self._heap:
-            return False
-        t = self._heap[0][0]
-        self.now = t
-        while self._heap and self._heap[0][0] == t:
-            _t, actor = heapq.heappop(self._heap)
-            self._complete_firing(actor)
-        self._start_enabled()
-        return True
+        return self._run(None, once=True)
+
+    def _run(self, limit, once: bool = False) -> bool:
+        """Process completion instants; False once nothing is in flight.
+
+        Stops after one instant when ``once``; otherwise before any instant
+        at which the iteration quota is met or ``clock >= limit``.  The
+        completion step is :meth:`_complete` inlined: this loop runs once
+        per firing.
+        """
+        heap, phases, tokens, busy, phase, done, target = (
+            self._heap, self._phases, self._tokens, self._busy, self._phase,
+            self._done, self._target,
+        )
+        records = self._records if self.record else None
+        while heap:
+            if not once and (self._below == 0 or limit is not None and self.clock >= limit):
+                return True
+            t = heap[0][0]
+            self.clock = t
+            dirty = 0
+            while heap and heap[0][0] == t:
+                i = heappop(heap)[1]
+                p = phase[i]
+                _ticks, _consumed, produced, wake, phase[i] = phases[i][p]
+                for e, q in produced:
+                    tokens[e] += q
+                busy[i] = None
+                done[i] += 1
+                if done[i] == target[i]:
+                    self._below -= 1
+                if records is not None:
+                    records.append((i, p, t))
+                dirty |= wake
+            self._settle(dirty)
+            if once:
+                return True
+        return False
 
     @property
     def idle(self) -> bool:
         """True when no firing is in flight."""
         return not self._heap
 
+    @property
+    def completions(self) -> dict[str, int]:
+        """Completed firings per actor so far."""
+        return dict(zip(self._actor_order, self._done))
+
     def state_key(self) -> tuple:
-        """Canonical state for recurrence detection (time-shift invariant)."""
-        remaining = tuple(
-            round(self.busy[a][0] - self.now, 9) if self.busy[a] is not None else -1.0
-            for a in self._actor_order
-        )
-        phases = tuple(self.phase[a] for a in self._actor_order)
-        toks = tuple(self.tokens[e] for e in self._edge_order)
-        busy_phase = tuple(
-            self.busy[a][1] if self.busy[a] is not None else -1 for a in self._actor_order
-        )
-        return (toks, phases, remaining, busy_phase)
+        """Canonical state for recurrence detection (time-shift invariant).
+
+        Exact graphs key on exact remaining ticks; float graphs round the
+        remaining time to 9 decimals.  A busy actor is still in the phase it
+        started, so phases plus remaining times also fix the busy phases.
+        """
+        clock = self.clock
+        if self._exact:
+            remaining = tuple(-1 if end is None else end - clock for end in self._busy)
+        else:
+            remaining = tuple(
+                -1.0 if end is None else round(end - clock, 9) for end in self._busy
+            )
+        return (tuple(self._tokens), tuple(self._phase), remaining)
+
+    # -- records --------------------------------------------------------------
+    def _firings(self, actor: str | None = None) -> list[Firing]:
+        """Recorded firings (of one actor, or all) in public time."""
+        names, phases, time = self._actor_order, self._phases, self._time
+        records = self._records
+        if actor is not None:
+            k = self._index.get(actor)
+            records = [r for r in records if r[0] == k]
+        return [
+            Firing(names[i], p, time(end - phases[i][p][0]), time(end))
+            for i, p, end in records
+        ]
+
+    def _ends(self, actor: str) -> list:
+        """End times of ``actor``'s recorded firings in public time."""
+        k = self._index.get(actor)
+        time = self._time
+        return [time(end) for i, _p, end in self._records if i == k]
+
+
+class ExecutionResult:
+    """Outcome of a self-timed execution run.
+
+    Firing records stay in the engine's compact tick form until read; whole
+    times come back as ``int``, others as ``Fraction`` (floats for graphs
+    with float durations).
+    """
+
+    def __init__(self, engine: SelfTimedEngine, deadlocked: bool,
+                 iterations_completed: int) -> None:
+        self.completions = engine.completions
+        self.end_time = engine.now
+        self.deadlocked = deadlocked
+        self.iterations_completed = iterations_completed
+        self.tokens: dict[str, int] = dict(zip(engine._edge_order, engine._tokens))
+        self._engine = engine
+
+    @cached_property
+    def firings(self) -> list[Firing]:
+        """Every recorded firing, in completion order."""
+        return self._engine._firings()
+
+    def firings_of(self, actor: str) -> list[Firing]:
+        """Completed firings of one actor, ordered by start time."""
+        return self._engine._firings(actor)
+
+    def production_times(self, actor: str) -> list[float]:
+        """End times of an actor's firings — token production instants."""
+        return self._engine._ends(actor)
 
 
 def execute(
@@ -216,35 +369,30 @@ def execute(
         raise GraphError("execute() needs an iteration count or a time horizon")
     reps = firing_repetition_vector(graph) if iterations is not None else {}
     engine = SelfTimedEngine(graph, record=record)
+    if iterations is not None:
+        # count down the actors short of their quota instead of taking a
+        # min() over all actors after every event; zero-duration firings
+        # may already have completed at t=0
+        engine._target = [iterations * reps[a] for a in engine._actor_order]
+        engine._below = sum(1 for done, q in zip(engine._done, engine._target) if done < q)
+    limit = None
+    if horizon is not None:
+        # now >= horizon  <=>  clock >= horizon * scale, exactly
+        limit = ceil(Fraction(horizon) * engine.scale) if engine._exact else horizon
 
-    def iterations_done() -> int:
-        return min(
-            (engine.completions[a] // reps[a] for a in reps if reps[a] > 0),
-            default=0,
-        )
+    engine._run(limit)
+    # ran dry short of the quota, before the horizon
+    deadlocked = engine.idle and iterations is not None and engine._below > 0 and (
+        limit is None or engine.clock < limit
+    )
 
-    deadlocked = False
-    while True:
-        if iterations is not None and iterations_done() >= iterations:
-            break
-        if horizon is not None and engine.now >= horizon:
-            break
-        if not engine.advance():
-            # nothing in flight: if iteration target not reached, deadlock
-            if iterations is not None and iterations_done() < iterations:
-                deadlocked = True
-            break
-
+    completed = 0
+    if iterations is not None:
+        done = engine.completions
+        completed = min((done[a] // reps[a] for a in reps), default=0)
     if deadlocked and not allow_deadlock:
         raise DeadlockError(
             f"graph {graph.name!r} deadlocked at t={engine.now} "
-            f"after {iterations_done() if iterations is not None else '?'} iterations"
+            f"after {completed} iterations"
         )
-    return ExecutionResult(
-        firings=engine.firings,
-        completions=dict(engine.completions),
-        end_time=engine.now,
-        deadlocked=deadlocked,
-        iterations_completed=iterations_done() if iterations is not None else 0,
-        tokens=dict(engine.tokens),
-    )
+    return ExecutionResult(engine, deadlocked, completed)

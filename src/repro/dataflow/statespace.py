@@ -62,8 +62,11 @@ def steady_state_throughput(
     otherwise token counts grow without recurrence and the exploration aborts
     with :class:`GraphError` after ``max_steps`` events.
 
-    Durations are handled exactly when they are integers or Fractions; floats
-    are rounded to 9 decimals inside the state key.
+    Graphs whose durations are all integers or Fractions are analysed
+    exactly: states are keyed on exact remaining ticks and the period is an
+    exact Fraction.  With any float duration, remaining times are rounded to
+    9 decimals inside the state key and the period is recovered with
+    ``limit_denominator(10**9)``.
     """
     reps = firing_repetition_vector(graph)
     if actor is None:
@@ -74,7 +77,7 @@ def steady_state_throughput(
     engine = SelfTimedEngine(graph, record=False)
     seen: dict[tuple, tuple[float, int, int]] = {}
     steps = 0
-    seen[engine.state_key()] = (engine.now, engine.completions[actor], steps)
+    seen[engine.state_key()] = (engine.clock, engine.completions[actor], steps)
 
     while steps < max_steps:
         if not engine.advance():
@@ -91,11 +94,11 @@ def steady_state_throughput(
         key = engine.state_key()
         if key in seen:
             t0, c0, s0 = seen[key]
-            raw = engine.now - t0
+            raw = engine.clock - t0
             if isinstance(raw, float):
                 period = Fraction(raw).limit_denominator(10**9)
             else:
-                period = Fraction(raw)  # int/Fraction: exact
+                period = Fraction(raw, engine.scale)  # ticks: exact
             count = engine.completions[actor] - c0
             if period == 0:
                 raise GraphError("zero-time period detected; graph has zero-duration cycles")
@@ -121,7 +124,7 @@ def steady_state_throughput(
                 transient_steps=s0,
                 deadlocked=False,
             )
-        seen[key] = (engine.now, engine.completions[actor], steps)
+        seen[key] = (engine.clock, engine.completions[actor], steps)
 
     raise GraphError(
         f"no steady state within {max_steps} events for graph {graph.name!r}; "

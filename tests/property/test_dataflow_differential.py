@@ -1,0 +1,243 @@
+"""Differential testing: self-timed engine vs the frozen reference engine.
+
+``tests/refdataflow.py`` is a verbatim copy of the engine, ``execute`` and
+the ``steady_state_throughput`` loop from before the integer-tick, dirty-set
+rewrite (DESIGN.md §11), kept as an executable specification.  These
+properties run random consistent (C)SDF graphs — multi-phase actors; int,
+float and Fraction durations, mixed; zero-duration chains; deadlocks and
+zero-delay livelocks — through both and require every observable result to
+be equal (``==``): firing records, completions, tokens, end time, iteration
+count and deadlock flag of ``execute`` under iteration and horizon stops
+with recording on and off, the whole ``ThroughputResult``, and the errors
+raised.  Any divergence is a bug in the new engine, because the reference
+defines the semantics.
+
+Fraction denominators come from :data:`DENOMINATORS` (LCM 2520 ≤ 10⁶): the
+reference keys states on remaining times rounded to 9 decimals, which can
+merge distinct exact remainders only below 10⁻⁹ apart; the new engine keys
+exact graphs on exact ticks.
+"""
+
+from contextlib import ExitStack
+from fractions import Fraction
+from math import gcd
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.api import Scenario
+from repro.core import csdf_builder, sdf_abstraction, verification
+from repro.dataflow import (
+    CSDFGraph,
+    DeadlockError,
+    GraphError,
+    execute,
+    simulation,
+    steady_state_throughput,
+)
+from tests import refdataflow
+
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 8, 9)
+#: zero-delay livelock guard for both engines: livelocks cost ~1000 firings
+#: here instead of 10**6, and the guard must still trip identically
+GUARD = 1000
+
+_duration = {
+    "int": st.integers(min_value=0, max_value=6),
+    "fraction": st.builds(
+        Fraction, st.integers(min_value=0, max_value=40), st.sampled_from(DENOMINATORS)
+    ),
+    # tenths are inexact in binary: float time accumulates rounding
+    "float": st.integers(min_value=0, max_value=60).map(lambda k: k / 10),
+    # zero-duration chains resolve inside one instant, pass by pass
+    "zero": st.just(0),
+}
+
+
+@st.composite
+def consistent_graph(draw):
+    """A strongly connected, consistent (C)SDF graph.
+
+    A ring through every actor plus random extra edges (self-loops
+    included); each edge's quanta satisfy the balance equations for drawn
+    per-actor repetition counts, spread over the phases at random.  Initial
+    tokens are random, so some graphs deadlock and zero-duration cycles
+    holding tokens livelock.
+    """
+    kinds = draw(st.lists(st.sampled_from(sorted(_duration)), min_size=1, max_size=3,
+                          unique=True))
+    n = draw(st.integers(min_value=1, max_value=4))
+    g = CSDFGraph("diff")
+    reps, phases = [], []
+    for i in range(n):
+        ph = draw(st.integers(min_value=1, max_value=3))
+        durs = [draw(_duration[draw(st.sampled_from(kinds))]) for _ in range(ph)]
+        g.add_actor(f"a{i}", duration=durs, phases=ph)
+        reps.append(draw(st.integers(min_value=1, max_value=3)))
+        phases.append(ph)
+
+    def spread(total, ph):
+        quanta = [0] * ph
+        for _ in range(total):
+            quanta[draw(st.integers(min_value=0, max_value=ph - 1))] += 1
+        return quanta
+
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=3))
+    for k, (src, dst) in enumerate(pairs):
+        # reps[src] * production == reps[dst] * consumption
+        mult = draw(st.integers(min_value=1, max_value=2))
+        common = gcd(reps[src], reps[dst])
+        g.add_edge(
+            f"a{src}", f"a{dst}",
+            production=spread(mult * reps[dst] // common, phases[src]),
+            consumption=spread(mult * reps[src] // common, phases[dst]),
+            tokens=draw(st.integers(min_value=0, max_value=6)),
+            name=f"e{k}",
+        )
+    return g
+
+
+def _livelock():
+    """Zero-duration cycle holding tokens: the guard must trip in both."""
+    g = CSDFGraph("livelock")
+    g.add_actor("a0", duration=[0, Fraction(0)], phases=2)
+    g.add_actor("a1", duration=0.0)
+    g.add_edge("a0", "a1", production=[1, 0], consumption=1, tokens=1, name="e0")
+    g.add_edge("a1", "a0", production=1, consumption=[0, 1], tokens=1, name="e1")
+    return g
+
+
+def _fan_out():
+    """A zero-duration firing waking a lower and a higher actor at t=1.
+
+    The rescan fires ``a2`` later in the same pass and ``a0`` only in the
+    next one, so the records at t=1 read a3, a1, a2, a0.
+    """
+    g = CSDFGraph("fan-out")
+    for name in ("a0", "a1", "a2"):
+        g.add_actor(name, 0)
+    g.add_actor("a3", 1)
+    g.add_edge("a3", "a1", name="e0")
+    g.add_edge("a1", "a0", name="e1")
+    g.add_edge("a1", "a2", name="e2")
+    g.add_edge("a0", "a3", tokens=1, name="e3")
+    g.add_edge("a2", "a3", tokens=1, name="e4")
+    return g
+
+
+def _exact(graph):
+    return not any(isinstance(d, float) for a in graph for d in a.duration)
+
+
+def _outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except (GraphError, DeadlockError) as err:
+        return type(err).__name__, str(err)
+
+
+def _observe(res, graph):
+    if isinstance(res, tuple):  # raised
+        return res
+    return {
+        "firings": res.firings,
+        "completions": res.completions,
+        "tokens": res.tokens,
+        "end_time": res.end_time,
+        "iterations_completed": res.iterations_completed,
+        "deadlocked": res.deadlocked,
+        "per_actor": {
+            a: (res.firings_of(a), res.production_times(a)) for a in graph.actors
+        },
+    }
+
+
+def _guarded():
+    stack = ExitStack()
+    stack.enter_context(mock.patch.object(simulation, "_MICRO_GUARD", GUARD))
+    stack.enter_context(mock.patch.object(refdataflow, "_MICRO_GUARD", GUARD))
+    return stack
+
+
+_horizon = st.one_of(
+    st.none(),
+    st.integers(min_value=0, max_value=30),
+    st.builds(Fraction, st.integers(min_value=0, max_value=90), st.sampled_from((3, 7))),
+    st.floats(min_value=0, max_value=30),
+)
+
+
+@given(
+    consistent_graph(),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+    _horizon,
+    st.booleans(),
+    st.booleans(),
+)
+@example(_livelock(), 2, None, True, True)
+@example(_fan_out(), 2, None, True, True)
+@settings(max_examples=400, deadline=None)
+def test_execute_matches_reference(graph, iterations, horizon, record, allow_deadlock):
+    if iterations is None and horizon is None:
+        iterations = 2
+    kwargs = dict(iterations=iterations, horizon=horizon, record=record,
+                  allow_deadlock=allow_deadlock)
+    with _guarded():
+        new = _outcome(execute, graph, **kwargs)
+        ref = _outcome(refdataflow.execute, graph, **kwargs)
+    assert _observe(new, graph) == _observe(ref, graph)
+    if not isinstance(new, tuple) and _exact(graph):
+        # exact graphs: whole times as int, the rest as Fraction
+        times = [new.end_time] + [t for f in new.firings for t in (f.start, f.end)]
+        assert all(type(t) is int or (type(t) is Fraction and t.denominator > 1)
+                   for t in times)
+
+
+@given(consistent_graph(), st.integers(min_value=0, max_value=3))
+@example(_livelock(), 0)
+@settings(max_examples=300, deadline=None)
+def test_steady_state_throughput_matches_reference(graph, which):
+    actors = sorted(graph.actors)
+    actor = actors[which % len(actors)]
+    with _guarded():
+        new = _outcome(steady_state_throughput, graph, actor=actor, max_steps=1000)
+        ref = _outcome(refdataflow.steady_state_throughput, graph, actor=actor,
+                       max_steps=1000)
+    assert new == ref
+
+
+def test_pal_stage2_verify_graphs_match_reference():
+    """Every graph ``verify_stream`` builds for a PAL stage-2 stream (η = 1267).
+
+    The paper's PAL system, with its block sizes at the 0.127% rate margin
+    that reproduces them; each ``execute`` / ``steady_state_throughput``
+    call is run on both engines and must agree before the verdict is
+    computed.
+    """
+    system = Scenario.from_registry(
+        "pal_decoder", eta_stage1=10136, eta_stage2=1267, margin_ppm=1270).system
+    calls = []
+
+    def both_execute(graph, **kwargs):
+        new = execute(graph, **kwargs)
+        assert _observe(new, graph) == _observe(refdataflow.execute(graph, **kwargs), graph)
+        calls.append(graph.name)
+        return new
+
+    def both_throughput(graph, **kwargs):
+        new = steady_state_throughput(graph, **kwargs)
+        assert new == refdataflow.steady_state_throughput(graph, **kwargs)
+        calls.append(graph.name)
+        return new
+
+    with ExitStack() as stack:
+        for module in (verification, csdf_builder):
+            stack.enter_context(mock.patch.object(module, "execute", both_execute))
+        stack.enter_context(mock.patch.object(
+            sdf_abstraction, "steady_state_throughput", both_throughput))
+        result = verification.verify_stream(system, "ch1.s2")
+    assert calls == ["sdf[ch1.s2]", "csdf[ch1.s2]", "csdf[ch1.s2]", "sdf[ch1.s2]"]
+    assert result.ok and result.eta == 1267

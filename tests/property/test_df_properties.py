@@ -35,16 +35,21 @@ from repro.dataflow import (
 
 rate = st.integers(min_value=1, max_value=4)
 duration = st.integers(min_value=1, max_value=6)
+#: exact non-integer durations such as 8/7: the MCM's denominator is then no
+#: longer bounded by the token count alone
+fraction_duration = st.builds(
+    Fraction, st.integers(min_value=1, max_value=48), st.integers(min_value=2, max_value=8)
+)
 capacity_extra = st.integers(min_value=0, max_value=4)
 
 
 @st.composite
-def bounded_chain(draw, max_len=3):
+def bounded_chain(draw, max_len=3, durations=duration):
     """A chain of actors with bounded channels (always consistent & live)."""
     n = draw(st.integers(min_value=2, max_value=max_len))
     g = SDFGraph("chain")
     for i in range(n):
-        g.add_actor(f"a{i}", draw(duration))
+        g.add_actor(f"a{i}", draw(durations))
     chans = []
     for i in range(n - 1):
         p, c = draw(rate), draw(rate)
@@ -65,7 +70,7 @@ def test_balance_equations_hold(g):
         assert q[e.src] * e.total_production == q[e.dst] * e.total_consumption
 
 
-@given(bounded_chain())
+@given(bounded_chain(durations=duration | fraction_duration))
 @settings(max_examples=25, deadline=None)
 def test_statespace_equals_mcm(g):
     ref = sorted(g.actors)[0]

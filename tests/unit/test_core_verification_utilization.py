@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.api import Scenario
 from repro.core import (
     AcceleratorSpec,
     GatewaySystem,
@@ -40,6 +41,17 @@ def test_verify_system_passes_on_ilp_solution():
     assert len(report.streams) == 2
     for s in report.streams:
         assert s.eq5_ok and s.sdf_ok and s.tau_ok and s.refinement_ok
+
+
+def test_verify_system_is_exact_on_paper_pal_system():
+    # the paper's block sizes at the rate margin that reproduces them: τ̂ and
+    # CSDF ⊑ SDF hold without float slack, on exact integer block times
+    system = Scenario.from_registry(
+        "pal_decoder", eta_stage1=10136, eta_stage2=1267, margin_ppm=1270).system
+    report = verify_system(system)
+    assert report.ok, report.summary()
+    assert [s.tau_measured for s in report.streams] == [156143, 156143, 23108, 23108]
+    assert all(type(s.tau_measured) is int for s in report.streams)
 
 
 def test_verify_system_flags_undersized_blocks():

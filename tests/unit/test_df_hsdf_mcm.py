@@ -170,3 +170,20 @@ def test_mcm_throughput_matches_statespace_csdf():
     g.add_edge("p", "s", production=[2, 1], consumption=1, name="ch")
     gb = bound_channel(g, "ch", 5)
     assert mcm_throughput(gb, "s") == steady_state_throughput(gb, actor="s").firing_rate
+
+
+def test_mcm_throughput_exact_on_fig7_model_at_pal_stage2_rate():
+    # Fig. 7 abstraction at the PAL stage-2 rate: producer and consumer fire
+    # every 1/mu cycles, so the MCM ratio has the denominator of 1/mu, far
+    # beyond the token count that bounds it for integer durations
+    mu = Fraction(44156007, 12500000000)
+    eta = 5
+    g = SDFGraph("fig7")
+    g.add_actor("vP", 1 / mu)
+    g.add_actor("vS", 1400)
+    g.add_actor("vC", 1 / mu)
+    g.add_edge("vP", "vS", production=1, consumption=eta, name="p2s")
+    g.add_edge("vS", "vC", production=eta, consumption=1, name="s2c")
+    g = bound_channel(bound_channel(g, "p2s", 2 * eta), "s2c", 2 * eta)
+    assert mcm_throughput(g, "vC") == mu
+    assert steady_state_throughput(g, actor="vC").firing_rate == mu
