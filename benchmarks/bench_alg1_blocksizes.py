@@ -1,4 +1,4 @@
-"""ALG1: the block-size ILP on the PAL demonstrator.
+"""ALG1: Algorithm 1 block sizes on the PAL demonstrator.
 
 Paper: "we computed that for 44.1 kHz audio output, the streams at the
 start of the chain need to multiplex blocks of 10136 samples while the

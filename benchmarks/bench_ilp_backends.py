@@ -1,15 +1,22 @@
-"""Ablation: the two ILP backends (SciPy/HiGHS MILP vs own branch-and-bound).
+"""Ablation: the exact Algorithm-1 solver against the two ILP oracle backends.
 
-Algorithm 1's result must not depend on the solver: both backends must
-return the same objective on the PAL instance and on a family of scaled
-instances, and the bench records their relative cost.
+The paper's ILP, solved by SciPy/HiGHS and by the branch-and-bound oracle
+(``tests/refilp``), must return the exact solver's block sizes on the PAL
+instance and on a family of scaled instances; the bench records the
+relative cost of all three.  Run from the repository root.
 """
 
+import os
+import sys
 from fractions import Fraction
 
 from repro.core import AcceleratorSpec, GatewaySystem, StreamSpec, compute_block_sizes
 
 from conftest import banner
+
+# the ILP oracle is a test module under tests/, never shipped in src/
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.refilp import ilp_block_sizes  # noqa: E402
 
 
 def make_instance(n_streams: int, load_pct: int = 60):
@@ -27,16 +34,16 @@ def make_instance(n_streams: int, load_pct: int = 60):
 
 
 def test_backends_agree_on_pal(benchmark, pal_system):
-    def both():
-        a = compute_block_sizes(pal_system, backend="scipy")
-        b = compute_block_sizes(pal_system, backend="bnb")
-        return a, b
+    def all_three():
+        return (compute_block_sizes(pal_system).block_sizes,
+                ilp_block_sizes(pal_system, backend="scipy"),
+                ilp_block_sizes(pal_system, backend="bnb"))
 
-    a, b = benchmark(both)
-    banner("ILP backends on the PAL instance")
-    print(f"scipy objective {a.objective}, bnb objective {b.objective}")
-    assert a.objective == b.objective
-    assert a.block_sizes == b.block_sizes
+    exact, scipy, bnb = benchmark(all_three)
+    banner("Algorithm 1 solvers on the PAL instance")
+    print(f"exact Ση {sum(exact.values())}, scipy Ση {sum(scipy.values())}, "
+          f"bnb Ση {sum(bnb.values())}")
+    assert exact == scipy == bnb
 
 
 def test_backends_agree_on_instance_family(benchmark):
@@ -44,24 +51,28 @@ def test_backends_agree_on_instance_family(benchmark):
         out = []
         for n in (2, 3, 4, 5):
             system = make_instance(n)
-            a = compute_block_sizes(system, backend="scipy")
-            b = compute_block_sizes(system, backend="bnb")
-            out.append((n, a.objective, b.objective))
+            out.append((n, compute_block_sizes(system).block_sizes,
+                        ilp_block_sizes(system, backend="scipy"),
+                        ilp_block_sizes(system, backend="bnb")))
         return out
 
     rows = benchmark(sweep)
-    banner("ILP backends across instance sizes")
-    print(f"{'streams':>8} {'scipy Ση':>9} {'bnb Ση':>8}")
-    for n, a, b in rows:
-        print(f"{n:>8} {a:>9} {b:>8}")
-        assert a == b
+    banner("Algorithm 1 solvers across instance sizes")
+    print(f"{'streams':>8} {'exact Ση':>9} {'scipy Ση':>9} {'bnb Ση':>8}")
+    for n, exact, scipy, bnb in rows:
+        print(f"{n:>8} {sum(exact.values()):>9} {sum(scipy.values()):>9} "
+              f"{sum(bnb.values()):>8}")
+        assert exact == scipy == bnb
+
+
+def test_exact_alone(benchmark, pal_system):
+    res = benchmark(compute_block_sizes, pal_system)
+    assert res.feasible
 
 
 def test_scipy_backend_alone(benchmark, pal_system):
-    res = benchmark(compute_block_sizes, pal_system, backend="scipy")
-    assert res.feasible
+    assert benchmark(ilp_block_sizes, pal_system, backend="scipy") is not None
 
 
 def test_bnb_backend_alone(benchmark, pal_system):
-    res = benchmark(compute_block_sizes, pal_system, backend="bnb")
-    assert res.feasible
+    assert benchmark(ilp_block_sizes, pal_system, backend="bnb") is not None

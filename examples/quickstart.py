@@ -4,7 +4,7 @@
 Walks the paper's full design flow in a few lines:
 
 1. describe the shared chain (accelerators, streams, gateway costs),
-2. compute minimum block sizes with the Algorithm-1 ILP,
+2. compute minimum block sizes with Algorithm 1 (solved exactly),
 3. verify the assignment end-to-end (Eq. 5, SDF model, CSDF model τ ≤ τ̂,
    CSDF ⊑ SDF refinement),
 4. print the Fig. 6-style admissible schedule of one block.

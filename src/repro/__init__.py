@@ -6,11 +6,10 @@ Package map
 
 =================  ===========================================================
 ``repro.core``     the paper's contribution: per-stream CSDF/SDF models,
-                   Eqs. 1–5, the Algorithm-1 block-size ILP, buffer-optimal
+                   Eqs. 1–5, exact Algorithm-1 block sizes, buffer-optimal
                    search, verification and utilization analysis
 ``repro.dataflow`` (C)SDF substrate: graphs, repetition vectors, HSDF + MCM,
                    state-space throughput, buffer minimisation, refinement
-``repro.ilp``      ILP modelling layer with SciPy-HiGHS and own B&B backends
 ``repro.arch``     cycle-level MPSoC model: dual ring, credit NIs, C-FIFOs,
                    budget-scheduled processors, accelerator tiles, gateways
 ``repro.accel``    CORDIC / FIR+down-sampler kernels, synthetic PAL front-end
@@ -39,9 +38,9 @@ Quickstart::
     assert report.ok
 """
 
-from . import accel, api, app, arch, core, dataflow, exp, hwcost, ilp, sim
+from . import accel, api, app, arch, core, dataflow, exp, hwcost, sim
 
 __version__ = "1.0.0"
 
 __all__ = ["accel", "api", "app", "arch", "core", "dataflow", "exp", "hwcost",
-           "ilp", "sim", "__version__"]
+           "sim", "__version__"]

@@ -175,7 +175,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if load >= 1:
         print("INFEASIBLE: the shared chain cannot serve these rates")
         return 1
-    result = compute_block_sizes(system, backend=args.backend)
+    result = compute_block_sizes(system)
     assigned = system.with_block_sizes(result.block_sizes)
     print("\nblock sizes (Algorithm 1):")
     for name, eta in result.block_sizes.items():
@@ -225,7 +225,6 @@ def _prepared_scenario(args: argparse.Namespace, **extra):
     scenario = _scenario_from_args(args)
     if getattr(args, "blocks", None) is not None:
         scenario = scenario.with_blocks(args.blocks)
-    scenario = scenario.with_backend(args.backend)
     if getattr(args, "max_cycles", None) is not None:
         scenario = scenario.with_max_cycles(args.max_cycles)
     for key, value in extra.items():
@@ -251,7 +250,6 @@ def _simulated_run(args: argparse.Namespace, **kwargs):
     scenario = load_scenario(args.config)
     if getattr(args, "blocks", None) is not None:
         scenario = scenario.with_blocks(args.blocks)
-    scenario = scenario.with_backend(args.backend)
     if "max_cycles" in kwargs:
         scenario = scenario.with_max_cycles(kwargs.pop("max_cycles"))
     for key in ("faults", "spares", "watchdog", "admission"):
@@ -510,7 +508,6 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         return 2
     if args.blocks is not None:
         scenario = scenario.with_blocks(args.blocks)
-    scenario = scenario.with_backend(args.backend)
     if args.max_cycles is not None:
         scenario = scenario.with_max_cycles(args.max_cycles)
     result = scenario.build()
@@ -609,7 +606,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
           f"{result.workers} worker(s) ({result.mode}), chunk size "
           f"{result.chunk_size}, {result.elapsed_s:.2f}s")
     print(f"solver cache: {cache['hits']}/{cache['lookups']} hits "
-          f"({cache['hit_rate']:.0%}), {cache['warm_starts']} warm start(s)")
+          f"({cache['hit_rate']:.0%})")
     if result.store_path is not None:
         print(f"store: {result.resumed_chunks}/{result.chunk_count} chunk(s) "
               f"replayed from journal ({result.store_hits} point hit(s)), "
@@ -660,12 +657,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     try:
         system = load_system(text)
-        service = AdmissionService(
-            system,
-            backend=args.backend,
-            queue_depth=args.queue_depth,
-            solver_timeout=args.solver_timeout,
-        )
+        service = AdmissionService(system, queue_depth=args.queue_depth)
     except ParameterError as exc:
         print(f"error: invalid system config {args.config}: {exc}",
               file=sys.stderr)
@@ -768,14 +760,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("analyze", help="analyze a JSON gateway-system config")
     p.add_argument("config", help="path to a system JSON (see repro.core.config_io)")
-    p.add_argument("--backend", choices=("scipy", "bnb"), default="scipy")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser(
         "metrics", help="simulate a JSON config; per-stream runtime metrics"
     )
     _add_config_arg(p)
-    p.add_argument("--backend", choices=("scipy", "bnb"), default="scipy")
     p.add_argument("--blocks", type=int, default=None,
                    help="blocks per stream (default 4, or the scenario's "
                         "own setting)")
@@ -788,7 +778,6 @@ def main(argv: list[str] | None = None) -> int:
         help="simulate a JSON config; observed-vs-bound (Eq. 2-5) margins",
     )
     _add_config_arg(p)
-    p.add_argument("--backend", choices=("scipy", "bnb"), default="scipy")
     p.add_argument("--blocks", type=int, default=None,
                    help="blocks per stream (default 4, or the scenario's "
                         "own setting)")
@@ -807,7 +796,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--plan", default=None,
                    help="path to a fault-plan JSON (see repro.sim.faults); "
                         "optional when the --scenario entry carries one")
-    p.add_argument("--backend", choices=("scipy", "bnb"), default="scipy")
     p.add_argument("--blocks", type=int, default=None,
                    help="blocks per stream (default 4, or the scenario's "
                         "own setting)")
@@ -827,7 +815,6 @@ def main(argv: list[str] | None = None) -> int:
                         "entry carries churn")
     p.add_argument("--spares", type=int, default=0,
                    help="dormant spare accelerator tiles for failover")
-    p.add_argument("--backend", choices=("scipy", "bnb"), default="scipy")
     p.add_argument("--blocks", type=int, default=None,
                    help="blocks per stream (default 8, or the scenario's "
                         "own setting)")
@@ -857,7 +844,6 @@ def main(argv: list[str] | None = None) -> int:
                          "generated?seed=7")
     sp.add_argument("--blocks", type=int, default=None,
                     help="override the scenario's blocks per stream")
-    sp.add_argument("--backend", choices=("scipy", "bnb"), default="scipy")
     _add_max_cycles_arg(sp)
     sp.add_argument("--json", action="store_true",
                     help="machine-readable 'run' report envelope")
@@ -920,13 +906,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (default 0 = ephemeral; printed at startup)")
-    p.add_argument("--backend", choices=("scipy", "bnb"), default="scipy")
     p.add_argument("--queue-depth", type=int, default=128,
                    help="bounded admission queue; beyond it requests are "
                         "rejected 'overloaded'")
-    p.add_argument("--solver-timeout", type=float, default=5.0,
-                   help="seconds before an exact solve counts as a circuit-"
-                        "breaker failure")
     p.add_argument("--smoke", action="store_true",
                    help="bind, run the scripted join/overload/leave client "
                         "against the live server, print the check summary "

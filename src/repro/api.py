@@ -81,7 +81,6 @@ class Scenario:
 
     system: GatewaySystem | None = None
     blocks: int = 4
-    backend: str = "scipy"
     faults: FaultPlan | None = None
     spares: int = 0
     watchdog: WatchdogConfig | None = None
@@ -131,17 +130,6 @@ class Scenario:
         if blocks < 1:
             raise ParameterError(f"blocks must be >= 1, got {blocks}")
         return replace(self, blocks=blocks)
-
-    def with_backend(self, backend: str) -> "Scenario":
-        """ILP backend used when block sizes must be solved ('scipy'|'bnb')."""
-        from .ilp import _BACKENDS
-
-        if backend not in _BACKENDS:
-            raise ParameterError(
-                f"unknown ILP backend {backend!r}; choose from "
-                f"{sorted(_BACKENDS)}"
-            )
-        return replace(self, backend=backend)
 
     def with_faults(self, plan: FaultPlan) -> "Scenario":
         """Arm a fault-injection / churn plan."""
@@ -221,8 +209,8 @@ class Scenario:
         """Assign block sizes via Algorithm 1 if any stream lacks one.
 
         ``cache`` may be a :class:`repro.exp.SolverCache` (anything with a
-        matching ``resolve(system, backend=...)``) to memoize / warm-start
-        the solve across neighbouring scenarios.
+        matching ``resolve(system)``) to memoize the solve across
+        scenarios.
         """
         if all(s.block_size is not None for s in self.system.streams):
             return self
@@ -258,8 +246,8 @@ class Scenario:
 
     def _resolve(self, cache: Any | None) -> BlockSizeResult:
         if cache is not None:
-            return cache.resolve(self.system, backend=self.backend)
-        return resolve_block_sizes(self.system, backend=self.backend)
+            return cache.resolve(self.system)
+        return resolve_block_sizes(self.system)
 
 
 def load_scenario(source: str | Path) -> Scenario:
@@ -383,7 +371,6 @@ class RunResult:
                 "backend": self.solver.backend,
                 "objective": self.solver.objective,
                 "load": float(self.solver.load),
-                "warm_start": self.solver.warm_start,
             }
         if self.run.injector is not None:
             body["faults"] = self.fault_report()

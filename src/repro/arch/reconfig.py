@@ -14,8 +14,8 @@ mid-simulation and executes *hitless* mode transitions —
 2. **quiesce** — wait until the pipeline-idle token is parked and the chain
    holds no residue (the only state in which the paper allows any
    reconfiguration),
-3. **re-solve** — run Algorithm 1 over the new stream set with a warm start
-   from the previous solution (:func:`repro.core.blocksize_ilp.resolve_block_sizes`),
+3. **re-solve** — run Algorithm 1 over the new stream set
+   (:func:`repro.core.blocksize_ilp.resolve_block_sizes`),
 4. **reprogram** — pay for the gateway rotation table and C-FIFO credit
    updates over the configuration bus (serialised, cycle-counted),
 5. **thaw** — admission resumes under the new mode.
@@ -83,8 +83,6 @@ class ModeTransition:
     #: a refused transition changes nothing and opens no new mode window
     accepted: bool = True
     reason: str | None = None
-    #: True when the re-solve reused or bounded with the previous solution
-    warm_start: bool = False
     #: "manager" (idle-time) or "watchdog" (mid-block recovery path)
     via: str = "manager"
     #: the mode's analysis model after the transition (None when refused)
@@ -124,7 +122,6 @@ class ModeTransition:
             "block_sizes": dict(self.block_sizes),
             "accepted": self.accepted,
             "reason": self.reason,
-            "warm_start": self.warm_start,
             "via": self.via,
         }
 
@@ -169,7 +166,6 @@ class ReconfigurationManager:
         initial_result: BlockSizeResult | None = None,
         binding_factory: Callable[[StreamSpec, int], StreamBinding] | None = None,
         on_stream_left: Callable[[StreamBinding], None] | None = None,
-        backend: str = "scipy",
         c1_mode: str = "sum",
         eta_max: int | None = None,
         reprogram_words: int = 4,
@@ -185,7 +181,6 @@ class ReconfigurationManager:
         self.bus = soc.config_bus
         self.system = system
         self.tracer = soc.tracer if soc.tracer.enabled else None
-        self.backend = backend
         self.c1_mode = c1_mode
         self.eta_max = eta_max
         self.reprogram_words = int(reprogram_words)
@@ -423,7 +418,7 @@ class ReconfigurationManager:
         candidate = replace(self.system, streams=streams)
         try:
             result = resolve_block_sizes(
-                candidate, previous=self._result, backend=self.backend,
+                candidate, previous=self._result,
                 c1_mode=self.c1_mode, eta_max=self.eta_max,
             )
         except ParameterError as exc:
@@ -462,8 +457,7 @@ class ReconfigurationManager:
             index=len(self.transitions), trigger=spec.kind, detail=target,
             requested_at=requested_at, quiesced_at=quiesced_at,
             completed_at=self.sim.now, budget=budget, bus_words=words,
-            block_sizes=dict(sizes), warm_start=result.warm_start,
-            system=new_system,
+            block_sizes=dict(sizes), system=new_system,
         ))
 
     def _retune_watchdog(self, system: GatewaySystem) -> None:

@@ -20,8 +20,6 @@ from .blocksize_bnb import (
 )
 from .blocksize_ilp import (
     BlockSizeResult,
-    build_block_size_model,
-    closed_form_block_sizes,
     compute_block_sizes,
     resolve_block_sizes,
     sharing_load,
@@ -118,14 +116,12 @@ __all__ = [
     "attribute_modal_conformance",
     "block_round_length",
     "bounds_for",
-    "build_block_size_model",
     "build_stream_csdf",
     "build_stream_sdf",
     "calibrated_system",
     "check_conformance",
     "check_modal_conformance",
     "check_stream",
-    "closed_form_block_sizes",
     "compute_block_sizes",
     "dump_system",
     "load_system",

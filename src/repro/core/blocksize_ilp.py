@@ -1,21 +1,32 @@
-"""Algorithm 1 — the ILP computing minimum block sizes.
+"""Algorithm 1 — minimum block sizes, solved exactly in integers.
 
 Substituting Eq. 4 into Eq. 5 yields, for every stream ``s ∈ S``:
 
     η_s  ≥  μ_s · Σ_{i∈S} [ R_i + (η_i + F) · c0 ]
-    ⇔  η_s − c0·μ_s·Σ_{i∈S}(η_i + F)  ≥  μ_s · Σ_{i∈S} R_i
+    ⇔  η_s  ≥  μ_s · (c1_s + c0·F·n + c0·Σ_{i∈S} η_i)
 
-with ``c0 = max(ε, ρ_A, δ)`` and flush term ``F`` (= 2 for one accelerator).
-The paper prints the right-hand constant as ``c1 = R_s``; the substitution
-above gives ``c1 = Σ_i R_i``, which coincides only under the (paper's
-prototype) assumption of equal reconfiguration times when the sum is meant.
-``c1_mode`` selects the general correct form (default) or the paper's
-literal one.
+with ``c0 = max(ε, ρ_A, δ)``, flush term ``F`` (= 2 for one accelerator)
+and ``n = |S|``.  The paper prints the right-hand constant as
+``c1 = R_s``; the substitution above gives ``c1 = Σ_i R_i``, which
+coincides only under the (paper's prototype) assumption of equal
+reconfiguration times when the sum is meant.  ``c1_mode`` selects the
+general correct form (default) or the paper's literal one.
 
-The objective minimises ``Σ_s η_s`` (Algorithm 1).  Infeasibility has a
-clean interpretation: the per-sample load ``c0 · Σ μ_i`` must stay below 1
-(the shared chain is a single server); as it approaches 1, block sizes blow
-up like ``1/(1 − load)``, and beyond it no block size helps.
+The paper states Algorithm 1 as an ILP minimising ``Σ_s η_s``.  Every
+right-hand side is monotone in η (its coefficients ``c0·μ_s`` are
+non-negative), so the integer feasible set is closed under componentwise
+min and has a least element, which is the ILP optimum.  Each right-hand
+side depends on η only through the total ``T = Σ η``: with
+``need_s(T) = max(1, ⌈μ_s·(c1_s + c0·F·n + c0·T)⌉)`` the least element is
+``need(T*)`` for the least integer ``T*`` with ``Σ_s need_s(T*) ≤ T*``.  :func:`compute_block_sizes`
+finds it by iterating ``T ← Σ_s need_s(T)`` upward from the LP least point
+(DESIGN.md §12: the proof, the ``n/(1 − load) + 2`` step bound and the
+``eta_max`` early exit).
+
+Infeasibility has a clean interpretation: the per-sample load
+``c0 · Σ μ_i`` must stay below 1 (the shared chain is a single server);
+as it approaches 1, block sizes blow up like ``1/(1 − load)``, and beyond
+it no block size helps.
 """
 
 from __future__ import annotations
@@ -24,15 +35,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil
 
-from ..ilp import Model, Status, solve, sum_expr
 from .params import GatewaySystem, ParameterError
 
 __all__ = [
     "BlockSizeResult",
-    "closed_form_block_sizes",
     "compute_block_sizes",
     "resolve_block_sizes",
-    "build_block_size_model",
     "sharing_load",
     "system_fingerprint",
 ]
@@ -45,14 +53,14 @@ class BlockSizeResult:
     block_sizes: dict[str, int]
     objective: int
     feasible: bool
+    #: how the sizes were obtained: "exact" (Algorithm 1) or "given"
     backend: str
     load: Fraction
     #: identity of the (stream set, costs) the solution is valid for; set by
     #: :func:`resolve_block_sizes` so unchanged re-solves short-circuit
     fingerprint: tuple | None = field(default=None, compare=False)
-    #: True when :func:`resolve_block_sizes` reused or bounded the search
-    #: with a previous solution
-    warm_start: bool = field(default=False, compare=False)
+    #: evaluations of ``Σ_s need_s(T)`` the solve took (≤ n/(1 − load) + 2)
+    steps: int = field(default=0, compare=False)
 
     @property
     def total(self) -> int:
@@ -67,130 +75,73 @@ def sharing_load(system: GatewaySystem) -> Fraction:
     return system.c0 * sum((s.throughput for s in system.streams), Fraction(0))
 
 
-def build_block_size_model(
-    system: GatewaySystem,
-    c1_mode: str = "sum",
-    eta_max: int | None = None,
-) -> Model:
-    """Construct the Algorithm-1 ILP over variables ``eta:<stream>``."""
-    if c1_mode not in ("sum", "paper"):
-        raise ParameterError(f"c1_mode must be 'sum' or 'paper', got {c1_mode!r}")
-    c0 = system.c0
-    flush = system.flush_stages
-    m = Model("algorithm1")
-    etas = {
-        s.name: m.int_var(f"eta:{s.name}", lo=1, hi=eta_max) for s in system.streams
-    }
-    r_sum = sum(s.reconfigure for s in system.streams)
-    for s in system.streams:
-        c1 = r_sum if c1_mode == "sum" else s.reconfigure
-        mu = s.throughput
-        lhs = etas[s.name] - c0 * mu * sum_expr(etas[i.name] + flush for i in system.streams)
-        m.add(lhs >= mu * c1, name=f"tp:{s.name}")
-    m.minimize(sum_expr(etas.values()))
-    return m
+def _load_diagnosis(load: Fraction) -> str:
+    return f"aggregate load c0·Σμ = {float(load):.4f}"
 
 
 def compute_block_sizes(
     system: GatewaySystem,
-    backend: str = "scipy",
     c1_mode: str = "sum",
     eta_max: int | None = None,
 ) -> BlockSizeResult:
     """Solve Algorithm 1 and return minimum block sizes.
 
-    Raises :class:`ParameterError` with the load diagnosis when infeasible.
-    """
-    load = sharing_load(system)
-    model = build_block_size_model(system, c1_mode=c1_mode, eta_max=eta_max)
-    sol = solve(model, backend=backend)
-    if sol.status != Status.OPTIMAL:
-        if load >= 1:
-            raise ParameterError(
-                f"infeasible: aggregate load c0·Σμ = {float(load):.4f} ≥ 1 — the "
-                "shared chain cannot serve the requested rates at any block size"
-            )
-        raise ParameterError(f"block-size ILP not solved to optimality: {sol.status}")
-    sizes = {
-        s.name: int(round(sol[f"eta:{s.name}"])) for s in system.streams
-    }
-    return BlockSizeResult(
-        block_sizes=sizes,
-        objective=int(round(sol.objective or 0)),
-        feasible=True,
-        backend=sol.backend,
-        load=load,
-    )
-
-
-def closed_form_block_sizes(
-    system: GatewaySystem,
-    c1_mode: str = "sum",
-    eta_max: int | None = None,
-) -> dict[str, int] | None:
-    """Conservative feasible Eq. 5 block sizes, without touching a solver.
-
-    Relaxing the integrality of Algorithm 1 gives a closed form: summing
-    ``η_s = μ_s·(c1_s + c0·(T + F·n))`` over all streams and solving for the
-    total ``T = Σ η_s`` yields
-
-        T* = (Σ_s μ_s·c1_s + c0·F·n·Σ_s μ_s) / (1 − load)
-
-    and each ``η_s`` follows by substitution.  Ceiling every η grows the
-    round slightly, so a few monotone fix-up sweeps re-check the exact
-    integer constraint until stable.  The result satisfies every Eq. 5
-    constraint but is not minimal — it is the *conservative* answer an
-    admission-control path can serve while the exact solver is unavailable
-    (tripped circuit breaker, solver timeout).
-
-    Returns ``None`` when no assignment can be certified: the load is ≥ 1
-    (genuinely infeasible at any block size), a size exceeds ``eta_max``,
-    or the fix-up fails to settle.
+    The answer is the least element of the integer feasible set, so it is
+    the Σ-minimum and also componentwise minimal.  Raises
+    :class:`ParameterError` with the load diagnosis when the load is ≥ 1
+    or when the least element needs a block size above ``eta_max``.
     """
     if c1_mode not in ("sum", "paper"):
         raise ParameterError(f"c1_mode must be 'sum' or 'paper', got {c1_mode!r}")
     load = sharing_load(system)
     if load >= 1:
-        return None
+        raise ParameterError(
+            f"infeasible: {_load_diagnosis(load)} ≥ 1 — the shared chain "
+            "cannot serve the requested rates at any block size"
+        )
     c0 = system.c0
-    flush = system.flush_stages
-    n = len(system.streams)
+    fixed = c0 * system.flush_stages * len(system.streams)
     r_sum = sum(s.reconfigure for s in system.streams)
+    # need_s(T) = max(1, ⌈(b + a·T) / q⌉) with integer a, b, q per stream
+    names: list[str] = []
+    terms: list[tuple[int, int, int]] = []
+    lp_rhs = Fraction(0)
+    for s in system.streams:
+        mu = s.throughput
+        k = Fraction((r_sum if c1_mode == "sum" else s.reconfigure) + fixed)
+        lp_rhs += mu * k
+        q = mu.denominator * k.denominator
+        names.append(s.name)
+        terms.append((mu.numerator * c0 * k.denominator, mu.numerator * k.numerator, q))
 
-    def c1(spec) -> int:
-        return r_sum if c1_mode == "sum" else spec.reconfigure
-
-    mu_sum = sum((s.throughput for s in system.streams), Fraction(0))
-    t_star = (
-        sum((s.throughput * c1(s) for s in system.streams), Fraction(0))
-        + c0 * flush * n * mu_sum
-    ) / (1 - load)
-    sizes = {
-        s.name: max(1, ceil(s.throughput * (c1(s) + c0 * (t_star + flush * n))))
-        for s in system.streams
-    }
-    settled = False
-    for _ in range(8 * n + 64):
-        changed = False
-        for s in system.streams:
-            others = sum(v for k, v in sizes.items() if k != s.name)
-            den = 1 - c0 * s.throughput
-            if den <= 0:
-                return None
-            need = max(1, ceil(
-                s.throughput * (c1(s) + c0 * (others + flush * n)) / den
-            ))
-            if sizes[s.name] < need:
-                sizes[s.name] = need
-                changed = True
-        if not changed:
-            settled = True
+    # ⌈T_LP⌉ ≤ T*: the relaxed least point is below every integer solution
+    total = ceil(lp_rhs / (1 - load))
+    steps = 0
+    while True:
+        steps += 1
+        needs = [max(1, -((-b - a * total) // q)) for a, b, q in terms]
+        if eta_max is not None:
+            top = max(needs)
+            if top > eta_max:
+                # need_s is monotone in T and T ≤ T*: the least element,
+                # and with it every feasible assignment, exceeds the cap
+                name = names[needs.index(top)]
+                raise ParameterError(
+                    f"infeasible: η[{name}] needs at least {top} > eta_max "
+                    f"{eta_max} ({_load_diagnosis(load)})"
+                )
+        grown = sum(needs)
+        if grown <= total:
             break
-    if not settled:
-        return None
-    if eta_max is not None and any(v > eta_max for v in sizes.values()):
-        return None
-    return sizes
+        total = grown
+    return BlockSizeResult(
+        block_sizes=dict(zip(names, needs)),
+        objective=grown,
+        feasible=True,
+        backend="exact",
+        load=load,
+        steps=steps,
+    )
 
 
 def system_fingerprint(system: GatewaySystem, c1_mode: str = "sum") -> tuple:
@@ -208,98 +159,22 @@ def system_fingerprint(system: GatewaySystem, c1_mode: str = "sum") -> tuple:
     )
 
 
-def _seed_candidate(
-    system: GatewaySystem, previous: BlockSizeResult, c1_mode: str
-) -> dict[str, int] | None:
-    """A feasible candidate assignment grown from ``previous``, or None.
-
-    Surviving streams keep their previous η; each other stream gets the
-    closed-form single-unknown solution with the rest held fixed.  A few
-    fix-up sweeps propagate the round growth; the candidate is returned
-    only once every constraint holds.
-    """
-    c0 = system.c0
-    flush = system.flush_stages
-    n = len(system.streams)
-    r_sum = sum(s.reconfigure for s in system.streams)
-    sizes = {
-        s.name: previous.block_sizes[s.name]
-        for s in system.streams
-        if s.name in previous.block_sizes
-    }
-
-    def needed(spec, total_others: int) -> int | None:
-        # η_s ≥ μ_s·(c1 + c0·(Σ_others + η_s + F·n)) solved for η_s
-        c1 = r_sum if c1_mode == "sum" else spec.reconfigure
-        mu = spec.throughput
-        denom = 1 - c0 * mu
-        if denom <= 0:
-            return None
-        return max(1, ceil(mu * (c1 + c0 * (total_others + flush * n)) / denom))
-
-    for _ in range(2 * n + 2):
-        changed = False
-        for spec in system.streams:
-            others = sum(v for k, v in sizes.items() if k != spec.name)
-            eta = needed(spec, others)
-            if eta is None:
-                return None
-            if sizes.get(spec.name, 0) < eta:
-                sizes[spec.name] = eta
-                changed = True
-        if not changed:
-            return sizes
-    return None
-
-
 def resolve_block_sizes(
     system: GatewaySystem,
     previous: BlockSizeResult | None = None,
-    backend: str = "scipy",
     c1_mode: str = "sum",
     eta_max: int | None = None,
 ) -> BlockSizeResult:
-    """Warm-start incremental re-solve of Algorithm 1 for online mode changes.
+    """Re-solve Algorithm 1 for an online mode change.
 
     Identical stream set and costs (matched by :func:`system_fingerprint`)
     → the previous solution is returned unchanged (idempotence: the online
-    path never churns block sizes without cause).  Otherwise a feasible
-    candidate grown from the previous solution tightens the per-variable
-    upper bound ``η_s ≤ μ_s·(c1 + c0·(T_c + F·n))`` before the exact solve,
-    shrinking the branch-and-bound search space; the result is optimal
-    either way because the candidate's total upper-bounds the optimum.
+    path never churns block sizes without cause).  Otherwise the system is
+    solved by :func:`compute_block_sizes`, and the result carries its
+    fingerprint.
     """
     fp = system_fingerprint(system, c1_mode=c1_mode)
     if previous is not None and previous.fingerprint == fp:
-        return replace(previous, warm_start=True)
-    bound = eta_max
-    warm = False
-    if previous is not None:
-        candidate = _seed_candidate(system, previous, c1_mode)
-        if candidate is not None:
-            c0 = system.c0
-            flush = system.flush_stages
-            n = len(system.streams)
-            total = sum(candidate.values())
-            r_sum = sum(s.reconfigure for s in system.streams)
-            per_var = []
-            for s in system.streams:
-                c1 = r_sum if c1_mode == "sum" else s.reconfigure
-                per_var.append(ceil(s.throughput * (c1 + c0 * (total + flush * n))))
-            derived = max(max(per_var), max(candidate.values()))
-            bound = derived if eta_max is None else min(eta_max, derived)
-            warm = True
-    try:
-        result = compute_block_sizes(
-            system, backend=backend, c1_mode=c1_mode, eta_max=bound
-        )
-    except ParameterError:
-        if bound == eta_max:
-            raise
-        # the derived cap was too tight for the solver; fall back to the
-        # caller's (or unbounded) search space
-        result = compute_block_sizes(
-            system, backend=backend, c1_mode=c1_mode, eta_max=eta_max
-        )
-        warm = False
-    return replace(result, fingerprint=fp, warm_start=warm)
+        return previous
+    result = compute_block_sizes(system, c1_mode=c1_mode, eta_max=eta_max)
+    return replace(result, fingerprint=fp)

@@ -72,7 +72,6 @@ class DesignReport:
 
 def run_design_flow(
     system: GatewaySystem,
-    backend: str = "scipy",
     size_buffers: bool = True,
     buffer_bnb_radius: int = 0,
     cap_limit: int = 512,
@@ -81,8 +80,6 @@ def run_design_flow(
 
     Parameters
     ----------
-    backend:
-        ILP backend for Algorithm 1 (``"scipy"`` or ``"bnb"``).
     size_buffers:
         Run the per-stream minimum-buffer computation on the Fig. 7 models
         (skippable: it is the slow step for large η).
@@ -97,7 +94,7 @@ def run_design_flow(
             f"infeasible: aggregate load c0·Σμ = {float(load):.4f} ≥ 1"
         )
     notes: list[str] = []
-    ilp = compute_block_sizes(system, backend=backend)
+    ilp = compute_block_sizes(system)
     assigned = system.with_block_sizes(ilp.block_sizes)
 
     bounds = {

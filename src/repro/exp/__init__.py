@@ -19,8 +19,8 @@ experiments::
     again = run_sweep(sweep, workers=4, store="results/")   # pure cache hit
 
 Guarantees: eager spec validation (bad grids fail before any worker
-spawns), deterministic per-point seeding, chunk-local solver caching with
-warm starts, and bit-identical merged results for any worker count, any
+spawns), deterministic per-point seeding, chunk-local solver caching,
+and bit-identical merged results for any worker count, any
 execution backend (serial / process pool / work queue) and any
 crash-resume history.  Fault tolerance: seeded retries with exponential
 backoff, portable per-point timeouts, dead-worker detection with chunk
@@ -29,7 +29,7 @@ chaos-tested in :mod:`repro.exp.chaos`.
 """
 
 from . import tasks
-from .cache import ShardedSolverCache, SolverCache
+from .cache import SolverCache
 from .chaos import ChaosEvent, ChaosMonkey, ChaosPlan, run_chaos_sweep
 from .engine import (
     DEFAULT_CHUNK_SIZE,
@@ -69,7 +69,6 @@ __all__ = [
     "ProcessPoolExecutor",
     "ResultStore",
     "SerialExecutor",
-    "ShardedSolverCache",
     "SolverCache",
     "StoreMismatch",
     "Sweep",

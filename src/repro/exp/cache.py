@@ -1,38 +1,23 @@
-"""Process-local memoization + warm-start cache for Algorithm-1 solves.
+"""Process-local memoization for Algorithm-1 solves.
 
 Sweeps over system parameters re-solve Algorithm 1 at every point, and
-neighbouring points differ in one axis value — exactly the regime
-:func:`repro.core.blocksize_ilp.resolve_block_sizes` was built for.  The
-cache layers two reuse levels on top of it:
-
-* **exact memoization** — keyed on
-  :func:`~repro.core.blocksize_ilp.system_fingerprint` (the identity of
-  the constraint set), so a repeated system returns the previously
-  computed :class:`~repro.core.blocksize_ilp.BlockSizeResult` verbatim
-  without touching a solver;
-* **warm starts** — a fingerprint miss passes the most recent solution as
-  the incumbent, letting ``resolve_block_sizes`` grow a feasible candidate
-  and tighten the branch-and-bound / LP search space instead of solving
-  cold.
+the admission service (:mod:`repro.serve`) re-solves on every join, leave
+and quote.  :class:`SolverCache` memoizes the answers, keyed on
+:func:`~repro.core.blocksize_ilp.system_fingerprint` (the identity of the
+constraint set), so a repeated system returns the previously computed
+:class:`~repro.core.blocksize_ilp.BlockSizeResult` verbatim without
+solving again.
 
 The cache is process-local by design: worker processes each own one, and
 the engine scopes a fresh cache per chunk so a point's result depends only
-on its chunk predecessors (deterministic under any worker count).
-
-Long-running services (:mod:`repro.serve`) cannot afford an unbounded
-memo under tenant churn, and their solves arrive for many unrelated
-systems: :class:`ShardedSolverCache` partitions the memo into independent
-:class:`SolverCache` shards keyed by the system *skeleton* (costs +
-stream-name set, i.e. the fingerprint minus the throughputs), so systems
-that differ only in rates share a shard — and a shard's warm-start
-incumbent stays relevant — while every shard's memo is LRU-bounded.
+on its chunk predecessors (deterministic under any worker count).  A
+long-running service bounds it with ``capacity`` (LRU eviction).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Any
-from zlib import crc32
 
 from ..core.blocksize_ilp import (
     BlockSizeResult,
@@ -41,32 +26,28 @@ from ..core.blocksize_ilp import (
 )
 from ..core.params import GatewaySystem
 
-__all__ = ["SolverCache", "ShardedSolverCache"]
+__all__ = ["SolverCache"]
 
 
 class SolverCache:
-    """Memoizing, warm-starting front-end to Algorithm 1.
+    """Memoizing front-end to Algorithm 1.
 
     ``resolve`` is a drop-in for
-    :func:`~repro.core.blocksize_ilp.resolve_block_sizes`; hit/miss and
-    warm-start counters make the reuse rate observable (sweep reports
-    surface them).  ``capacity`` bounds the memo (LRU eviction) so a cache
-    embedded in a long-running service cannot grow without limit; ``None``
-    (the default, used by the chunk-scoped sweep engine) keeps the
-    historical unbounded behaviour.
+    :func:`~repro.core.blocksize_ilp.resolve_block_sizes`; hit/miss
+    counters make the reuse rate observable (sweep reports surface them).
+    ``capacity`` bounds the memo (LRU eviction) so a cache embedded in a
+    long-running service cannot grow without limit; ``None`` (the default,
+    used by the chunk-scoped sweep engine) keeps it unbounded.
     """
 
-    def __init__(self, warm_start: bool = True, capacity: int | None = None) -> None:
+    def __init__(self, capacity: int | None = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        self.warm_start_enabled = warm_start
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
-        self.warm_starts = 0
         self.evictions = 0
         self._memo: OrderedDict[tuple, BlockSizeResult] = OrderedDict()
-        self._incumbent: BlockSizeResult | None = None
 
     def __len__(self) -> int:
         return len(self._memo)
@@ -82,7 +63,7 @@ class SolverCache:
         return self.hits / total if total else 0.0
 
     # -- raw memo access (used by the serve layer, which runs its own
-    # solve with a committed warm-start chain and memoizes the result) ----
+    # solve and memoizes the result) ----------------------------------------
     def get(self, fingerprint: tuple) -> BlockSizeResult | None:
         """Memo lookup by fingerprint; counts a hit or a miss."""
         cached = self._memo.get(fingerprint)
@@ -91,7 +72,6 @@ class SolverCache:
             return None
         self.hits += 1
         self._memo.move_to_end(fingerprint)
-        self._incumbent = cached
         return cached
 
     def put(self, fingerprint: tuple, result: BlockSizeResult) -> None:
@@ -99,7 +79,6 @@ class SolverCache:
         when over capacity."""
         self._memo[fingerprint] = result
         self._memo.move_to_end(fingerprint)
-        self._incumbent = result
         while self.capacity is not None and len(self._memo) > self.capacity:
             self._memo.popitem(last=False)
             self.evictions += 1
@@ -107,133 +86,30 @@ class SolverCache:
     def resolve(
         self,
         system: GatewaySystem,
-        backend: str = "scipy",
         c1_mode: str = "sum",
         eta_max: int | None = None,
     ) -> BlockSizeResult:
-        """Solve Algorithm 1 for ``system``, reusing prior work when possible."""
+        """Solve Algorithm 1 for ``system``, reusing a memoized answer."""
         fp = system_fingerprint(system, c1_mode=c1_mode)
         cached = self.get(fp)
         if cached is not None:
             return cached
-        previous = self._incumbent if self.warm_start_enabled else None
-        result = resolve_block_sizes(
-            system, previous=previous, backend=backend,
-            c1_mode=c1_mode, eta_max=eta_max,
-        )
-        if result.warm_start:
-            self.warm_starts += 1
+        result = resolve_block_sizes(system, c1_mode=c1_mode, eta_max=eta_max)
         self.put(fp, result)
         return result
 
     def invalidate(self) -> None:
         """Drop every memoized solution (counters are kept)."""
         self._memo.clear()
-        self._incumbent = None
 
     def stats(self) -> dict[str, Any]:
-        """JSON-friendly counters for sweep reports."""
+        """JSON-friendly counters for sweep reports and serve status."""
         return {
             "lookups": self.lookups,
             "hits": self.hits,
             "misses": self.misses,
-            "warm_starts": self.warm_starts,
             "hit_rate": self.hit_rate,
             "entries": len(self._memo),
             "capacity": self.capacity,
             "evictions": self.evictions,
         }
-
-
-def _shard_skeleton(fingerprint: tuple) -> tuple:
-    """A fingerprint minus the stream throughputs: costs + name set.
-
-    Two systems whose streams differ only in their required rates map to
-    the same skeleton, so they land in the same shard and can warm-start
-    each other.
-    """
-    c1_mode, entry, exit_, accels, streams = fingerprint
-    return (c1_mode, entry, exit_, accels,
-            tuple(name for name, _mu, _r in streams))
-
-
-class ShardedSolverCache:
-    """A fixed set of LRU-bounded :class:`SolverCache` shards.
-
-    Shard selection hashes the system *skeleton* (see
-    :func:`_shard_skeleton`) with a process-stable CRC so placement is
-    deterministic across runs (``hash()`` is salted per process and would
-    not be).  Each shard keeps its own warm-start incumbent, so a shard's
-    incumbents are always structurally similar to the systems it serves,
-    and its memo is independently capacity-bounded — a misbehaving tenant
-    hammering one system shape cannot evict every other tenant's cached
-    solves.
-    """
-
-    def __init__(
-        self,
-        shards: int = 8,
-        capacity: int = 256,
-        warm_start: bool = True,
-    ) -> None:
-        if shards < 1:
-            raise ValueError(f"need at least one shard, got {shards}")
-        self._shards = tuple(
-            SolverCache(warm_start=warm_start, capacity=capacity)
-            for _ in range(shards)
-        )
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._shards)
-
-    @property
-    def shards(self) -> tuple[SolverCache, ...]:
-        return self._shards
-
-    def shard_index(self, fingerprint: tuple) -> int:
-        key = repr(_shard_skeleton(fingerprint)).encode()
-        return crc32(key) % len(self._shards)
-
-    def shard_for(self, fingerprint: tuple) -> SolverCache:
-        """The shard owning ``fingerprint``'s skeleton."""
-        return self._shards[self.shard_index(fingerprint)]
-
-    def get(self, fingerprint: tuple) -> BlockSizeResult | None:
-        return self.shard_for(fingerprint).get(fingerprint)
-
-    def put(self, fingerprint: tuple, result: BlockSizeResult) -> None:
-        self.shard_for(fingerprint).put(fingerprint, result)
-
-    def resolve(
-        self,
-        system: GatewaySystem,
-        backend: str = "scipy",
-        c1_mode: str = "sum",
-        eta_max: int | None = None,
-    ) -> BlockSizeResult:
-        fp = system_fingerprint(system, c1_mode=c1_mode)
-        return self.shard_for(fp).resolve(
-            system, backend=backend, c1_mode=c1_mode, eta_max=eta_max
-        )
-
-    def invalidate(self) -> None:
-        for shard in self._shards:
-            shard.invalidate()
-
-    def stats(self) -> dict[str, Any]:
-        """Aggregate counters plus the per-shard breakdown."""
-        totals = {
-            "lookups": 0, "hits": 0, "misses": 0,
-            "warm_starts": 0, "entries": 0, "evictions": 0,
-        }
-        per_shard = []
-        for shard in self._shards:
-            s = shard.stats()
-            per_shard.append(s)
-            for key in totals:
-                totals[key] += s[key]
-        totals["hit_rate"] = (
-            totals["hits"] / totals["lookups"] if totals["lookups"] else 0.0
-        )
-        totals["shards"] = per_shard
-        return totals

@@ -9,9 +9,9 @@ order).  Each chunk is evaluated by one worker via a pluggable
 crash-tolerant ``concurrent.futures`` process pool, or a spawn-safe
 file-protocol work queue of independent worker processes.  Within a chunk,
 points run serially against a fresh chunk-local
-:class:`~repro.exp.cache.SolverCache`, so warm starts flow between
-neighbouring points of the same chunk and never across chunks — which is
-what makes the central guarantee possible:
+:class:`~repro.exp.cache.SolverCache`, so memoized solves are shared
+between points of the same chunk and never across chunks — which is what
+makes the central guarantee possible:
 
     **every backend produces bit-identical merged results**, because every
     deterministic input of a point (its params, its seed, its chunk-local
@@ -77,7 +77,7 @@ __all__ = [
 ]
 
 #: default chunk length — a deterministic constant (NOT derived from the
-#: worker count: chunking shapes warm-start history, and serial vs parallel
+#: worker count: chunking shapes solver-cache history, and serial vs parallel
 #: runs must chunk identically for bit-identical results)
 DEFAULT_CHUNK_SIZE = 4
 
@@ -368,6 +368,8 @@ def run_sweep(
         )
 
     outcomes: list[PointOutcome] = []
+    # ``warm_starts`` stays in the report schema (perfbench reads it); the
+    # exact solver has no warm starts, so it is always 0
     totals = {"lookups": 0, "hits": 0, "misses": 0, "warm_starts": 0}
     mechanism: str | None = None
     for index in range(len(chunks)):

@@ -21,7 +21,7 @@ envelopes from :mod:`repro.core.config_io`:
 
 Chunk granularity is load-bearing for bit-identity: a chunk's outcomes
 depend on the chunk-local :class:`~repro.exp.cache.SolverCache` history
-(e.g. the recorded ``warm_start`` flags), so a partially-journaled chunk
+(its hit and miss counts), so a partially-journaled chunk
 must be re-run *from its first point* — replaying half and executing the
 rest would fabricate a cache history no serial run ever produced.
 

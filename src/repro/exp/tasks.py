@@ -35,26 +35,25 @@ __all__ = [
 ]
 
 
-def _solve(system: GatewaySystem, ctx, backend: str = "scipy"):
-    """Algorithm 1 via the chunk-local cache when armed, cold otherwise."""
+def _solve(system: GatewaySystem, ctx):
+    """Algorithm 1 via the chunk-local cache when armed, directly otherwise."""
     if ctx is not None and ctx.cache is not None:
-        return ctx.cache.resolve(system, backend=backend)
-    return resolve_block_sizes(system, backend=backend)
+        return ctx.cache.resolve(system)
+    return resolve_block_sizes(system)
 
 
 def solve_blocksizes(params: dict[str, Any], ctx) -> dict[str, Any]:
     """Algorithm 1 on an explicit system description.
 
     params: ``system`` (a :func:`~repro.core.config_io.system_to_dict`
-    dict), optional ``backend``.
+    dict).
     """
     system = system_from_dict(params["system"])
-    result = _solve(system, ctx, backend=params.get("backend", "scipy"))
+    result = _solve(system, ctx)
     return {
         "block_sizes": dict(sorted(result.block_sizes.items())),
         "objective": result.objective,
         "load": float(result.load),
-        "warm_start": result.warm_start,
     }
 
 
@@ -82,7 +81,7 @@ def scalability_blocksizes(params: dict[str, Any], ctx) -> dict[str, Any]:
     """Algorithm 1 over growing stream counts / loads (SCAL sweep).
 
     params: ``streams`` (count), optional ``load_pct``, ``reconfigure``,
-    ``entry_copy``, ``backend``.
+    ``entry_copy``.
     """
     system = many_streams_system(
         params["streams"],
@@ -90,14 +89,13 @@ def scalability_blocksizes(params: dict[str, Any], ctx) -> dict[str, Any]:
         reconfigure=params.get("reconfigure", 4100),
         entry_copy=params.get("entry_copy", 15),
     )
-    result = _solve(system, ctx, backend=params.get("backend", "scipy"))
+    result = _solve(system, ctx)
     assigned = system.with_block_sizes(result.block_sizes)
     return {
         "objective": result.objective,
         "total_eta": result.total,
         "load": float(result.load),
         "gamma": gamma(assigned, "s0"),
-        "warm_start": result.warm_start,
     }
 
 

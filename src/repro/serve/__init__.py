@@ -16,13 +16,13 @@ transition-budget quote::
                    "throughput": [1, 64], "reconfigure": 40})
 
 The failure envelope is explicit — bounded queues (``overloaded``),
-per-request deadlines (``deadline``), a circuit breaker over the ILP
-solve path (``breaker_open``), priority shedding near the bound, and
+per-request deadlines (``deadline``), a circuit breaker over injected
+solvers (``breaker_open``), priority shedding near the bound, and
 idempotency keys for exactly-once retries; see
 :class:`~repro.serve.service.AdmissionService`.
 """
 
-from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, SolverError
 from .chaos import InjectedCrash, ServeChaos
 from .client import ServeClient, smoke_session
 from .protocol import (
@@ -57,6 +57,7 @@ __all__ = [
     "Request",
     "ServeChaos",
     "ServeClient",
+    "SolverError",
     "error_response",
     "journal_to_fault_plan",
     "ok_response",

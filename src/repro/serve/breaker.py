@@ -1,14 +1,15 @@
-"""Circuit breaker around the admission service's ILP solve path.
+"""Circuit breaker around the admission service's injected solvers.
 
-The exact Algorithm-1 solve is the one component of the admission service
-with unbounded worst-case latency (a pathological candidate system can
-stall the MILP).  The breaker keeps a run of solver timeouts from turning
-into a convoy: after ``failure_threshold`` consecutive failures it *opens*
-and the service answers from the conservative closed-form Eq. 5 bound
-(:func:`repro.core.blocksize_ilp.closed_form_block_sizes`) instead of
-queueing more doomed solves.  After a seeded-jitter cooldown the breaker
-goes *half-open* and lets exactly one probe solve through; a probe success
-closes it, a probe failure re-opens it with a fresh jitter draw.
+Algorithm 1 solves exactly and fast, inline, so the default service never
+consults the breaker.  A service built with a custom ``solver=`` callable
+(a remote solver, a test double) or with chaos solve stalls armed runs
+that solve under a timeout, and the breaker keeps a run of timeouts or
+:class:`SolverError` failures from turning into a convoy: after
+``failure_threshold`` consecutive failures it *opens* and the service
+answers from the exact in-process solver (labelled ``"closed-form"``)
+instead of queueing more doomed calls.  After a seeded-jitter cooldown the
+breaker goes *half-open* and lets exactly one probe solve through; a probe
+success closes it, a probe failure re-opens it with a fresh jitter draw.
 
 The jitter is drawn from a seeded :class:`random.Random` so a fleet of
 services tripped by the same incident does not re-probe in lockstep, yet a
@@ -26,11 +27,15 @@ import random
 import time
 from typing import Any, Callable
 
-__all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
+__all__ = ["CircuitBreaker", "SolverError", "CLOSED", "OPEN", "HALF_OPEN"]
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
+
+
+class SolverError(RuntimeError):
+    """Raised by an injected solver that cannot answer (a breaker failure)."""
 
 
 class CircuitBreaker:

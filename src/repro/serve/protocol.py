@@ -55,8 +55,8 @@ REJECT_CODES = frozenset({
     "overloaded",       # admission queue full or stream table at capacity
     "deadline",         # the request's deadline expired before commit
     "bound_exceeded",   # Eq. 5 admission test failed (load >= 1 / infeasible)
-    "breaker_open",     # solver unavailable and the conservative bound
-                        # cannot certify the request
+    "breaker_open",     # injected solver unavailable and the load is
+                        # above the breaker load limit
     "malformed",        # unparseable or eagerly-rejected request
     "internal",         # handler crashed before producing an answer
     "unknown_stream",   # leave/quote for a stream the service doesn't hold

@@ -18,11 +18,14 @@ Failure envelope — the robustness machinery is the point, not an add-on:
   batch commits is rejected with ``deadline``, and a transition never
   includes an expired request (no half-applied state: all mutations happen
   in one synchronous commit step after every check has passed);
-* **circuit breaker on the solve path** — repeated solver timeouts open
-  the breaker (:mod:`repro.serve.breaker`); while open, requests are
-  served from the conservative closed-form Eq. 5 bound
-  (:func:`repro.core.blocksize_ilp.closed_form_block_sizes`), and joins
-  the conservative bound cannot certify are rejected ``breaker_open``;
+* **circuit breaker on injected solvers** — Algorithm 1 itself is exact
+  and cheap enough to solve inline
+  (:func:`repro.core.blocksize_ilp.resolve_block_sizes`); a custom
+  ``solver=`` (or an armed chaos stall) runs under ``solver_timeout``, and
+  repeated timeouts or :class:`~repro.serve.breaker.SolverError` open the
+  breaker (:mod:`repro.serve.breaker`).  While it is open, requests get
+  the exact answer labelled ``"closed-form"``, and joins above
+  ``breaker_load_limit`` are rejected ``breaker_open``;
 * **graceful shedding** — when admission would fail, or the committed
   load crosses ``shed_watermark``, the lowest-priority streams are shed
   (the :class:`repro.sim.faults.AdmissionController` pause policy, applied
@@ -30,10 +33,10 @@ Failure envelope — the robustness machinery is the point, not an add-on:
 * **idempotency keys** — retried joins/leaves are applied exactly once;
   the response recorded at commit time is replayed to any retry, so even
   a handler crash *between* commit and response cannot double-apply;
-* **solve coalescing** — identical in-flight solves (a thundering herd of
-  quotes, or quotes racing a transition) share one solver call through a
-  per-fingerprint future, backed by the sharded, LRU-bounded
-  :class:`repro.exp.cache.ShardedSolverCache`.
+* **solve coalescing** — identical in-flight solves of an injected solver
+  (a thundering herd of quotes, or quotes racing a transition) share one
+  solver call through a per-fingerprint future, backed by the LRU-bounded
+  :class:`repro.exp.cache.SolverCache`.
 
 Every applied transition is journaled; :func:`replay_journal` rebuilds the
 final system bit-identically from the journal alone (the crash-recovery
@@ -50,12 +53,10 @@ import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from typing import Any, Callable
 
 from ..core.blocksize_ilp import (
     BlockSizeResult,
-    closed_form_block_sizes,
     resolve_block_sizes,
     sharing_load,
     system_fingerprint,
@@ -64,10 +65,9 @@ from ..core.config_io import system_to_dict
 from ..core.conformance import calibrated_system
 from ..core.params import GatewaySystem, ParameterError, StreamSpec
 from ..core.timing import block_round_length, gamma
-from ..exp.cache import ShardedSolverCache
-from ..ilp import SolverError
+from ..exp.cache import SolverCache
 from ..sim.faults import STREAM_JOIN, STREAM_LEAVE, FaultPlan, FaultSpec
-from .breaker import OPEN, CircuitBreaker
+from .breaker import OPEN, CircuitBreaker, SolverError
 from .chaos import InjectedCrash, ServeChaos
 from .protocol import (
     ProtocolError,
@@ -161,16 +161,18 @@ class AdmissionService:
     max_streams:
         Hard cap on concurrently admitted streams (bounded state).
     solver:
-        Override for the exact solve: ``f(candidate, previous) ->
-        BlockSizeResult`` (sync or async).  Default runs
-        :func:`resolve_block_sizes` on a thread so it can be timed out.
+        Override for the solve: ``f(candidate, previous) ->
+        BlockSizeResult`` (sync or async), raising
+        :class:`~repro.serve.breaker.SolverError` when it cannot answer.
+        Default: :func:`resolve_block_sizes`, called inline.
     solver_timeout:
-        Seconds an exact solve may take before it counts as a breaker
-        failure and the request degrades to the closed-form answer.
+        Seconds an injected solver (or a chaos-stalled solve) may take
+        before it counts as a breaker failure and the request degrades to
+        the ``"closed-form"`` path.
     breaker:
-        The :class:`CircuitBreaker` guarding the solve path.
+        The :class:`CircuitBreaker` guarding an injected solver.
     cache:
-        A :class:`ShardedSolverCache`; shared across quotes/transitions.
+        A :class:`SolverCache`; shared across quotes/transitions.
     eta_max:
         Cap on any certified block size (C-FIFO headroom); answers needing
         a larger η are rejected.
@@ -178,9 +180,8 @@ class AdmissionService:
         Committed-load threshold above which lowest-priority streams are
         proactively shed.
     breaker_load_limit:
-        Highest candidate load the *conservative* path will certify; above
-        it (while the exact solver is unavailable) joins are rejected
-        ``breaker_open``.
+        Highest candidate load the ``"closed-form"`` path will admit; above
+        it (while the breaker is open) joins are rejected ``breaker_open``.
     chaos:
         Optional :class:`ServeChaos` fault-injection policy (tests/soak).
     clock:
@@ -191,7 +192,6 @@ class AdmissionService:
         self,
         system: GatewaySystem,
         *,
-        backend: str = "scipy",
         c1_mode: str = "sum",
         queue_depth: int = 128,
         batch_max: int = 8,
@@ -199,7 +199,7 @@ class AdmissionService:
         solver: Callable[..., Any] | None = None,
         solver_timeout: float = 5.0,
         breaker: CircuitBreaker | None = None,
-        cache: ShardedSolverCache | None = None,
+        cache: SolverCache | None = None,
         eta_max: int | None = 65536,
         shed_watermark: Fraction = Fraction(9, 10),
         breaker_load_limit: Fraction = Fraction(17, 20),
@@ -214,7 +214,6 @@ class AdmissionService:
             raise ParameterError(
                 "queue_depth, batch_max and max_streams must be >= 1"
             )
-        self.backend = backend
         self.c1_mode = c1_mode
         self.queue_depth = queue_depth
         self.batch_max = batch_max
@@ -228,14 +227,13 @@ class AdmissionService:
         self.transition_slack = int(transition_slack)
         self.idempotency_capacity = idempotency_capacity
         self.breaker = breaker or CircuitBreaker()
-        self.cache = cache or ShardedSolverCache()
+        self.cache = cache or SolverCache(capacity=2048)
         self.chaos = chaos
         self._solver = solver
         self._clock = clock
 
         if any(s.block_size is None for s in system.streams):
-            result = resolve_block_sizes(system, backend=backend,
-                                         c1_mode=c1_mode, eta_max=eta_max)
+            result = self._resolve(system, None)
             system = system.with_block_sizes(result.block_sizes)
         else:
             result = BlockSizeResult(
@@ -800,9 +798,11 @@ class AdmissionService:
 
     async def _solve_uncoalesced(self, candidate: GatewaySystem,
                                  fp: tuple) -> tuple:
+        if self._solver is None and self.chaos is None:
+            return self._exact(candidate, fp, "exact")
         breaker = self.breaker
         if breaker.state == OPEN or not breaker.begin_probe():
-            return self._conservative(candidate, fp)
+            return self._degraded(candidate, fp)
 
         async def attempt() -> BlockSizeResult:
             if self.chaos is not None:
@@ -814,52 +814,42 @@ class AdmissionService:
         except (asyncio.TimeoutError, SolverError):
             breaker.record_failure()
             self.counters["solver_timeouts"] += 1
-            # degrade this request rather than failing it: the closed-form
-            # answer is valid, just not minimal
-            return self._conservative(candidate, fp)
+            # degrade this request rather than failing it
+            return self._degraded(candidate, fp)
         except ParameterError as exc:
             # infeasibility is an *answer*, not a solver failure
             breaker.record_success()
             return ("reject", "bound_exceeded", str(exc))
         breaker.record_success()
         self.cache.put(fp, result)
-        path = "warm" if result.warm_start else "ilp"
+        return ("ok", result, "exact")
+
+    def _resolve(self, candidate: GatewaySystem,
+                 previous: BlockSizeResult | None) -> BlockSizeResult:
+        return resolve_block_sizes(candidate, previous=previous,
+                                   c1_mode=self.c1_mode, eta_max=self.eta_max)
+
+    def _exact(self, candidate: GatewaySystem, fp: tuple, path: str) -> tuple:
+        """Algorithm 1 inline: the verdict under the ``path`` label."""
+        try:
+            result = self._resolve(candidate, self._result)
+        except ParameterError as exc:
+            return ("reject", "bound_exceeded", str(exc))
+        self.cache.put(fp, result)
         return ("ok", result, path)
 
-    def _conservative(self, candidate: GatewaySystem, fp: tuple) -> tuple:
-        """The closed-form Eq. 5 answer served while the solver is out."""
+    def _degraded(self, candidate: GatewaySystem, fp: tuple) -> tuple:
+        """The answer served while the injected solver is out."""
         load = sharing_load(candidate)
-        if load >= 1:
-            return ("reject", "bound_exceeded",
-                    f"aggregate load c0*sum(mu) = {float(load):.4f} >= 1")
-        if load > self.breaker_load_limit:
+        if self.breaker_load_limit < load < 1:
             return ("reject", "breaker_open",
                     f"solver unavailable and load {float(load):.4f} exceeds "
-                    f"the conservative certification limit "
+                    f"the breaker load limit "
                     f"{float(self.breaker_load_limit):.2f}")
-        sizes = closed_form_block_sizes(candidate, c1_mode=self.c1_mode,
-                                        eta_max=self.eta_max)
-        if sizes is None:
-            return ("reject", "breaker_open",
-                    "solver unavailable and the closed-form bound cannot "
-                    "certify this request")
-        result = BlockSizeResult(
-            block_sizes=sizes, objective=sum(sizes.values()), feasible=True,
-            backend="closed-form", load=load, fingerprint=fp,
-        )
-        return ("ok", result, "closed-form")
+        return self._exact(candidate, fp, "closed-form")
 
     async def _call_solver(self, candidate: GatewaySystem) -> BlockSizeResult:
-        fn = self._solver
-        previous = self._result
-        if fn is None:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(None, partial(
-                resolve_block_sizes, candidate, previous=previous,
-                backend=self.backend, c1_mode=self.c1_mode,
-                eta_max=self.eta_max,
-            ))
-        out = fn(candidate, previous)
+        out = (self._solver or self._resolve)(candidate, self._result)
         if asyncio.iscoroutine(out):
             out = await out
         return out

@@ -93,6 +93,25 @@ def test_cli_analyze_config(tmp_path, capsys):
     assert "η[ch1.s1] = 9870" in out
 
 
+def test_cli_analyze_bnb_backend(tmp_path, capsys):
+    """``analyze`` prints the block sizes the branch-and-bound ILP finds."""
+    from repro.core import load_system
+    from tests.refilp import ilp_block_sizes
+
+    text = (
+        '{"entry_copy": 5, "accelerators": [{"name": "a", "rho": 1}],'
+        ' "streams": [{"name": "s", "throughput": [1, 100], "reconfigure": 50},'
+        ' {"name": "t", "throughput": [1, 300], "reconfigure": 20}]}'
+    )
+    cfg = tmp_path / "small.json"
+    cfg.write_text(text)
+    code, out = run_cli(["analyze", str(cfg)], capsys)
+    assert code == 0
+    assert "PASS" in out
+    for name, eta in ilp_block_sizes(load_system(text), backend="bnb").items():
+        assert f"η[{name}] = {eta} " in out
+
+
 def test_cli_analyze_infeasible_config(tmp_path, capsys):
     cfg = tmp_path / "overload.json"
     cfg.write_text(
@@ -102,17 +121,6 @@ def test_cli_analyze_infeasible_config(tmp_path, capsys):
     code, out = run_cli(["analyze", str(cfg)], capsys)
     assert code == 1
     assert "INFEASIBLE" in out
-
-
-def test_cli_analyze_bnb_backend(tmp_path, capsys):
-    cfg = tmp_path / "small.json"
-    cfg.write_text(
-        '{"entry_copy": 5, "accelerators": [{"name": "a", "rho": 1}],'
-        ' "streams": [{"name": "s", "throughput": [1, 100], "reconfigure": 50}]}'
-    )
-    code, out = run_cli(["analyze", str(cfg), "--backend", "bnb"], capsys)
-    assert code == 0
-    assert "PASS" in out
 
 
 SMALL_CFG = (

@@ -64,10 +64,13 @@ class TestChurnAcceptance:
         assert all(t.within_budget for t in transitions), [
             (t.trigger, t.latency, t.budget) for t in transitions]
 
-    def test_resolver_warm_starts_online(self, run):
+    def test_resolver_answers_are_exact_online(self, run):
         churn = [t for t in run.reconfig.transitions
                  if t.trigger in ("stream_join", "stream_leave")]
-        assert all(t.warm_start for t in churn)
+        assert len(churn) == 2
+        for t in churn:
+            # the online re-solve is Algorithm 1 itself: the least element
+            assert t.block_sizes == compute_block_sizes(t.system).block_sizes
 
     def test_spare_failover_remaps_the_dead_tile(self, run):
         assert run.chain.remaps == [("sys.acc0", "sys.spare0")]

@@ -129,15 +129,6 @@ def test_alg1_solution_feasible_and_minimal(system):
         assert not throughput_satisfied(system.with_block_sizes(smaller))
 
 
-@given(feasible_system())
-@settings(max_examples=20, deadline=None)
-def test_alg1_backends_agree(system):
-    assume(float(sharing_load(system)) < 0.9)
-    a = compute_block_sizes(system, backend="scipy")
-    b = compute_block_sizes(system, backend="bnb")
-    assert a.objective == b.objective
-
-
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=10))
 @settings(max_examples=30, deadline=None)
 def test_overload_always_diagnosed(n, k):

@@ -1,4 +1,4 @@
-"""Property-based tests for the ILP layer.
+"""Property-based tests for the ILP oracle (``tests/refilp``).
 
 Invariants:
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import Model, Status, solve_branch_bound, solve_scipy, sum_expr
+from tests.refilp import Model, Status, solve_branch_bound, solve_scipy, sum_expr
 
 coef = st.integers(min_value=-4, max_value=4)
 rhs_v = st.integers(min_value=-20, max_value=40)

@@ -1,12 +1,11 @@
 """Pure-Python branch-and-bound ILP solver over the LP relaxation.
 
-An independent second backend for :class:`~repro.ilp.model.Model`: the LP
-relaxations are solved with ``scipy.optimize.linprog`` (HiGHS simplex) and
+An independent second backend for :class:`~tests.refilp.model.Model`: the
+LP relaxations are solved with ``scipy.optimize.linprog`` (HiGHS simplex) and
 integrality is restored by best-first branch-and-bound on the most
-fractional variable.  It exists to cross-check :mod:`repro.ilp.scipy_backend`
-(the two must agree on every Algorithm-1 instance — asserted in the test
-suite) and to make the block-size computation independent of SciPy's MILP
-feature set.
+fractional variable.  It exists to cross-check
+:mod:`tests.refilp.scipy_backend` (the two must agree on every Algorithm-1
+instance — asserted in the test suite).
 """
 
 from __future__ import annotations

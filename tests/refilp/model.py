@@ -2,13 +2,13 @@
 
 The paper's Algorithm 1 is an ILP over the block sizes ``η_s``.  This module
 provides the modelling vocabulary (variables, linear expressions, constraints
-and a model container) used by :mod:`repro.core.blocksize_ilp`, decoupled
+and a model container) used by :mod:`tests.refilp.algorithm1`, decoupled
 from any particular solver.  Two interchangeable backends solve the models:
 
-* :mod:`repro.ilp.scipy_backend` — lowers to ``scipy.optimize.milp`` (HiGHS),
-* :mod:`repro.ilp.branch_bound` — a pure-Python branch-and-bound over the LP
-  relaxation (``scipy.optimize.linprog``), kept as an independent
-  cross-check and fallback.
+* :mod:`tests.refilp.scipy_backend` — lowers to ``scipy.optimize.milp`` (HiGHS),
+* :mod:`tests.refilp.branch_bound` — a pure-Python branch-and-bound over the
+  LP relaxation (``scipy.optimize.linprog``), kept as an independent
+  cross-check.
 
 Expressions support natural arithmetic::
 

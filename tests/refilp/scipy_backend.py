@@ -1,7 +1,7 @@
-"""Lowering of :class:`~repro.ilp.model.Model` onto ``scipy.optimize.milp``.
+"""Lowering of :class:`~tests.refilp.model.Model` onto ``scipy.optimize.milp``.
 
 HiGHS (shipped inside SciPy) solves the mixed-integer program directly; this
-backend is the default for :mod:`repro.core.blocksize_ilp`.
+backend is the oracle's default.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ class Status:
 
 @dataclass
 class Solution:
-    """Outcome of solving a :class:`~repro.ilp.model.Model`."""
+    """Outcome of solving a :class:`~tests.refilp.model.Model`."""
 
     status: str
     objective: float | None = None

@@ -47,9 +47,9 @@ def unsolved_system(small_system):
 
 def test_builders_return_new_frozen_scenarios(small_system):
     base = Scenario(small_system)
-    varied = base.with_blocks(7).with_backend("bnb").with_spares(2)
+    varied = base.with_blocks(7).with_spares(2)
     assert base.blocks == 4 and base.spares == 0
-    assert (varied.blocks, varied.backend, varied.spares) == (7, "bnb", 2)
+    assert (varied.blocks, varied.spares) == (7, 2)
     with pytest.raises(AttributeError):
         base.blocks = 9
 
@@ -244,7 +244,6 @@ def test_cli_shim_warns(small_system):
     args = SimpleNamespace(
         config=json.dumps(system_to_dict(small_system)),
         blocks=2,
-        backend="scipy",
     )
     with pytest.warns(DeprecationWarning):
         run = _simulated_run(args)
@@ -345,10 +344,6 @@ def _unsolved_system():
         exit_copy=1,
     )
 
-
-def test_with_backend_rejects_unknown_backend_eagerly(small_system):
-    with pytest.raises(ParameterError, match="unknown ILP backend 'gurobi'"):
-        Scenario(system=small_system).with_backend("gurobi")
 
 
 def test_with_blocks_rejects_non_positive(small_system):

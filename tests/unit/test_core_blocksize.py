@@ -1,5 +1,6 @@
-"""Unit tests for Algorithm 1 (block-size ILP) and the buffer-optimal search."""
+"""Unit tests for Algorithm 1 (exact block sizes) and the buffer-optimal search."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core import (
     stream_buffer_cost,
     throughput_satisfied,
 )
+from tests.refilp import ilp_block_sizes
 
 
 def system_of(mus, R=20, eps=5, rho=(1,), delta=1):
@@ -67,10 +69,57 @@ def test_total_minimality_two_streams():
 
 
 def test_backends_agree():
+    """The exact solver and both ILP oracle backends find the same optimum."""
     sys_ = system_of([Fraction(1, 60), Fraction(1, 90), Fraction(1, 200)], R=30, eps=4)
-    a = compute_block_sizes(sys_, backend="scipy")
-    b = compute_block_sizes(sys_, backend="bnb")
-    assert a.objective == b.objective
+    exact = compute_block_sizes(sys_)
+    for backend in ("scipy", "bnb"):
+        assert ilp_block_sizes(sys_, backend=backend) == exact.block_sizes
+
+
+def test_exact_where_highs_is_not_minimal():
+    """HiGHS answers s1 = 1686 (Σ 17598) here: feasible, but not minimal."""
+    rates = [(28857, 626092, 3038), (5050, 254339, 2992), (15956, 409423, 530),
+             (13845, 742127, 3354), (48322, 980661, 1537), (34423, 996891, 2956)]
+    sys_ = GatewaySystem(
+        accelerators=(AcceleratorSpec("a", 4),),
+        streams=tuple(StreamSpec(f"s{i}", Fraction(p, q), r)
+                      for i, (p, q, r) in enumerate(rates)),
+        entry_copy=1,
+        exit_copy=1,
+    )
+    res = compute_block_sizes(sys_)
+    assert res.block_sizes == {"s0": 3911, "s1": 1685, "s2": 3307,
+                               "s3": 1583, "s4": 4181, "s5": 2930}
+    assert res.total == 17597
+    assert throughput_satisfied(sys_.with_block_sizes(res.block_sizes))
+    smaller = dict(res.block_sizes, s1=1684)
+    assert not throughput_satisfied(sys_.with_block_sizes(smaller))
+
+
+def test_eta_max_rejects_before_the_fixed_point():
+    """One stream at load 0.9999 plus 32 at the η ≥ 1 floor: the climb to
+    the least element takes ~10^4 steps, a cap it exceeds is reported at
+    the first step whose need passes the cap."""
+    streams = [StreamSpec("big", Fraction(9999, 10000 * 15), 0)] + [
+        StreamSpec(f"t{i}", Fraction(1, 10**12), 0) for i in range(32)]
+    sys_ = GatewaySystem(accelerators=(AcceleratorSpec("a", 1),),
+                         streams=tuple(streams), entry_copy=15, exit_copy=1)
+    full = compute_block_sizes(sys_)
+    assert full.steps > 10_000
+    started = time.process_time()
+    with pytest.raises(ParameterError, match="eta_max 65536"):
+        compute_block_sizes(sys_, eta_max=65536)
+    assert time.process_time() - started < 0.05
+
+
+def test_steps_within_bound_at_scale():
+    """1024 weighted streams at load 0.9: a few dozen O(n) steps."""
+    from repro.exp.tasks import many_streams_system
+
+    res = compute_block_sizes(many_streams_system(1024, load_pct=90))
+    assert res.steps <= 1024 / (1 - 0.9) + 2
+    assert throughput_satisfied(
+        many_streams_system(1024, load_pct=90).with_block_sizes(res.block_sizes))
 
 
 def test_infeasible_overload_diagnosed():

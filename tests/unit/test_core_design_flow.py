@@ -12,6 +12,7 @@ from repro.core import (
     run_design_flow,
     throughput_satisfied,
 )
+from tests.refilp import ilp_block_sizes
 
 
 def system_of(mus, R=100, eps=10):
@@ -63,9 +64,11 @@ def test_flow_bnb_never_worse():
 
 
 def test_flow_backend_choice():
-    a = run_design_flow(system_of([Fraction(1, 90)]), backend="scipy")
-    b = run_design_flow(system_of([Fraction(1, 90)]), backend="bnb")
-    assert a.block_sizes == b.block_sizes
+    """The flow's Algorithm-1 sizes are what either ILP backend finds."""
+    system = system_of([Fraction(1, 90), Fraction(1, 150)])
+    report = run_design_flow(system, size_buffers=False)
+    for backend in ("scipy", "bnb"):
+        assert ilp_block_sizes(system, backend=backend) == report.block_sizes
 
 
 def test_flow_summary_renders():

@@ -1,11 +1,16 @@
-"""SolverCache: memoization, warm starts, invalidation, counters."""
+"""SolverCache: memoization, LRU bound, invalidation, counters."""
 
 from fractions import Fraction
 
 import pytest
 
-from repro.core import AcceleratorSpec, GatewaySystem, StreamSpec
-from repro.core.blocksize_ilp import resolve_block_sizes
+from repro.core import (
+    AcceleratorSpec,
+    GatewaySystem,
+    ParameterError,
+    StreamSpec,
+    compute_block_sizes,
+)
 from repro.exp import SolverCache
 
 
@@ -39,33 +44,28 @@ def test_equal_systems_share_a_fingerprint():
     assert cache.hits == 1
 
 
-def test_distinct_systems_miss_and_warm_start():
+def test_distinct_systems_miss():
     cache = SolverCache()
     cache.resolve(make_system(rate_den_a=60))
-    result = cache.resolve(make_system(rate_den_a=70))
-    assert cache.misses == 2
-    # the second solve had an incumbent available; whether it was usable
-    # is the solver's call, but the counter must agree with the result
-    assert cache.warm_starts == (1 if result.warm_start else 0)
+    cache.resolve(make_system(rate_den_a=70))
+    assert (cache.hits, cache.misses) == (0, 2)
 
 
-def test_warm_started_objective_equals_cold():
-    """Warm starts accelerate the search; they must not change the optimum."""
+def test_churn_answers_equal_compute_block_sizes():
+    """Along a join/leave sequence, every answer (solved or memoized) is
+    Algorithm 1 on that candidate, whatever the cache saw before."""
     cache = SolverCache()
-    variants = [make_system(rate_den_a=d) for d in (60, 64, 68, 72)]
-    for system in variants:
-        warm = cache.resolve(system)
-        cold = resolve_block_sizes(system)
-        assert warm.objective == cold.objective
-        assert warm.block_sizes == cold.block_sizes
-
-
-def test_warm_start_disabled_never_seeds():
-    cache = SolverCache(warm_start=False)
-    for d in (60, 64, 68):
-        result = cache.resolve(make_system(rate_den_a=d))
-        assert not result.warm_start
-    assert cache.warm_starts == 0
+    base = make_system()
+    joined = []
+    for i, den in enumerate((300, 500, 700, 900)):
+        joined.append(StreamSpec(f"j{i}", Fraction(1, den), 60))
+        for system in (GatewaySystem(base.accelerators, base.streams + tuple(joined),
+                                     entry_copy=15, exit_copy=1),
+                       GatewaySystem(base.accelerators, tuple(joined),
+                                     entry_copy=15, exit_copy=1)):
+            result = cache.resolve(system)
+            assert result.block_sizes == compute_block_sizes(system).block_sizes
+            assert cache.resolve(system) is result
 
 
 def test_invalidate_drops_memo_keeps_counters():
@@ -80,13 +80,6 @@ def test_invalidate_drops_memo_keeps_counters():
     assert cache.misses == 2
 
 
-def test_backend_flows_through():
-    cache = SolverCache()
-    scipy_result = cache.resolve(make_system(), backend="scipy")
-    bnb_result = SolverCache().resolve(make_system(), backend="bnb")
-    assert scipy_result.objective == bnb_result.objective
-
-
 def test_stats_shape():
     cache = SolverCache()
     cache.resolve(make_system())
@@ -96,7 +89,6 @@ def test_stats_shape():
         "lookups": 2,
         "hits": 1,
         "misses": 1,
-        "warm_starts": 0,
         "hit_rate": 0.5,
         "entries": 1,
         "capacity": None,
@@ -126,10 +118,13 @@ def test_cache_plugs_into_scenario_solve():
 def test_eta_max_flows_through(eta_max):
     result = SolverCache().resolve(make_system(), eta_max=eta_max)
     assert all(v >= 1 for v in result.block_sizes.values())
+    top = max(result.block_sizes.values())
+    with pytest.raises(ParameterError, match="eta_max"):
+        SolverCache().resolve(make_system(), eta_max=top - 1)
 
 
 # ---------------------------------------------------------------------------
-# bounded (LRU) cache and the sharded variant behind the admission service
+# bounded (LRU) cache behind the admission service
 # ---------------------------------------------------------------------------
 
 def test_lru_capacity_evicts_oldest_entry():
@@ -146,51 +141,3 @@ def test_lru_capacity_evicts_oldest_entry():
     assert cache.misses == misses  # a survived
     cache.resolve(b)
     assert cache.misses == misses + 1  # b was evicted, must re-solve
-
-
-def test_sharded_cache_memoizes_and_aggregates_stats():
-    from repro.exp import ShardedSolverCache
-
-    cache = ShardedSolverCache(shards=4, capacity=8)
-    system = make_system()
-    first = cache.resolve(system)
-    second = cache.resolve(system)
-    assert second is first
-    stats = cache.stats()
-    assert stats["lookups"] == 2 and stats["hits"] == 1
-    assert len(stats["shards"]) == 4
-    assert sum(s["entries"] for s in stats["shards"]) == len(cache) == 1
-
-
-def test_sharded_cache_same_shape_shares_a_shard():
-    from repro.exp import ShardedSolverCache
-    from repro.exp.cache import _shard_skeleton
-    from repro.core.blocksize_ilp import system_fingerprint
-
-    cache = ShardedSolverCache(shards=8)
-    # same stream names/costs, different throughputs: same shard, so the
-    # warm-start incumbent carries across an admission service's re-solves
-    fp_a = system_fingerprint(make_system(60), "sum")
-    fp_b = system_fingerprint(make_system(61), "sum")
-    assert _shard_skeleton(fp_a) == _shard_skeleton(fp_b)
-    assert cache.shard_index(fp_a) == cache.shard_index(fp_b)
-
-
-def test_sharded_cache_shard_index_is_process_stable():
-    from repro.exp import ShardedSolverCache
-    from repro.core.blocksize_ilp import system_fingerprint
-
-    fp = system_fingerprint(make_system(), "sum")
-    idx = [ShardedSolverCache(shards=8).shard_index(fp) for _ in range(3)]
-    assert len(set(idx)) == 1  # crc32-based, not salted hash()
-
-
-def test_sharded_cache_invalidate_clears_all_shards():
-    from repro.exp import ShardedSolverCache
-
-    cache = ShardedSolverCache(shards=2)
-    cache.resolve(make_system(60))
-    cache.resolve(make_system(61))
-    assert len(cache) == 2
-    cache.invalidate()
-    assert len(cache) == 0

@@ -1,10 +1,10 @@
-"""Unit tests for the ILP modelling layer and both solver backends."""
+"""Unit tests for the ILP oracle's modelling layer and both solver backends."""
 
 from fractions import Fraction
 
 import pytest
 
-from repro.ilp import (
+from tests.refilp import (
     LinExpr,
     Model,
     ModelError,
