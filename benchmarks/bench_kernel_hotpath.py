@@ -13,7 +13,7 @@ gate for the calendar-queue + temporal-decoupling rewrite: it drives a
 long-horizon, sparse-in-time periodic workload (the block-periodic shape
 the shared-accelerator MPSoC produces: every stream's timers align on
 block boundaries) through both the production kernel and the frozen
-heap-only reference (:mod:`repro.sim.refkernel`) and asserts
+heap-only reference (``tests/refkernel.py``) and asserts
 
 * the observable traces are **bit-identical**,
 * the cycle-skip path engages (nonzero ``skipped_cycles``),
@@ -26,13 +26,19 @@ the speedup, keeping the identity and cycle-skip assertions strict.
 """
 
 import os
+import sys
 import time
 from fractions import Fraction
 
 from repro.core.config_io import dump_report, make_report
-from repro.sim import Simulator, kernel, refkernel
+from repro.sim import Simulator, kernel
 
 from conftest import banner
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+# the reference kernel is a test oracle under tests/, never shipped in src/
+sys.path.insert(0, os.path.dirname(HERE))
+from tests import refkernel  # noqa: E402
 
 PROCS = 50
 TICKS = 200
@@ -47,7 +53,6 @@ MACRO_PERIODS = (6_400, 12_800, 25_600, 51_200)
 #: required events/sec improvement of the calendar queue over the heap
 MACRO_MIN_SPEEDUP = 1.2 if SMOKE else 2.0
 
-HERE = os.path.dirname(os.path.abspath(__file__))
 ARTIFACT = os.path.join(HERE, "BENCH_kernel_wheel.json")
 
 
@@ -203,7 +208,7 @@ def test_kernel_macro_sparse_wheel_vs_heap():
                 "periods": list(MACRO_PERIODS),
                 "events": new_n,
             },
-            "before": {"kernel": "heap (repro.sim.refkernel)",
+            "before": {"kernel": "heap (tests/refkernel.py)",
                        "elapsed_s": ref_s, "events_per_s": ref_eps},
             "after": {"kernel": "calendar queue (repro.sim.kernel)",
                       "elapsed_s": new_s, "events_per_s": new_eps,

@@ -18,7 +18,7 @@ Package map
 ``repro.sim``      discrete-event simulation kernel
 ``repro.api``      unified facade: ``Scenario`` builder → ``RunResult``
 ``repro.exp``      parallel experiment engine: validated sweeps, solver
-                   cache, process-pool fan-out, ``BENCH_*.json`` artifacts
+                   cache, work-queue fan-out, ``BENCH_*.json`` artifacts
 =================  ===========================================================
 
 Quickstart::

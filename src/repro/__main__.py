@@ -16,7 +16,7 @@ Usage::
     python -m repro conformance [CONFIG.json | --scenario NAME] [--json] [--uncalibrated]
     python -m repro faults [CONFIG.json | --scenario NAME] [--plan PLAN.json] [--json]
     python -m repro reconfig [CONFIG.json | --scenario NAME] [--plan PLAN.json] [--json]
-    python -m repro sweep SPEC.json [--workers N | --serial] [--out DIR]
+    python -m repro sweep SPEC.json [--workers N] [--out DIR]
     python -m repro sweep scenario://generated?seed=N --points K
 
 Each subcommand prints one reproduced artefact; together they cover the
@@ -29,8 +29,9 @@ observed per-stream runtime metrics, respectively the observed-vs-bound
 ``reconfig`` drives runtime reconfiguration — stream joins/leaves and
 spare-tile failover — and checks the per-mode bounds, exiting non-zero on
 unattributed violations or a transition-budget overrun.  ``sweep`` fans a
-parameter-sweep spec out over worker processes (:mod:`repro.exp`) and
-persists the merged results as ``BENCH_<name>.json``.
+parameter-sweep spec out over worker processes (:mod:`repro.exp`;
+``--workers 1`` runs in-process) and persists the merged results as
+``BENCH_<name>.json``.
 
 The simulation subcommands all take workloads from the **scenario
 registry** (:mod:`repro.app.scenarios`): a positional ``CONFIG.json``
@@ -38,7 +39,7 @@ still describes a raw system, ``--scenario NAME[?params]`` references a
 registered entry, and with neither the PAL decoder runs.  ``repro
 scenarios`` lists, describes and runs registry entries directly, and
 ``repro sweep`` accepts a ``scenario://`` reference to fan a seeded
-generated corpus through the executors, gating on conformance-clean
+generated corpus through the sweep engine, gating on conformance-clean
 results.
 
 The simulation subcommands are thin shells over :mod:`repro.api`
@@ -46,10 +47,9 @@ The simulation subcommands are thin shells over :mod:`repro.api`
 ``repro.report`` envelope of :mod:`repro.core.config_io`, with the
 historical top-level keys preserved.
 
-Flag spelling is normalised across subcommands: the config is positional
-(hidden ``--config``/``--params`` aliases accepted), the cycle cap is
-``--max-cycles`` (hidden ``--cycles`` alias), work per stream is
-``--blocks`` everywhere.  See README "CLI flag conventions".
+Flag spelling is normalised across subcommands: the config is positional,
+the cycle cap is ``--max-cycles``, work per stream is ``--blocks``
+everywhere.  See README "Command-line interface".
 """
 
 from __future__ import annotations
@@ -213,9 +213,9 @@ def _build_result(args: argparse.Namespace, **extra):
     """Build the :class:`repro.api.Scenario` an args namespace describes.
 
     The single construction point all four simulation subcommands share —
-    this is where the CLI is re-routed through the :mod:`repro.api` facade
-    (``_simulated_run`` below remains as a deprecation shim).  ``--blocks``
-    left unset keeps the scenario's own setting (4 for plain configs).
+    this is where the CLI is routed through the :mod:`repro.api` facade.
+    ``--blocks`` left unset keeps the scenario's own setting (4 for plain
+    configs).
     """
     return _prepared_scenario(args, **extra).build()
 
@@ -230,34 +230,6 @@ def _prepared_scenario(args: argparse.Namespace, **extra):
     for key, value in extra.items():
         scenario = getattr(scenario, f"with_{key}")(value)
     return scenario
-
-
-def _simulated_run(args: argparse.Namespace, **kwargs):
-    """Deprecated shim: pre-facade helper returning the raw SimulationRun.
-
-    Kept for any external driver importing it; new code should build a
-    :class:`repro.api.Scenario`.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.__main__._simulated_run is deprecated; use repro.api.Scenario",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import load_scenario
-
-    scenario = load_scenario(args.config)
-    if getattr(args, "blocks", None) is not None:
-        scenario = scenario.with_blocks(args.blocks)
-    if "max_cycles" in kwargs:
-        scenario = scenario.with_max_cycles(kwargs.pop("max_cycles"))
-    for key in ("faults", "spares", "watchdog", "admission"):
-        if key in kwargs:
-            scenario = getattr(scenario, f"with_{key}")(kwargs.pop(key))
-    if kwargs:
-        raise TypeError(f"unsupported simulation kwargs: {sorted(kwargs)}")
-    return scenario.build().run
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -582,14 +554,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    workers = 1 if args.serial else args.workers
-    executor = "serial" if args.serial else args.executor
     chunk_size = spec.get("chunk_size")
     try:
         result = run_sweep(
-            sweep, workers=workers, chunk_size=chunk_size,
+            sweep, workers=args.workers, chunk_size=chunk_size,
             timeout=args.timeout, retries=args.retries, backoff=args.backoff,
-            executor=executor, store=args.store, resume=args.resume,
+            store=args.store, resume=args.resume,
             interrupt_after=args.interrupt_after, out_dir=args.out,
         )
     except StoreMismatch as exc:
@@ -697,36 +667,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _add_config_arg(p: argparse.ArgumentParser) -> None:
-    """Positional system config + --scenario + hidden --config/--params."""
+    """Positional system config + --scenario."""
     p.add_argument("config", nargs="?", default=None,
                    help="path to a system JSON (see repro.core.config_io)")
     p.add_argument("--scenario", default=None, metavar="NAME[?params]",
                    help="registered scenario reference instead of a config "
                         "(see 'repro scenarios list'); with neither, "
                         "pal_decoder is the default")
-    p.add_argument("--config", "--params", dest="config_opt", default=None,
-                   help=argparse.SUPPRESS)
 
 
 def _add_max_cycles_arg(p: argparse.ArgumentParser) -> None:
-    """Canonical --max-cycles + hidden legacy --cycles spelling."""
     p.add_argument("--max-cycles", type=int, default=None,
                    help="hard cycle cap; stalling past it is an error")
-    p.add_argument("--cycles", dest="max_cycles", type=int,
-                   help=argparse.SUPPRESS)
-
-
-def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    opt = getattr(args, "config_opt", None)
-    if opt is not None:
-        if args.config is not None:
-            parser.error("give the system config either positionally or via "
-                         "--config, not both")
-        args.config = opt
-    if args.config is not None and getattr(args, "scenario", None) is not None:
-        parser.error("give either a system config or --scenario, not both")
-    # neither config nor --scenario: _scenario_from_args defaults to the
-    # registry's pal_decoder entry
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -867,14 +819,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, default=0,
                    help="sweep root seed for a scenario:// corpus")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: min(4, cpu count))")
-    p.add_argument("--serial", action="store_true",
-                   help="run in-process (identical results, no pool)")
-    p.add_argument("--executor", choices=("serial", "pool", "queue"),
-                   default=None,
-                   help="execution backend (default: serial when workers "
-                        "<= 1, else pool; queue = crash-tolerant "
-                        "file-protocol work queue)")
+                   help="worker processes: 1 runs in-process, more run on "
+                        "the crash-tolerant work queue (default: min(4, "
+                        "cpu count))")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-point wall-clock limit in seconds")
     p.add_argument("--retries", type=int, default=0,
@@ -916,8 +863,8 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_serve)
 
     args = parser.parse_args(argv)
-    if hasattr(args, "config_opt"):
-        _resolve_config(args, parser)
+    if getattr(args, "scenario", None) is not None and args.config is not None:
+        parser.error("give either a system config or --scenario, not both")
     return args.fn(args)
 
 

@@ -36,18 +36,13 @@ The canonical way to *name* a scenario is the registry
 
 Both spellings construct the same validated objects as the explicit
 builder; ``load_scenario`` still accepts system-JSON paths and text for
-raw :class:`~repro.core.params.GatewaySystem` descriptions.
-
-The old entry points remain supported; :func:`simulate` is a thin
-deprecation shim with the exact ``simulate_system`` signature for call
-sites migrating incrementally, and constructing ``Scenario()`` without a
-system (the old PAL-implicit path) warns and resolves through the
-registry's ``pal_decoder`` entry for one more release.
+raw :class:`~repro.core.params.GatewaySystem` descriptions.  A
+``Scenario`` always names its system: the paper's workload is
+``Scenario.from_registry("pal_decoder")``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -63,7 +58,7 @@ from .core.params import GatewaySystem, ParameterError
 from .sim.faults import AdmissionController, FaultPlan, WatchdogConfig
 from .sim.metrics import GatewayUtilization, StreamMetrics
 
-__all__ = ["Scenario", "RunResult", "load_scenario", "simulate"]
+__all__ = ["Scenario", "RunResult", "load_scenario"]
 
 
 @dataclass(frozen=True)
@@ -73,13 +68,9 @@ class Scenario:
     Parameters mirror :func:`repro.arch.harness.simulate_system`; the
     builder methods exist so call sites read as a sentence and unset fields
     keep their defaults.
-
-    Constructing a ``Scenario`` without a system is deprecated: it
-    implicitly selects the PAL decoder, which predates the scenario
-    registry.  Spell it :meth:`from_registry` instead.
     """
 
-    system: GatewaySystem | None = None
+    system: GatewaySystem
     blocks: int = 4
     faults: FaultPlan | None = None
     spares: int = 0
@@ -92,21 +83,6 @@ class Scenario:
     trace_capacity: int | None = None
     context_mode: str = "software"
     no_fastpath: bool = False
-
-    def __post_init__(self) -> None:
-        if self.system is None:
-            warnings.warn(
-                "constructing a Scenario without a system implicitly selects "
-                "the PAL decoder; use Scenario.from_registry('pal_decoder') "
-                "(this shim will be removed next release)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            from .app.scenarios import get
-
-            object.__setattr__(
-                self, "system", get("pal_decoder").build().system
-            )
 
     # -- registry front door ---------------------------------------------
     @classmethod
@@ -418,40 +394,3 @@ class RunResult:
                 calibrated=calibrated
             ).fully_attributed,
         }
-
-
-#: simulate_system keyword -> Scenario field (identical spellings today,
-#: kept as a map so the shim fails loudly if the surfaces ever drift)
-_SIMULATE_FIELDS = frozenset({
-    "blocks", "trace", "trace_mode", "trace_capacity", "poll_interval",
-    "context_mode", "faults", "watchdog", "admission", "max_cycles",
-    "spares",
-})
-
-
-def simulate(system: GatewaySystem, **kwargs: Any):
-    """Deprecated shim: old-style direct simulation call.
-
-    Kept so pre-facade call sites (``from repro.api import simulate``)
-    migrate incrementally.  Accepts the
-    :func:`repro.arch.harness.simulate_system` keyword surface, routes the
-    run through the :class:`Scenario` facade and returns the raw
-    :class:`~repro.arch.harness.SimulationRun`.  New code should build a
-    :class:`Scenario` and keep the :class:`RunResult`.
-    """
-    warnings.warn(
-        "repro.api.simulate(system, ...) is deprecated; use "
-        "repro.api.Scenario(system).build() (the SimulationRun stays "
-        "reachable as RunResult.run)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # parity with simulate_system: block sizes must already be assigned —
-    # the facade would silently solve Algorithm 1, the old entry point errors
-    system.require_block_sizes()
-    unknown = set(kwargs) - _SIMULATE_FIELDS - {"no_fastpath"}
-    if unknown:
-        raise TypeError(
-            f"simulate() got unexpected keyword argument(s) {sorted(unknown)}"
-        )
-    return replace(Scenario(system), **kwargs).build().run

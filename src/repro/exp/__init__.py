@@ -20,9 +20,11 @@ experiments::
 
 Guarantees: eager spec validation (bad grids fail before any worker
 spawns), deterministic per-point seeding, chunk-local solver caching,
-and bit-identical merged results for any worker count, any
-execution backend (serial / process pool / work queue) and any
-crash-resume history.  Fault tolerance: seeded retries with exponential
+and bit-identical merged results for any worker count (``workers=1``
+runs in-process, more run on a crash-tolerant work queue of fresh
+worker processes) and any crash-resume history.  Parallel tasks must be
+importable by those workers: define them in a module, not in
+``__main__``.  Fault tolerance: seeded retries with exponential
 backoff, portable per-point timeouts, dead-worker detection with chunk
 re-dispatch, poison-point quarantine, and graceful degradation to serial —
 chaos-tested in :mod:`repro.exp.chaos`.
@@ -42,7 +44,6 @@ from .engine import (
 )
 from .executors import (
     Executor,
-    ProcessPoolExecutor,
     SerialExecutor,
     WorkQueueExecutor,
     resolve_executor,
@@ -66,7 +67,6 @@ __all__ = [
     "Executor",
     "PointContext",
     "PointOutcome",
-    "ProcessPoolExecutor",
     "ResultStore",
     "SerialExecutor",
     "SolverCache",

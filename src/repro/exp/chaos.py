@@ -108,7 +108,7 @@ class ChaosMonkey:
 
     Plugged into :class:`~repro.exp.executors.WorkQueueExecutor` via its
     ``chaos`` parameter; the executor calls :meth:`strike` exactly once per
-    chunk, the first time it observes the chunk claimed.
+    chunk, the first time it reads the claiming worker's pid.
     """
 
     plan: ChaosPlan

@@ -4,16 +4,16 @@ Execution model
 ---------------
 
 Points are split into fixed-size *chunks* (consecutive slices in point
-order).  Each chunk is evaluated by one worker via a pluggable
-:class:`~repro.exp.executors.Executor` backend — in-process serial, a
-crash-tolerant ``concurrent.futures`` process pool, or a spawn-safe
+order).  Each chunk is evaluated by one worker via an
+:class:`~repro.exp.executors.Executor` backend, and ``workers`` picks it:
+one worker runs in-process serially, more run on a spawn-safe
 file-protocol work queue of independent worker processes.  Within a chunk,
 points run serially against a fresh chunk-local
 :class:`~repro.exp.cache.SolverCache`, so memoized solves are shared
 between points of the same chunk and never across chunks — which is what
 makes the central guarantee possible:
 
-    **every backend produces bit-identical merged results**, because every
+    **both backends produce bit-identical merged results**, because every
     deterministic input of a point (its params, its seed, its chunk-local
     cache history) is independent of worker count, scheduling, crashes and
     restarts.
@@ -123,7 +123,7 @@ class SweepResult:
     mode: str = "serial"
     #: executor fell back to in-process serial after workers kept dying
     degraded: bool = False
-    #: pool rebuilds / replacement queue workers spawned
+    #: replacement queue workers spawned
     worker_restarts: int = 0
     #: points recorded via poison quarantine: ``{id, chunk, failures, error}``
     quarantined: list[dict[str, Any]] = field(default_factory=list)
@@ -227,7 +227,7 @@ def run_sweep(
     retries: int = 0,
     cache: bool = True,
     out_dir: str | Path | None = None,
-    executor: Executor | str | None = None,
+    executor: Executor | None = None,
     store: ResultStore | str | Path | None = None,
     resume: bool = False,
     backoff: float = 0.0,
@@ -238,8 +238,10 @@ def run_sweep(
     Parameters
     ----------
     workers:
-        Worker processes; ``None`` picks ``min(4, cpu_count)``, ``<= 1``
-        runs serially in-process (identical results by construction).
+        Worker processes; ``None`` picks ``min(4, cpu_count)``.  ``<= 1``
+        runs serially in-process; more run on the
+        :class:`~repro.exp.executors.WorkQueueExecutor` (identical results
+        by construction).  The only execution knob.
     chunk_size:
         Points per chunk (default :data:`DEFAULT_CHUNK_SIZE`).  Must be
         identical between runs whose digests are compared (and between a
@@ -259,9 +261,9 @@ def run_sweep(
     out_dir:
         When given, persist ``BENCH_<name>.json`` there before returning.
     executor:
-        Backend: ``"serial"``, ``"pool"``, ``"queue"``, an
-        :class:`~repro.exp.executors.Executor` instance, or ``None`` to
-        pick serial/pool from ``workers``.
+        An :class:`~repro.exp.executors.Executor` instance to run on
+        instead of the one ``workers`` picks (the seam the chaos harness
+        and tests use).
     store:
         A :class:`~repro.exp.store.ResultStore` (or its directory path).
         When armed, completed chunks are durably journaled as they land
@@ -344,8 +346,7 @@ def run_sweep(
     pending = [
         (i, chunk) for i, chunk in enumerate(chunks) if i not in completed
     ]
-    info = {"mode": backend.name, "effective_workers": 1, "degraded": False,
-            "worker_restarts": 0, "quarantined": [], "stopped": False}
+    info = backend._info()
     started = time.perf_counter()
     try:
         if pending:
@@ -355,7 +356,7 @@ def run_sweep(
             session.close()
     elapsed = time.perf_counter() - started
 
-    if info.get("stopped"):
+    if info["stopped"]:
         raise SweepInterrupted(
             sweep.name, len(completed), len(chunks),
             str(session.path) if session is not None else None,
@@ -363,7 +364,7 @@ def run_sweep(
     missing = [i for i in range(len(chunks)) if i not in completed]
     if missing:  # pragma: no cover - executor contract violation
         raise SweepError(
-            f"executor {info.get('mode')!r} lost chunk(s) {missing} — "
+            f"executor {info['mode']!r} lost chunk(s) {missing} — "
             "refusing to merge a partial sweep"
         )
 
@@ -383,7 +384,6 @@ def run_sweep(
     )
     totals["enabled"] = cache
 
-    serial_like = info.get("mode", backend.name) == "serial"
     result = SweepResult(
         name=sweep.name,
         outcomes=outcomes,
@@ -392,16 +392,13 @@ def run_sweep(
         elapsed_s=elapsed,
         cache=totals,
         requested_workers=requested_workers,
-        effective_workers=(
-            1 if serial_like
-            else min(info.get("effective_workers", workers), len(chunks))
-        ),
+        effective_workers=info["effective_workers"],
         chunk_count=len(chunks),
         cpu_count=os.cpu_count(),
-        mode=info.get("mode", backend.name),
-        degraded=bool(info.get("degraded", False)),
-        worker_restarts=int(info.get("worker_restarts", 0)),
-        quarantined=list(info.get("quarantined", [])),
+        mode=info["mode"],
+        degraded=info["degraded"],
+        worker_restarts=info["worker_restarts"],
+        quarantined=list(info["quarantined"]),
         resumed_chunks=resumed_chunks,
         store_hits=session.hits if session is not None else 0,
         store_path=str(session.path) if session is not None else None,

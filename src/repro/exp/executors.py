@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the sweep engine.
+"""Execution backends for the sweep engine.
 
 The engine hands every backend the same inputs — a list of ``(chunk_index,
 points)`` jobs plus a picklable :class:`~repro.exp.runner.ChunkRunner` —
@@ -20,32 +20,28 @@ Backends
 --------
 
 :class:`SerialExecutor`
-    Runs chunks in-process, in order.  The reference semantics.
-
-:class:`ProcessPoolExecutor`
-    ``concurrent.futures`` pool with dead-worker detection: a SIGKILLed or
-    OOM-killed worker breaks the pool, the executor rebuilds it and
-    re-dispatches every chunk that had no result yet.  Chunks that keep
-    crashing workers are quarantined via isolated prefix replay; after
-    ``degrade_after`` pool breakages the remainder runs serially.
+    Runs chunks in-process, in order.  The reference semantics, and what
+    ``workers=1`` runs.
 
 :class:`WorkQueueExecutor`
-    A spawn-safe, file-protocol work queue: the parent serialises chunks
-    into ``tasks/``, independent worker *processes* (``python -m
-    repro.exp.worker``) claim them by atomic rename into ``claims/`` and
-    commit results by atomic rename into ``results/``.  The parent polls,
-    reaps dead workers (re-queueing their claims), SIGKILLs workers whose
-    claim lease expired (stall recovery), respawns up to a restart budget,
-    and — like the pool — quarantines poison chunks and degrades to serial
-    when the worker fleet cannot be kept alive.  Because the protocol is
-    plain files + atomic renames, it tolerates SIGKILL at *any* instant:
-    the chaos harness (:mod:`repro.exp.chaos`) leans on exactly this.
+    A spawn-safe, file-protocol work queue, and what ``workers > 1`` runs:
+    the parent serialises chunks into ``tasks/``, independent worker
+    *processes* (``python -m repro.exp.worker``) claim them by atomic
+    rename into ``claims/`` and commit results by atomic rename into
+    ``results/``.  The parent polls, reaps dead workers (re-queueing their
+    claims), SIGKILLs workers whose claim lease expired (stall recovery),
+    respawns up to a restart budget, quarantines poison chunks and
+    degrades to serial when the worker fleet cannot be kept alive.
+    Because the protocol is plain files + atomic renames, it tolerates
+    SIGKILL at *any* instant: the chaos harness (:mod:`repro.exp.chaos`)
+    leans on exactly this.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import shutil
 import signal
 import subprocess
 import sys
@@ -58,12 +54,11 @@ from tempfile import mkdtemp
 from typing import Any, Callable
 
 from .runner import ChunkRunner, PointOutcome
-from .sweep import SweepPoint
+from .sweep import SweepError, SweepPoint
 
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ProcessPoolExecutor",
     "WorkQueueExecutor",
     "StopExecution",
     "resolve_executor",
@@ -103,32 +98,20 @@ class Executor(ABC):
         return info
 
 
-def resolve_executor(
-    executor: "Executor | str | None", workers: int
-) -> "Executor":
-    """Map the engine's ``executor`` argument onto a backend instance."""
-    if isinstance(executor, Executor):
-        return executor
+def resolve_executor(executor: "Executor | None", workers: int) -> "Executor":
+    """The engine's backend: ``executor`` itself, else ``workers`` decides.
+
+    One worker runs in-process (:class:`SerialExecutor`); more run on the
+    :class:`WorkQueueExecutor`.
+    """
     if executor is None:
-        executor = "serial" if workers <= 1 else "pool"
-    if executor == "serial":
-        return SerialExecutor()
-    if executor == "pool":
-        return ProcessPoolExecutor(workers=max(2, workers))
-    if executor == "queue":
-        return WorkQueueExecutor(workers=max(2, workers))
-    raise ValueError(
-        f"unknown executor {executor!r}; expected 'serial', 'pool', 'queue' "
-        "or an Executor instance"
-    )
-
-
-def _run_chunk_job(
-    runner: ChunkRunner, index: int, points: tuple[SweepPoint, ...]
-) -> tuple[int, list[PointOutcome], dict[str, Any]]:
-    """Top-level (hence picklable) chunk evaluation for pool workers."""
-    outcomes, stats = runner.run(points)
-    return index, outcomes, stats
+        return SerialExecutor() if workers <= 1 else WorkQueueExecutor(workers)
+    if not isinstance(executor, Executor):
+        raise TypeError(
+            f"executor must be an Executor instance or None, got {executor!r}; "
+            "pass workers=N to choose between serial and parallel"
+        )
+    return executor
 
 
 # ---------------------------------------------------------------------------
@@ -149,146 +132,6 @@ class SerialExecutor(Executor):
             except StopExecution:
                 return self._info(stopped=True)
         return self._info()
-
-
-# ---------------------------------------------------------------------------
-# crash-tolerant process pool
-# ---------------------------------------------------------------------------
-
-
-class ProcessPoolExecutor(Executor):
-    """``concurrent.futures`` pool with re-dispatch, quarantine, degradation.
-
-    Parameters
-    ----------
-    workers:
-        Pool size.
-    quarantine_after:
-        A chunk suspected in this many worker crashes is pulled out of the
-        pool and finished via isolated prefix replay (one disposable
-        process per point) so a poison point is *recorded*, never retried
-        forever and never silently dropped.
-    degrade_after:
-        After this many pool breakages the remaining chunks run serially
-        in-process — the graceful-degradation floor when workers keep
-        dying for reasons no single chunk explains (OOM storms, cgroup
-        kills).
-    """
-
-    name = "process-pool"
-
-    def __init__(
-        self,
-        workers: int,
-        quarantine_after: int = 2,
-        degrade_after: int = 4,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.quarantine_after = quarantine_after
-        self.degrade_after = degrade_after
-
-    def run(self, jobs, runner, on_chunk):
-        pending: dict[int, tuple[SweepPoint, ...]] = dict(jobs)
-        crashes: dict[int, int] = {}
-        quarantined: list[dict[str, Any]] = []
-        pool_breaks = 0
-        while pending:
-            if pool_breaks >= self.degrade_after:
-                # workers keep dying wholesale: stop burning processes and
-                # finish the remainder in this process, serially
-                for index in sorted(pending):
-                    outcomes, stats = runner.run(pending.pop(index))
-                    try:
-                        on_chunk(index, outcomes, stats)
-                    except StopExecution:
-                        return self._info(
-                            degraded=True, worker_restarts=pool_breaks,
-                            quarantined=quarantined, stopped=True,
-                            effective_workers=min(self.workers, len(jobs)),
-                        )
-                break
-            # chunks implicated in enough crashes leave the pool for good
-            for index in [
-                i for i in sorted(pending)
-                if crashes.get(i, 0) >= self.quarantine_after
-            ]:
-                points = pending.pop(index)
-                outcomes, stats, poisoned = _replay_chunk_isolated(
-                    runner, points, crashes[index]
-                )
-                quarantined.extend(
-                    {"id": pid, "chunk": index, "failures": crashes[index],
-                     "error": err}
-                    for pid, err in poisoned
-                )
-                try:
-                    on_chunk(index, outcomes, stats)
-                except StopExecution:
-                    return self._info(
-                        worker_restarts=pool_breaks, quarantined=quarantined,
-                        stopped=True,
-                        effective_workers=min(self.workers, len(jobs)),
-                    )
-            if not pending:
-                break
-            broke = False
-            with futures.ProcessPoolExecutor(max_workers=self.workers) as pool:
-                submitted = {
-                    pool.submit(_run_chunk_job, runner, index, points): index
-                    for index, points in sorted(pending.items())
-                }
-                try:
-                    for future in futures.as_completed(submitted):
-                        index, outcomes, stats = future.result()
-                        pending.pop(index, None)
-                        try:
-                            on_chunk(index, outcomes, stats)
-                        except StopExecution:
-                            for f in submitted:
-                                f.cancel()
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            return self._info(
-                                worker_restarts=pool_breaks,
-                                quarantined=quarantined, stopped=True,
-                                effective_workers=min(self.workers, len(jobs)),
-                            )
-                except BrokenProcessPool:
-                    # a worker died (SIGKILL, OOM, segfault).  Salvage every
-                    # future that finished before the break — their results
-                    # are intact — then re-dispatch the rest as crash
-                    # suspects.
-                    broke = True
-                    for future, index in submitted.items():
-                        if (
-                            index in pending
-                            and future.done()
-                            and not future.cancelled()
-                            and future.exception() is None
-                        ):
-                            _, outcomes, stats = future.result()
-                            pending.pop(index, None)
-                            try:
-                                on_chunk(index, outcomes, stats)
-                            except StopExecution:
-                                return self._info(
-                                    worker_restarts=pool_breaks + 1,
-                                    quarantined=quarantined, stopped=True,
-                                    effective_workers=min(
-                                        self.workers, len(jobs)
-                                    ),
-                                )
-            if broke:
-                pool_breaks += 1
-                for index in pending:
-                    crashes[index] = crashes.get(index, 0) + 1
-        return self._info(
-            effective_workers=min(self.workers, max(1, len(jobs))),
-            degraded=pool_breaks >= self.degrade_after,
-            worker_restarts=pool_breaks,
-            quarantined=quarantined,
-        )
 
 
 def _replay_chunk_isolated(
@@ -314,14 +157,14 @@ def _replay_chunk_isolated(
         prefix = tuple(alive) + (point,)
         error: str | None = None
         with futures.ProcessPoolExecutor(max_workers=1) as pool:
-            future = pool.submit(_run_chunk_job, runner, 0, prefix)
+            future = pool.submit(runner.run, prefix)
             budget = None
             if runner.timeout is not None:
                 # the in-worker guard should fire first; this is the belt
                 # for points that wedge a worker so hard signals never land
                 budget = (runner.timeout + 5.0) * len(prefix)
             try:
-                _, prefix_outcomes, stats = future.result(timeout=budget)
+                prefix_outcomes, stats = future.result(timeout=budget)
                 outcomes.append(prefix_outcomes[-1])
                 alive.append(point)
                 continue
@@ -354,6 +197,8 @@ def _replay_chunk_isolated(
 _TASKS, _CLAIMS, _RESULTS = "tasks", "claims", "results"
 _STOP_SENTINEL = "stop"
 _RUNNER_FILE = "runner.pkl"
+#: written by a worker that cannot unpickle ``runner.pkl``; holds the error
+_RUNNER_ERROR_FILE = "runner-error"
 #: present only when a ChaosMonkey is armed: workers hold this many seconds
 #: between claiming a chunk and executing it, guaranteeing the parent
 #: observes the claim and can strike mid-chunk deterministically
@@ -380,17 +225,18 @@ class WorkQueueExecutor(Executor):
 
     Parameters
     ----------
-    workers: worker processes to keep alive.
+    workers: worker processes to keep alive; a run starts at most one per
+        chunk.
     lease_s: a claim older than this is a stalled worker; the parent
         SIGKILLs it and re-queues the chunk.
     max_restarts: total replacement workers the parent may spawn before
         declaring the fleet unsustainable and degrading to serial.
     quarantine_after: per-chunk worker-death count that triggers isolated
-        prefix replay (same policy as the pool backend).
+        prefix replay.
     poll_s: parent poll interval.
     chaos: optional :class:`repro.exp.chaos.ChaosMonkey` consulted when a
-        claim is first observed — test-only fault injection, never armed
-        in production runs.
+        claim's owner is first read — test-only fault injection, never
+        armed in production runs.
     """
 
     name = "work-queue"
@@ -402,7 +248,6 @@ class WorkQueueExecutor(Executor):
         max_restarts: int = 4,
         quarantine_after: int = 2,
         poll_s: float = 0.02,
-        directory: str | Path | None = None,
         chaos: Any = None,
     ) -> None:
         if workers < 1:
@@ -412,7 +257,6 @@ class WorkQueueExecutor(Executor):
         self.max_restarts = max_restarts
         self.quarantine_after = quarantine_after
         self.poll_s = poll_s
-        self.directory = Path(directory) if directory is not None else None
         self.chaos = chaos
 
     # -- protocol helpers (parent side) ------------------------------------
@@ -448,15 +292,11 @@ class WorkQueueExecutor(Executor):
         )
 
     def run(self, jobs, runner, on_chunk):
-        owned_dir = self.directory is None
-        root = Path(mkdtemp(prefix="repro-queue-")) if owned_dir else self.directory
+        root = Path(mkdtemp(prefix="repro-queue-"))
         try:
             return self._run(root, jobs, runner, on_chunk)
         finally:
-            if owned_dir:
-                import shutil
-
-                shutil.rmtree(root, ignore_errors=True)
+            shutil.rmtree(root, ignore_errors=True)
 
     def _run(self, root: Path, jobs, runner, on_chunk):
         self._setup(root, jobs, runner)
@@ -467,7 +307,9 @@ class WorkQueueExecutor(Executor):
         restarts = 0
         degraded = False
         stopped = False
-        procs = [self._spawn_worker(root) for _ in range(self.workers)]
+        procs = [
+            self._spawn_worker(root) for _ in range(min(self.workers, len(jobs)))
+        ]
         claim_seen: dict[int, float] = {}
         chaos_done: set[int] = set()
         stalled: dict[int, float] = {}  # pid -> resume_at (monotonic)
@@ -504,14 +346,14 @@ class WorkQueueExecutor(Executor):
                 for index, (pid, _claimed_at) in claims.items():
                     if index not in pending:
                         continue  # result already committed; claim is litter
-                    if index not in claim_seen:
-                        claim_seen[index] = now
-                        if self.chaos is not None and index not in chaos_done:
-                            chaos_done.add(index)
-                            nap = self.chaos.strike(index, pid)
-                            if nap:
-                                stalled[pid] = now + nap
-                    elif now - claim_seen[index] > self.lease_s:
+                    # strike on the first sighting of an owner, even when the
+                    # orphan pass below already saw the claim without one
+                    if self.chaos is not None and index not in chaos_done:
+                        chaos_done.add(index)
+                        nap = self.chaos.strike(index, pid)
+                        if nap:
+                            stalled[pid] = now + nap
+                    if now - claim_seen.setdefault(index, now) > self.lease_s:
                         # stalled worker: kill it; reap-and-requeue below
                         _signal_quietly(pid, signal.SIGKILL)
                         claim_seen.pop(index, None)
@@ -532,6 +374,7 @@ class WorkQueueExecutor(Executor):
                     if proc.poll() is None:
                         live.append(proc)
                         continue
+                    self._raise_if_runner_unloadable(root, runner)
                     for index, (pid, _t) in self._read_claims(root).items():
                         if pid == proc.pid:
                             self._requeue(root, index)
@@ -598,17 +441,29 @@ class WorkQueueExecutor(Executor):
             stopped=stopped,
         )
 
+    def _raise_if_runner_unloadable(self, root: Path, runner: ChunkRunner) -> None:
+        """Fail fast when a worker could not load the task: respawns cannot help."""
+        try:
+            error = (root / _RUNNER_ERROR_FILE).read_text()
+        except OSError:
+            return
+        task = runner.task
+        module = getattr(task, "__module__", "?")
+        name = getattr(task, "__qualname__", repr(task))
+        raise SweepError(
+            f"sweep task {module}.{name} cannot be loaded by a fresh worker "
+            f"process ({error}); define it in an importable module, or use "
+            "workers=1"
+        )
+
     def _orphan_claims(
         self, root: Path, claims: dict[int, tuple[int, float]]
     ) -> list[int]:
         """Claim files present with no readable owner sidecar."""
-        orphans = []
-        for name in os.listdir(root / _CLAIMS):
-            if name.endswith(".pkl"):
-                index = _chunk_index(name)
-                if index not in claims:
-                    orphans.append(index)
-        return orphans
+        return [
+            _chunk_index(name) for name in os.listdir(root / _CLAIMS)
+            if name.endswith(".pkl") and _chunk_index(name) not in claims
+        ]
 
     def _read_claims(self, root: Path) -> dict[int, tuple[int, float]]:
         """Claims as ``{chunk_index: (pid, claimed_at)}`` (tolerant scan)."""

@@ -1,11 +1,11 @@
 """Per-point execution: contexts, outcomes, retries, timeouts.
 
 This module is the part of the engine that actually *calls the task*.  It
-is deliberately free of any executor / process-pool machinery so that every
-execution backend (:mod:`repro.exp.executors`) and the work-queue worker
-process (:mod:`repro.exp.worker`) share one code path — a chunk evaluated
-in-process, in a pool worker, or in a queue worker produces byte-identical
-outcomes by construction.
+is deliberately free of any executor machinery so that both execution
+backends (:mod:`repro.exp.executors`) and the work-queue worker process
+(:mod:`repro.exp.worker`) share one code path — a chunk evaluated
+in-process or in a queue worker produces byte-identical outcomes by
+construction.
 
 Guard rails per point:
 
@@ -221,7 +221,7 @@ def _call_with_timeout(
     if _pick_mechanism() == TIMEOUT_WALL_CLOCK:
         return _call_wall_clock(task, point, ctx, timeout), TIMEOUT_WALL_CLOCK
     # SIGALRM-based guard: only usable from a process's main thread, which
-    # is where pool workers, queue workers and the serial path run chunks
+    # is where queue workers, isolated replays and the serial path run chunks
     def _alarm(signum, frame):
         raise _PointTimeout(TIMEOUT_SIGALRM)
 

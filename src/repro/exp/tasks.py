@@ -1,7 +1,7 @@
 """Built-in sweep tasks: the paper's evaluation loops as picklable points.
 
 Each task is a module-level function ``task(params, ctx) -> dict`` (the
-shape :class:`~repro.exp.sweep.Sweep` requires for process-pool fan-out):
+shape :class:`~repro.exp.sweep.Sweep` requires for work-queue fan-out):
 ``params`` is the point's JSON-serialisable parameter dict, ``ctx`` the
 :class:`~repro.exp.engine.PointContext` carrying the deterministic point
 seed and the chunk-local :class:`~repro.exp.cache.SolverCache`.  Returned

@@ -10,7 +10,7 @@ crash-oblivious — every step either commits atomically (``os.rename`` /
 2. publish an owner sidecar (``<chunk>.pkl.owner``: pid + wall-clock) so
    the parent can lease-police and attribute the claim after a crash;
 3. evaluate the chunk with the shared :class:`~repro.exp.runner.ChunkRunner`
-   loop — byte-identical semantics to every other backend;
+   loop — byte-identical semantics to the serial backend;
 4. commit the result by ``os.replace`` of a fully-written temp file into
    ``results/`` (readers never observe a torn result);
 5. release the claim and loop; exit once the ``stop`` sentinel exists and
@@ -19,7 +19,8 @@ crash-oblivious — every step either commits atomically (``os.rename`` /
 A worker SIGKILLed at any point between 1 and 5 leaves either a claim the
 parent re-queues (crash before commit) or a committed result plus a stale
 claim the parent ignores (crash after commit) — never a lost or a
-half-visible chunk.
+half-visible chunk.  A worker that cannot unpickle ``runner.pkl`` (say, a
+task defined in the parent's ``__main__``) writes why to ``runner-error``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,14 @@ def serve(queue_dir: str | Path) -> int:
     root = Path(queue_dir)
     tasks, claims, results = root / "tasks", root / "claims", root / "results"
     with (root / "runner.pkl").open("rb") as fh:
-        runner = pickle.load(fh)
+        try:
+            runner = pickle.load(fh)
+        except Exception as exc:
+            # the parent fails fast on this: a respawned worker would die alike
+            tmp = root / f"runner-error.{os.getpid()}.tmp"
+            tmp.write_text(f"{type(exc).__name__}: {exc}")
+            os.replace(tmp, root / "runner-error")
+            return 1
     while True:
         claimed = None
         try:

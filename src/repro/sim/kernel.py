@@ -22,7 +22,7 @@ cycle, ordered by a min-heap over the occupied cycles) with temporal
 decoupling: the clock jumps from occupied cycle to occupied cycle and the
 idle spans in between are counted in :attr:`Simulator.skipped_cycles`, never
 stepped.  ``benchmarks/bench_kernel_hotpath.py`` measures this scheduler
-against the frozen heap-only reference in :mod:`repro.sim.refkernel`, and
+against the frozen heap-only reference in ``tests/refkernel.py``, and
 ``tests/property/test_kernel_differential.py`` proves the two produce
 bit-identical observable traces.  See DESIGN.md, "Kernel scheduling &
 temporal decoupling".
@@ -523,7 +523,7 @@ class Simulator:
       cancellation when the target event was cancelled and can never
       fire, rather than the generic ran-dry message.
 
-    The frozen heap-only predecessor lives in :mod:`repro.sim.refkernel`;
+    The frozen heap-only predecessor lives in ``tests/refkernel.py``;
     ``tests/property/test_kernel_differential.py`` holds the two kernels
     to bit-identical observable traces and
     ``benchmarks/bench_kernel_hotpath.py`` records the speedup in

@@ -175,7 +175,7 @@ def test_sweep_scenario_corpus(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(
         ["sweep", "scenario://generated?seed=3", "--points", "4",
-         "--serial", "--name", "cli_corpus"],
+         "--workers", "1", "--name", "cli_corpus"],
         capsys,
     )
     assert code == 0
@@ -194,7 +194,7 @@ def test_sweep_rejects_malformed_scenario_spec(capsys):
 
 def test_sweep_rejects_multi_point_corpus_without_seed(capsys):
     code, _, err = run_cli(
-        ["sweep", "scenario://pal_decoder", "--points", "3", "--serial"],
+        ["sweep", "scenario://pal_decoder", "--points", "3", "--workers", "1"],
         capsys,
     )
     assert code == 2
@@ -210,7 +210,7 @@ def test_scenario_fuzz_smoke(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(
         ["sweep", "scenario://generated?seed=0", "--points", "40",
-         "--serial", "--name", "fuzz_smoke"],
+         "--workers", "1", "--name", "fuzz_smoke"],
         capsys,
     )
     assert code == 0, out

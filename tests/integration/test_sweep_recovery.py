@@ -10,11 +10,18 @@ These tests actually kill processes.  The invariants under test:
   bit-identical to a never-interrupted run;
 * a point that deterministically kills every worker that touches it is
   quarantined — recorded in the result, never silently dropped, and never
-  allowed to sink the rest of the sweep.
+  allowed to sink the rest of the sweep;
+* a task no fresh worker can import fails the sweep at once instead of
+  burning the restart budget and silently degrading to serial.
 """
 
+import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +30,13 @@ from repro.exp import (
     ChaosPlan,
     Sweep,
     SweepInterrupted,
+    WorkQueueExecutor,
     run_chaos_sweep,
     run_sweep,
 )
 
 KILL_POINT = 2  # the "x" value whose task misbehaves in crashy sweeps
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def plain_task(params, ctx):
@@ -72,6 +81,7 @@ def assert_no_lost_or_duplicated(result, sweep):
 
 
 def test_pool_survives_sigkilled_worker_mid_chunk(tmp_path):
+    """``workers=2`` starts a pool of queue workers; one dies mid-chunk."""
     sentinel = tmp_path / "crashed"
     sweep = crashy_sweep(sentinel)
 
@@ -80,9 +90,9 @@ def test_pool_survives_sigkilled_worker_mid_chunk(tmp_path):
     baseline = run_sweep(sweep, workers=1)
     sentinel.unlink()
 
-    result = run_sweep(sweep, workers=2, executor="pool")
+    result = run_sweep(sweep, workers=2)
     assert sentinel.exists(), "the crash never fired"
-    assert result.mode == "process-pool"
+    assert result.mode == "work-queue"
     assert_no_lost_or_duplicated(result, sweep)
     assert result.digest() == baseline.digest()
     assert result.payload() == baseline.payload()
@@ -97,7 +107,9 @@ def test_queue_survives_sigkilled_worker_mid_chunk(tmp_path):
     baseline = run_sweep(sweep, workers=1)
     sentinel.unlink()
 
-    result = run_sweep(sweep, workers=2, executor="queue")
+    result = run_sweep(
+        sweep, workers=2, executor=WorkQueueExecutor(workers=2, poll_s=0.01)
+    )
     assert sentinel.exists(), "the crash never fired"
     assert result.mode == "work-queue"
     assert result.worker_restarts >= 1
@@ -126,6 +138,42 @@ def test_chaos_sweep_matches_undisturbed_serial_run():
     assert result.quarantined == []
 
 
+def test_chaos_strikes_claims_first_seen_without_an_owner(monkeypatch):
+    """A claim first observed before its owner sidecar is still struck.
+
+    Hiding every chunk's owner on its first read forces each claim
+    through the orphan pass first — the window a worker opens between
+    its claim rename and its owner write, which CPU contention widens.
+    """
+    real_read = WorkQueueExecutor._read_claims
+    hidden = set()
+
+    def owner_late(self, root):
+        claims = real_read(self, root)
+        for index in set(claims) - hidden:
+            hidden.add(index)
+            del claims[index]
+        return claims
+
+    monkeypatch.setattr(WorkQueueExecutor, "_read_claims", owner_late)
+    sweep = Sweep(
+        "chaos_late", plain_task, [{"x": i} for i in range(10)], seed=9
+    )
+    plan = ChaosPlan(
+        seed=7,
+        events=(
+            ChaosEvent(chunk=1, action="kill"),
+            ChaosEvent(chunk=3, action="stall", stall_s=0.3),
+        ),
+    )
+    result, monkey = run_chaos_sweep(sweep, plan, workers=2, chunk_size=2)
+    assert sorted((e["chunk"], e["action"]) for e in monkey.log) == [
+        (1, "kill"), (3, "stall"),
+    ]
+    baseline = run_sweep(sweep, workers=1, chunk_size=2)
+    assert result.digest() == baseline.digest()
+
+
 def test_chaos_kill_with_store_then_resume(tmp_path):
     """Chaos + durability: kill workers, then resume from the journal."""
     sweep = Sweep(
@@ -147,6 +195,7 @@ def test_chaos_kill_with_store_then_resume(tmp_path):
 
 
 def test_interrupted_pool_run_resumes_bit_identically(tmp_path):
+    """Interrupt a parallel (work-queue) run, then resume it in parallel."""
     sweep = Sweep(
         "resume_pool", plain_task, [{"x": i} for i in range(12)], seed=4
     )
@@ -155,7 +204,6 @@ def test_interrupted_pool_run_resumes_bit_identically(tmp_path):
         run_sweep(
             sweep,
             workers=2,
-            executor="pool",
             chunk_size=3,
             store=tmp_path,
             interrupt_after=2,
@@ -164,7 +212,6 @@ def test_interrupted_pool_run_resumes_bit_identically(tmp_path):
     resumed = run_sweep(
         sweep,
         workers=2,
-        executor="pool",
         chunk_size=3,
         store=tmp_path,
         resume=True,
@@ -179,7 +226,8 @@ def test_poison_point_is_quarantined_not_dropped():
     sweep = Sweep(
         "poison", poison_task, [{"x": i} for i in range(6)], seed=8
     )
-    result = run_sweep(sweep, workers=2, executor="pool", chunk_size=2)
+    result = run_sweep(sweep, workers=2, chunk_size=2)
+    assert result.mode == "work-queue"
     assert_no_lost_or_duplicated(result, sweep)
     quarantined = [o for o in result.outcomes if o.quarantined]
     assert [o.id for o in quarantined] == [f"x={KILL_POINT}"]
@@ -193,6 +241,53 @@ def test_poison_point_is_quarantined_not_dropped():
     assert entry["failures"] >= 2
     assert "quarantined" in entry["error"]
     assert result.failed == quarantined
+
+
+MAIN_TASK_SCRIPT = textwrap.dedent("""
+    import json, sys
+    from repro.exp import Sweep, SweepError, WorkQueueExecutor, run_sweep
+
+    def task(params, ctx):  # lives in __main__: no fresh worker can import it
+        return {"y": params["x"] + 1}
+
+    spawned = []
+    real_spawn = WorkQueueExecutor._spawn_worker
+
+    def counting_spawn(self, root):
+        spawned.append(1)
+        return real_spawn(self, root)
+
+    WorkQueueExecutor._spawn_worker = counting_spawn
+    sweep = Sweep("main_task", task, [{"x": i} for i in range(8)])
+    try:
+        run_sweep(sweep, workers=int(sys.argv[1]), chunk_size=2)
+        outcome = "ran"
+    except SweepError as exc:
+        outcome = str(exc)
+    print(json.dumps({"outcome": outcome, "spawned": len(spawned)}))
+""")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_task_defined_in_main_fails_fast_in_parallel(tmp_path, workers):
+    script = tmp_path / "main_task.py"
+    script.write_text(MAIN_TASK_SCRIPT)
+    done = subprocess.run(
+        [sys.executable, str(script), str(workers)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC)] + ([os.environ["PYTHONPATH"]]
+                          if os.environ.get("PYTHONPATH") else []))},
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    if workers == 1:
+        assert report == {"outcome": "ran", "spawned": 0}
+        return
+    assert "__main__.task" in report["outcome"]
+    assert "importable module" in report["outcome"]
+    assert "workers=1" in report["outcome"]
+    assert report["spawned"] == 2  # the initial workers only: no restarts
 
 
 @pytest.mark.skipif(

@@ -3,7 +3,7 @@
 The sweep engine's contract is that results are a pure function of the
 sweep spec — independent of worker count, scheduling, and which process
 evaluated which chunk.  These properties drive randomly shaped grids
-through serial and pooled execution and require byte-equal payloads.
+through serial and work-queue execution and require byte-equal payloads.
 """
 
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from repro.exp.tasks import fig8_min_buffer
 
 
 def arith_task(params, ctx):
-    """Cheap deterministic module-level task (pool-picklable)."""
+    """Cheap deterministic module-level task (importable by queue workers)."""
     return {
         "sum": params["a"] + params["b"],
         "product": params["a"] * params["b"],
@@ -98,11 +98,12 @@ def test_task_receives_derived_seed(axes, seed):
 def test_serial_pool_and_resumed_runs_coincide(
     axes, seed, chunk_size, stop_after
 ):
-    """serial ≡ pool ≡ interrupted-then-resumed, for arbitrary grids.
+    """serial ≡ parallel ≡ interrupted-then-resumed, for arbitrary grids.
 
-    The crash/resume history is part of the quantifier: we interrupt a
-    stored run after ``stop_after`` chunks and resume it, and the result
-    must still be byte-identical to both the serial and the pooled run.
+    The parallel run is the work queue's worker pool.  The crash/resume
+    history is part of the quantifier: we interrupt a stored run after
+    ``stop_after`` chunks and resume it, and the result must still be
+    byte-identical to both the serial and the parallel run.
     """
     import tempfile
 
@@ -110,9 +111,10 @@ def test_serial_pool_and_resumed_runs_coincide(
 
     sweep = Sweep.grid("prop_resume", arith_task, axes=axes, seed=seed)
     serial = run_sweep(sweep, workers=1, chunk_size=chunk_size)
-    pooled = run_sweep(sweep, workers=2, chunk_size=chunk_size)
-    assert pooled.digest() == serial.digest()
-    assert pooled.payload() == serial.payload()
+    parallel = run_sweep(sweep, workers=2, chunk_size=chunk_size)
+    assert parallel.mode == "work-queue"
+    assert parallel.digest() == serial.digest()
+    assert parallel.payload() == serial.payload()
 
     with tempfile.TemporaryDirectory() as store:
         try:

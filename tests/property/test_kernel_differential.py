@@ -1,6 +1,6 @@
 """Differential testing: calendar-queue kernel vs the frozen heap kernel.
 
-:mod:`repro.sim.refkernel` is a verbatim copy of the pre-calendar-queue
+``tests/refkernel.py`` is a verbatim copy of the pre-calendar-queue
 kernel, kept as an executable specification.  These properties run
 randomly generated programs — interleavings of timeouts, shared-event
 waits, ``succeed``/``cancel``, ``interrupt`` and ``AnyOf``/``AllOf``
@@ -18,7 +18,8 @@ semantics across both kernels.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import kernel, refkernel
+from repro.sim import kernel
+from tests import refkernel
 
 N_EVENTS = 4
 

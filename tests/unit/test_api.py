@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.api import RunResult, Scenario, load_scenario, simulate
+from repro.api import RunResult, Scenario, load_scenario
 from repro.core import AcceleratorSpec, GatewaySystem, ParameterError, StreamSpec
 from repro.core.config_io import (
     REPORT_SCHEMA,
@@ -208,56 +208,6 @@ def test_load_scenario_from_path(tmp_path, small_system):
 def test_load_scenario_missing_file():
     with pytest.raises(ParameterError, match="cannot read scenario config"):
         load_scenario("/nonexistent/system.json")
-
-
-# -- deprecation shims --------------------------------------------------------
-
-def test_simulate_shim_warns_and_delegates(small_system):
-    with pytest.warns(DeprecationWarning,
-                      match=r"Scenario\(system\)\.build\(\)"):
-        run = simulate(small_system, blocks=2, trace=False)
-    assert all(m.blocks_done == 2 for m in run.metrics().values())
-
-
-def test_simulate_shim_matches_facade(small_system):
-    with pytest.warns(DeprecationWarning):
-        run = simulate(small_system, blocks=3, trace=False)
-    via_facade = (
-        Scenario(small_system).with_blocks(3).with_trace(False).build().run
-    )
-    assert run.horizon == via_facade.horizon
-    with pytest.warns(DeprecationWarning), pytest.raises(TypeError,
-                                                         match="bogus"):
-        simulate(small_system, bogus=1)
-
-
-def test_simulate_shim_requires_block_sizes(unsolved_system):
-    with pytest.warns(DeprecationWarning), pytest.raises(ParameterError):
-        simulate(unsolved_system, blocks=2)
-
-
-def test_cli_shim_warns(small_system):
-    from types import SimpleNamespace
-
-    from repro.__main__ import _simulated_run
-
-    args = SimpleNamespace(
-        config=json.dumps(system_to_dict(small_system)),
-        blocks=2,
-    )
-    with pytest.warns(DeprecationWarning):
-        run = _simulated_run(args)
-    assert run.horizon > 0
-    with pytest.warns(DeprecationWarning), pytest.raises(TypeError):
-        _simulated_run(args, bogus=1)
-
-
-def test_implicit_pal_construction_warns_and_selects_decoder():
-    with pytest.warns(DeprecationWarning, match="PAL decoder"):
-        scenario = Scenario()
-    assert {s.name for s in scenario.system.streams} == {
-        "ch1.s1", "ch1.s2", "ch2.s1", "ch2.s2",
-    }
 
 
 # -- registry front door ------------------------------------------------------

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.exp import (
-    ProcessPoolExecutor,
     SerialExecutor,
     Sweep,
     WorkQueueExecutor,
@@ -37,22 +36,24 @@ def test_resolver_defaults_to_serial_for_one_worker():
 
 
 def test_resolver_defaults_to_pool_for_many_workers():
+    """More than one worker means the work-queue worker pool."""
     backend = resolve_executor(None, 3)
-    assert isinstance(backend, ProcessPoolExecutor)
+    assert isinstance(backend, WorkQueueExecutor)
     assert backend.workers == 3
 
 
 def test_resolver_maps_names_and_passes_instances_through():
-    assert isinstance(resolve_executor("serial", 4), SerialExecutor)
-    assert isinstance(resolve_executor("pool", 1), ProcessPoolExecutor)
-    assert isinstance(resolve_executor("queue", 1), WorkQueueExecutor)
-    mine = SerialExecutor()
-    assert resolve_executor(mine, 8) is mine
+    """An instance wins over ``workers``, whichever backend it is."""
+    for mine in (SerialExecutor(), WorkQueueExecutor(workers=2)):
+        assert resolve_executor(mine, 8) is mine
+        assert resolve_executor(mine, 1) is mine
 
 
 def test_resolver_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown executor"):
-        resolve_executor("threads", 2)
+    """Backend names are gone: ``workers`` is the only execution knob."""
+    for name in ("serial", "pool", "queue"):
+        with pytest.raises(TypeError, match="workers=N"):
+            resolve_executor(name, 2)
 
 
 # -- shared contract ----------------------------------------------------------
@@ -81,16 +82,26 @@ def test_serial_runs_chunks_in_order():
 @pytest.mark.parametrize(
     "backend_name,backend",
     [
-        ("pool", ProcessPoolExecutor(workers=2)),
+        # more workers than the three chunks: only three may start
+        ("surplus-workers", WorkQueueExecutor(workers=5, poll_s=0.01)),
         ("queue", WorkQueueExecutor(workers=2, poll_s=0.01)),
     ],
 )
-def test_parallel_backends_match_serial_exactly(backend_name, backend):
+def test_parallel_backends_match_serial_exactly(backend_name, backend, monkeypatch):
+    spawned = []
+    real_spawn = WorkQueueExecutor._spawn_worker
+
+    def counting_spawn(self, root):
+        spawned.append(root)
+        return real_spawn(self, root)
+
+    monkeypatch.setattr(WorkQueueExecutor, "_spawn_worker", counting_spawn)
     sweep = make_sweep()
     serial_landed, _ = collect(SerialExecutor(), sweep)
     landed, info = collect(backend, sweep)
-    expected_mode = {"pool": "process-pool", "queue": "work-queue"}[backend_name]
-    assert info["mode"] == expected_mode
+    assert info["mode"] == "work-queue"
+    assert len(spawned) == info["effective_workers"] == min(backend.workers, 3)
+    assert info["worker_restarts"] == 0
     assert sorted(landed) == sorted(serial_landed)
     for index in serial_landed:
         assert [o.payload() for o in landed[index]] == [
@@ -118,9 +129,9 @@ def test_engine_maps_executor_names_to_modes():
     sweep = make_sweep(4)
     serial = run_sweep(sweep, workers=1)
     assert serial.mode == "serial"
-    pooled = run_sweep(sweep, workers=2, executor="pool")
-    assert pooled.mode == "process-pool"
-    assert pooled.digest() == serial.digest()
-    queued = run_sweep(sweep, workers=2, executor="queue")
+    queued = run_sweep(sweep, workers=2)
     assert queued.mode == "work-queue"
     assert queued.digest() == serial.digest()
+    with pytest.raises(TypeError):
+        run_sweep(sweep, workers=2, executor="queue")
+
