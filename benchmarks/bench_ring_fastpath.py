@@ -8,8 +8,8 @@ and off (``REPRO_NO_FASTPATH=1`` semantics), and asserts
 * the observable traces are **identical** (per-cycle canonical form) on a
   traced slice of the workload, and the flit/word accounting and final
   clock match on the full run,
-* the fusion rate stays high (the C-FIFO's own round-trip timing keeps
-  every route free at injection, so eligibility regressions show up here),
+* the fusion rate stays high (every fault-free flit is compiled, so an
+  eligibility regression shows up here),
 * flits/sec improves by at least :data:`MACRO_MIN_SPEEDUP` (full mode).
 
 Full mode pushes ``>= 10**7`` flits and persists the comparison as

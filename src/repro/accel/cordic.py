@@ -50,7 +50,18 @@ def cordic_gain(iterations: int = CORDIC_ITERATIONS) -> float:
     return g
 
 
-_GAIN = cordic_gain()
+#: ``cordic_gain(n)`` for every iteration count the angle table supports
+_GAINS = [cordic_gain(n) for n in range(CORDIC_ITERATIONS + 1)]
+
+
+def _gain(iterations: int) -> float:
+    """The precomputed gain of an ``iterations``-step CORDIC."""
+    if not 0 <= iterations <= CORDIC_ITERATIONS:
+        raise ValueError(
+            f"CORDIC iterations must be between 0 and CORDIC_ITERATIONS="
+            f"{CORDIC_ITERATIONS} (the angle table's length), got {iterations}"
+        )
+    return _GAINS[iterations]
 
 
 def _quantize(v: float, fractional_bits: int | None) -> float:
@@ -77,6 +88,7 @@ def cordic_rotate(
     Handles the full circle by pre-rotating ±π/2 quadrants, then runs the
     shift-add iteration and compensates the gain.  Accuracy is ~2^-iterations.
     """
+    k = _gain(iterations)
     # reduce angle into [-pi, pi)
     angle = (angle + math.pi) % (2 * math.pi) - math.pi
     # pre-rotate into the CORDIC convergence range [-pi/2, pi/2]
@@ -93,7 +105,6 @@ def cordic_rotate(
         if fractional_bits is not None:
             x, y = _quantize(x, fractional_bits), _quantize(y, fractional_bits)
         z -= d * _ANGLES[i]
-    k = cordic_gain(iterations)
     return _quantize(x / k, fractional_bits), _quantize(y / k, fractional_bits)
 
 
@@ -107,6 +118,7 @@ def cordic_vector(
 
     Returns ``(magnitude, phase)`` with phase in ``(-π, π]``.
     """
+    k = _gain(iterations)
     # pre-rotate left half-plane into the convergence range
     phase_offset = 0.0
     if x < 0:
@@ -124,7 +136,6 @@ def cordic_vector(
             x, y = _quantize(x, fractional_bits), _quantize(y, fractional_bits)
             z = _quantize(z, fractional_bits)
         z -= d * _ANGLES[i]
-    k = cordic_gain(iterations)
     return _quantize(x / k, fractional_bits), _quantize(z + phase_offset, fractional_bits)
 
 

@@ -25,17 +25,22 @@ Fused put (DESIGN.md §7): once the producer's space grant fires — the
 exact dispatch position where the unfused code would post the data flit —
 and no fault injector is attached, :meth:`CFifo.put` offers the data +
 write-pointer posted writes to the ring as one precompiled chain
-(:meth:`~repro.arch.ring.DualRing.post_chain`).  When the ring takes it,
-the producer parks on a single event (the wptr acceptance) instead of
-resuming once per flit, the data flit spawns no transit generator, and the
-wptr flit is relayed at the data flit's acceptance instant exactly as the
-unfused code would have posted it (fast or slow on its own merits).
-Timing is identical to the unfused path; the eligibility
+(:meth:`~repro.arch.ring.DualRing.post_chain`).  The ring takes every such
+chain unless its own injector is attached or the fast path is off; a held
+link only makes the chain's flits queue for the grant, exactly as the
+unfused posts would.  The producer then parks on a single event (the wptr
+acceptance) instead of resuming once per flit, the data flit spawns no
+transit generator, and the wptr flit is relayed at the data flit's
+acceptance instant exactly as the unfused code would have posted it.
+Timing is identical to the unfused path.  A FIFO is given an injector
+only when the plan can fire pointer loss or a ring fault
+(:meth:`~repro.sim.faults.FaultInjector.can_fire`), so a fault-free or
+join/leave-only run fuses every put.  The eligibility
 counters (:attr:`CFifo.fused_puts` / :attr:`CFifo.slow_puts`, per-flit
 :attr:`CFifo.flits_fast` / :attr:`CFifo.flits_slow`) surface the take rate
 through :mod:`repro.sim.metrics`.  The read-pointer update posted by
-:meth:`CFifo.get` is a single flit, fused by the ring itself when
-eligible.
+:meth:`CFifo.get` is a single flit, compiled by the ring itself unless a
+ring fault is armed for it.
 """
 
 from __future__ import annotations
@@ -85,7 +90,8 @@ class CFifo:
         self.words_got = 0
         #: puts whose data+wptr flits were fused into one precompiled chain
         self.fused_puts = 0
-        #: puts that went through the per-flit path (blocked, faulted, ...)
+        #: puts that went through the per-flit path (injector attached or
+        #: fast path off)
         self.slow_puts = 0
         #: this FIFO's flits that took the ring fast path / generator path
         self.flits_fast = 0
@@ -124,13 +130,14 @@ class CFifo:
     def put(self, word: Any):
         """Generator: claim space, post data + write-pointer update.
 
-        When the ring accepts both flits on its fast path, the two posted
-        writes are fused into one precompiled chain and this generator
-        parks on a single event (the wptr acceptance); timing and side
-        effects are identical to the per-flit path below.  The fusion
-        decision is made *at the space grant's dispatch position* — exactly
-        where the unfused code posts the data flit — so injection order
-        against competing traffic is unchanged.
+        Unless a fault injector is attached (here or on the ring) or the
+        fast path is off, the two posted writes are fused into one
+        precompiled chain and this generator parks on a single event (the
+        wptr acceptance); timing and side effects are identical to the
+        per-flit path below.  The fusion decision is made *at the space
+        grant's dispatch position* — exactly where the unfused code posts
+        the data flit — so injection order against competing traffic is
+        unchanged.
         """
         yield self._space.acquire(1)
         claimed = self.capacity - self._space.count

@@ -360,7 +360,7 @@ def simulate_system(
             out_fifo = soc.software_fifo(exit_station, cons,
                                          capacity=cap_words,
                                          name=f"{spec.name}.out")
-            if injector is not None:
+            if injector is not None and injector.can_fire("cfifo"):
                 in_fifo.fault_injector = injector
                 out_fifo.fault_injector = injector
             binding = StreamBinding(

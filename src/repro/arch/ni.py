@@ -13,8 +13,8 @@ exactly the ``capacity`` of these channels.
 
 Both the data flit posted by :meth:`HardwareFifoChannel.send` and the credit
 flit returned by :meth:`HardwareFifoChannel.recv` are single posted writes,
-so they ride the ring's fused fast path (DESIGN.md §7) whenever their route
-is unobstructed — no per-hop generator, and the in-flight accounting
+so they ride the ring's fused fast path (DESIGN.md §7) unless a ring fault
+is armed for them — no per-hop generator, and the in-flight accounting
 (:attr:`~HardwareFifoChannel.words_in_flight` /
 :attr:`~HardwareFifoChannel.credits_in_flight`) the gateway's quiescence and
 repair logic relies on stays exact because delivery side effects run at the

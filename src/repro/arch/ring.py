@@ -24,25 +24,24 @@ flit per cycle, an *uncongested* transit is fully predictable at injection
 time: a flit injected at cycle ``t`` over ``hops`` links is accepted at
 ``t + hop_latency`` and delivered at ``t + hops * hop_latency``, occupying
 link ``k``'s injection slot during ``[t + k*hop_latency, t + k*hop_latency
-+ 1)``.  When every link on the route is free at injection (and no fault is
-armed), :meth:`DualRing.post` skips the per-hop generator entirely: the
-transit is *compiled* into a single self-re-arming calendar entry
-(:class:`_FastFlit`, an :class:`~repro.sim.kernel.Event` subclass that is
-its own state machine) which performs the per-link grant acquire/release
-protocol at the generator's exact calendar positions but carries no
-process object, no generator frames and zero per-hop allocations —
-acceptance and delivery are the only payload callbacks, firing at their
-closed-form instants.
++ 1)``.  Every flit for which the fault injector arms no delay or drop
+skips the per-hop generator entirely: the transit is *compiled* into a
+single self-re-arming calendar entry (:class:`_FastFlit`, an
+:class:`~repro.sim.kernel.Event` subclass that is its own state machine)
+which performs the per-link grant acquire/release protocol at the
+generator's exact calendar positions but carries no process object, no
+generator frames and zero per-hop allocations — acceptance and delivery
+are the only payload callbacks.
 
 Keeping the grant protocol real (rather than replacing it with a private
-reservation table) is what makes the optimisation exact: a compiled flit
-holds each link's grant during its occupancy slot, so later slow-path
-injections queue behind it in the link's FIFO — and should congestion
-appear mid-route, the compiled flit parks in that FIFO at the position the
-generator would have, losing only its closed-form schedule (counted in
-``flits_demoted``), never its ordering.  The moment any route link is held
-at injection, or the fault injector arms a delay/drop for the flit, the
-posting falls back to the per-hop generator path.
+reservation table) is what makes the optimisation exact under congestion:
+a compiled flit holds each link's grant during its occupancy slot, so
+later injections queue behind it in the link's FIFO — and whenever a
+grant is held, at injection or mid-route, the compiled flit parks in that
+FIFO at the position the generator would have, losing only its
+closed-form schedule (counted in ``flits_demoted``), never its ordering.
+The per-hop generator path serves only flits with an armed ring delay or
+drop, and is the reference the compiled path is checked against.
 :meth:`DualRing.post_chain` extends the fusion across a back-to-back burst
 (C-FIFO data+wptr): the head flit commits compiled and each later flit is
 relayed at its predecessor's acceptance instant, so a chain never
@@ -113,11 +112,11 @@ class _FastFlit(Event):
 
     The grant traffic is real: a compiled flit takes each link's grant for
     its occupancy slot, so competing injections queue behind it FIFO.  If a
-    grant does *not* come back immediately (congestion appeared after the
-    injection-time check), the flit simply waits in the queue — at the
-    position the generator would have occupied — and continues compiled
-    once granted.  Only its closed-form schedule is lost; the event is
-    counted once per flit in ``DualRing.flits_demoted``.
+    grant does *not* come back immediately (the link is held at injection
+    or further along the route), the flit simply waits in the queue — at
+    the position the generator would have occupied — and continues
+    compiled once granted.  Only its closed-form schedule is lost; the
+    event is counted once per flit in ``DualRing.flits_demoted``.
     """
 
     __slots__ = ("ring", "direction", "route", "_route_len", "src", "dst",
@@ -336,9 +335,9 @@ class DualRing:
         self.flits_fast = {self.DATA: 0, self.CREDIT: 0}
         #: flits that went through the per-hop generator path
         self.flits_slow = {self.DATA: 0, self.CREDIT: 0}
-        #: compiled flits that hit mid-route congestion and lost their
-        #: closed-form schedule (still counted in ``flits_fast``: they kept
-        #: the compiled machinery, queueing FIFO like a generator flit)
+        #: compiled flits that waited on a held link grant, at injection or
+        #: mid-route, and lost their closed-form schedule (still counted in
+        #: ``flits_fast``: they queue FIFO like a generator flit)
         self.flits_demoted = {self.DATA: 0, self.CREDIT: 0}
         #: master switch for the fused fast path (kill: REPRO_NO_FASTPATH=1)
         self.fastpath = os.environ.get("REPRO_NO_FASTPATH") != "1"
@@ -385,19 +384,6 @@ class DualRing:
                 cur = (cur + step) % self.n
             route = self._route_cache[key] = tuple(out)
         return route
-
-    def _route_free(self, route: list[_Link]) -> bool:
-        """Is every route link grantable at this instant?
-
-        The fast-path eligibility predicate.  It is a *prediction*, not a
-        guarantee — the route can become congested before the flit reaches
-        a later link — but a wrong prediction only costs the closed-form
-        schedule, never correctness (see :class:`_FastFlit`).
-        """
-        for link in route:
-            if not link.free():
-                return False
-        return True
 
     # -- sending ------------------------------------------------------------
     def post(
@@ -449,10 +435,11 @@ class DualRing:
                    accepted, delivered) -> bool:
         """Inject one validated flit into pre-created events.
 
-        Decides fast vs slow at the current instant; returns True when the
-        flit was fused.  Shared by :meth:`post` and the chain relays so a
-        chain flit posts through exactly the code path — and the exact
-        fault-injector query position — the unfused caller would have used.
+        Returns True when the flit was compiled, which it is unless the
+        fast path is off or the fault injector arms a delay or drop for it.
+        Shared by :meth:`post` and the chain relays so a chain flit posts
+        through exactly the code path — and the exact fault-injector query
+        position — the unfused caller would have used.
         """
         route = self._route(src, ring, hops)
         self.flits_sent[ring] += 1
@@ -463,15 +450,9 @@ class DualRing:
             extra_delay, dropped = 0, False
 
         if self.fastpath and not extra_delay and not dropped:
-            # inlined _route_free: this is the hot eligibility check
-            for link in route:
-                grant = link.grant
-                if grant._count < 1 or grant._waiters:
-                    break
-            else:
-                self._post_fast(route, src, dst, ring, payload, on_delivery,
-                                accepted, delivered)
-                return True
+            self._post_fast(route, src, dst, ring, payload, on_delivery,
+                            accepted, delivered)
+            return True
         self._post_slow(route, src, dst, ring, payload, on_delivery,
                         accepted, delivered, extra_delay, dropped)
         return False
@@ -489,16 +470,13 @@ class DualRing:
         ``flits`` is a sequence of ``(offset, payload, on_delivery)``
         triples: flit *i*'s declared ``offset`` is the cycle (relative to
         now) at which the caller's unfused code path would have posted it —
-        strictly increasing, starting at 0.  The head flit must be
-        fast-eligible *now*; it is committed compiled and each later flit
-        is relayed at the previous flit's acceptance instant (exactly when
-        the unfused caller, parked on that acceptance, would have posted
-        it), re-deciding fast vs slow with the link state of *that* cycle.
-        A chain therefore never front-runs competing traffic: under
-        contention it degrades to the same sequential arbitration as the
-        unfused path, flit by flit.  When the head is not eligible,
-        ``None`` is returned with **no state mutated** and the caller
-        issues its posts individually.
+        strictly increasing, starting at 0.  The head flit is committed
+        compiled now and each later flit is relayed at the previous flit's
+        acceptance instant (exactly when the unfused caller, parked on that
+        acceptance, would have posted it).  A chain therefore never
+        front-runs competing traffic: under contention each flit queues on
+        the link grants it meets, flit by flit, exactly like the unfused
+        path.
 
         The per-flit ``(accepted, delivered)`` pairs are returned
         immediately, so the caller can park on any acceptance.  The
@@ -508,10 +486,12 @@ class DualRing:
         ``client``, when given, receives per-flit ``flits_fast`` /
         ``flits_slow`` attribution as each flit actually posts.
 
-        A chain is never started while a fault injector is attached: the
-        head flit's injector query would be fine, but the caller's unfused
-        path may interleave its own injector hooks (e.g. C-FIFO pointer
-        loss) between the posts, which a chain cannot reproduce.
+        A chain is never started while a fault injector is attached or the
+        fast path is off: ``None`` is returned with **no state mutated** and
+        the caller issues its posts individually.  The head flit's injector
+        query would be fine, but the caller's unfused path may interleave
+        its own injector hooks (e.g. C-FIFO pointer loss) between the
+        posts, which a chain cannot reproduce.
         """
         if not self.fastpath or self.fault_injector is not None:
             return None
@@ -531,8 +511,6 @@ class DualRing:
                     f"on_delivery must be callable, got {type(cb).__name__}"
                 )
         route = self._route(src, ring, hops)
-        if not self._route_free(route):
-            return None
         sim = self.sim
         out = [(Event(sim), None) for _ in flits]
         # head flit: compiled commit at the current instant
@@ -575,7 +553,8 @@ class DualRing:
 
     def _post_slow(self, route, src, dst, ring, payload, on_delivery,
                    accepted, delivered, extra_delay, dropped):
-        """Per-hop generator transit: handles congestion, delays and drops."""
+        """Per-hop generator transit: armed delays and drops, and the
+        reference path under ``REPRO_NO_FASTPATH=1``."""
         self.flits_slow[ring] += 1
 
         def flit():

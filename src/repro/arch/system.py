@@ -229,9 +229,15 @@ class MPSoC:
         entry gateway's recovery path; ``admission`` (an
         :class:`~repro.sim.faults.AdmissionController`) enables graceful
         degradation; ``fault_injector`` (a
-        :class:`~repro.sim.faults.FaultInjector`) is wired into the ring,
-        the tiles and every stream C-FIFO.  All three default to ``None``,
-        leaving the fault-free construct cycle-for-cycle unchanged.
+        :class:`~repro.sim.faults.FaultInjector`) always reaches the entry
+        gateway and is wired into each other component only where its plan
+        can fire (:meth:`~repro.sim.faults.FaultInjector.can_fire`): the
+        ring for ring delays/drops, every stream C-FIFO for pointer loss or
+        a ring fault, the tiles for accelerator stalls and permanent tile
+        failures.  An unwired hook could never fire, so this is exact, and
+        it keeps e.g. a join/leave-only plan's ring and C-FIFOs on their
+        compiled fast path.  All three default to ``None``, leaving the
+        fault-free construct cycle-for-cycle unchanged.
         """
         tracer = self.tracer if self.tracer.enabled else None
         kernels = list(kernels)
@@ -276,12 +282,15 @@ class MPSoC:
             )
 
         if fault_injector is not None:
-            self.ring.fault_injector = fault_injector
-            for tile in tiles:
-                tile.fault_injector = fault_injector
-            for binding in bindings:
-                binding.in_fifo.fault_injector = fault_injector
-                binding.out_fifo.fault_injector = fault_injector
+            if fault_injector.can_fire("ring"):
+                self.ring.fault_injector = fault_injector
+            if fault_injector.can_fire("tile"):
+                for tile in tiles:
+                    tile.fault_injector = fault_injector
+            if fault_injector.can_fire("cfifo"):
+                for binding in bindings:
+                    binding.in_fifo.fault_injector = fault_injector
+                    binding.out_fifo.fault_injector = fault_injector
 
         idle = Signal(self.sim, initial=1, name=f"{name}.idle")
         exit_gw = ExitGateway(self.sim, f"{name}.exit", channels[-1], idle,

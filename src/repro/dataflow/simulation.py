@@ -246,7 +246,9 @@ class SelfTimedEngine:
             self.clock = t
             dirty = 0
             while heap and heap[0][0] == t:
-                i = heappop(heap)[1]
+                # a float graph can tie a Fraction end with a float one: each
+                # firing keeps its own end value, as the reference engine does
+                end, i = heappop(heap)
                 p = phase[i]
                 _ticks, _consumed, produced, wake, phase[i] = phases[i][p]
                 for e, q in produced:
@@ -256,7 +258,7 @@ class SelfTimedEngine:
                 if done[i] == target[i]:
                     self._below -= 1
                 if records is not None:
-                    records.append((i, p, t))
+                    records.append((i, p, end))
                 dirty |= wake
             self._settle(dirty)
             if once:

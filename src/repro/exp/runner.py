@@ -24,10 +24,16 @@ Guard rails per point:
   thread is abandoned as a daemon — bounded *wait*, not bounded *work*).
   Which mechanism enforced the budget is recorded in the chunk stats and
   surfaced in the report's execution section.
+* **per-point cleanup** — a finished simulation's object graph is cyclic
+  (parked generator frames, components, the simulator and its signals), so
+  only the cyclic collector frees it.  The loop collects after every point
+  so that garbage never piles up across points (DESIGN.md §8), with the
+  objects that predate the chunk frozen out of each collection.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import signal
 import threading
@@ -140,46 +146,56 @@ class ChunkRunner:
     use_cache: bool = True
 
     def run(self, points: tuple[SweepPoint, ...]) -> tuple[list[PointOutcome], dict[str, Any]]:
-        """Evaluate ``points`` serially with a fresh chunk-local cache."""
+        """Evaluate ``points`` serially with a fresh chunk-local cache.
+
+        Each point's garbage is collected before the next point starts;
+        freezing the objects that exist on entry keeps the imported program
+        out of those collections.
+        """
         solver_cache = SolverCache() if self.use_cache else None
         outcomes: list[PointOutcome] = []
         mechanism: str | None = None
-        for point in points:
-            value: dict[str, Any] | None = None
-            error: str | None = None
-            attempts = 0
-            t0 = time.perf_counter()
-            for attempt in range(self.retries + 1):
-                attempts = attempt + 1
-                if attempt > 0:
-                    delay = retry_delay(self.backoff, point.seed, attempt)
-                    if delay > 0.0:
-                        time.sleep(delay)
-                ctx = PointContext(
-                    seed=point.seed + attempt, attempt=attempt, cache=solver_cache
-                )
-                try:
-                    value, used = _call_with_timeout(
-                        self.task, point, ctx, self.timeout
+        gc.freeze()
+        try:
+            for point in points:
+                value: dict[str, Any] | None = None
+                error: str | None = None
+                attempts = 0
+                t0 = time.perf_counter()
+                for attempt in range(self.retries + 1):
+                    attempts = attempt + 1
+                    if attempt > 0:
+                        delay = retry_delay(self.backoff, point.seed, attempt)
+                        if delay > 0.0:
+                            time.sleep(delay)
+                    ctx = PointContext(
+                        seed=point.seed + attempt, attempt=attempt, cache=solver_cache
                     )
-                    mechanism = mechanism or used
-                    error = None
-                    break
-                except _PointTimeout as err:
-                    mechanism = mechanism or err.mechanism
-                    error = f"timeout after {self.timeout}s ({err.mechanism})"
-                except Exception as err:
-                    error = f"{type(err).__name__}: {err}"
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            if error is None and not isinstance(value, dict):
-                error = f"task returned {type(value).__name__}, expected a dict"
-                value = None
-            outcomes.append(PointOutcome(
-                id=point.id, params=dict(point.params), seed=point.seed,
-                value=value, error=error, attempts=attempts,
-                retry_seed=point.seed + attempts - 1 if attempts > 1 else None,
-                wall_ms=wall_ms,
-            ))
+                    try:
+                        value, used = _call_with_timeout(
+                            self.task, point, ctx, self.timeout
+                        )
+                        mechanism = mechanism or used
+                        error = None
+                        break
+                    except _PointTimeout as err:
+                        mechanism = mechanism or err.mechanism
+                        error = f"timeout after {self.timeout}s ({err.mechanism})"
+                    except Exception as err:
+                        error = f"{type(err).__name__}: {err}"
+                wall_ms = (time.perf_counter() - t0) * 1000.0
+                if error is None and not isinstance(value, dict):
+                    error = f"task returned {type(value).__name__}, expected a dict"
+                    value = None
+                outcomes.append(PointOutcome(
+                    id=point.id, params=dict(point.params), seed=point.seed,
+                    value=value, error=error, attempts=attempts,
+                    retry_seed=point.seed + attempts - 1 if attempts > 1 else None,
+                    wall_ms=wall_ms,
+                ))
+                gc.collect()
+        finally:
+            gc.unfreeze()
         stats = solver_cache.stats() if solver_cache is not None else {}
         if self.timeout is not None:
             stats["timeout_mechanism"] = mechanism or _pick_mechanism()

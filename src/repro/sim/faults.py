@@ -46,7 +46,6 @@ __all__ = [
     "RING_DROP",
     "CFIFO_PTR_LOSS",
     "RECONFIG_FAIL",
-    "TASK_STALL",
     "TILE_FAILURE",
     "STREAM_JOIN",
     "STREAM_LEAVE",
@@ -69,8 +68,6 @@ RING_DROP = "ring_drop"
 CFIFO_PTR_LOSS = "cfifo_ptr_loss"
 #: gateway reconfiguration fails and must be repeated
 RECONFIG_FAIL = "reconfig_fail"
-#: a processor task overruns its budget by ``extra`` cycles
-TASK_STALL = "task_stall"
 #: an accelerator tile dies for good on its next firing (spare failover)
 TILE_FAILURE = "permanent_tile_failure"
 #: a new stream requests admission mid-run (``params`` carries its spec)
@@ -80,11 +77,21 @@ STREAM_LEAVE = "stream_leave"
 
 FAULT_KINDS = frozenset(
     {ACCEL_STALL, RING_DELAY, RING_DROP, CFIFO_PTR_LOSS, RECONFIG_FAIL,
-     TASK_STALL, TILE_FAILURE, STREAM_JOIN, STREAM_LEAVE}
+     TILE_FAILURE, STREAM_JOIN, STREAM_LEAVE}
 )
 
 #: kinds handled by the reconfiguration manager, not the injector hooks
 CHURN_KINDS = frozenset({STREAM_JOIN, STREAM_LEAVE})
+
+#: hooked component -> the plan kinds that make wiring the injector into it
+#: matter (:meth:`FaultInjector.can_fire`).  A C-FIFO also needs the
+#: injector under ring faults: its ``get`` waits out a delayed data flit
+#: only while an injector is attached.
+_COMPONENT_KINDS = {
+    "ring": frozenset({RING_DELAY, RING_DROP}),
+    "cfifo": frozenset({CFIFO_PTR_LOSS, RING_DELAY, RING_DROP}),
+    "tile": frozenset({ACCEL_STALL, TILE_FAILURE}),
+}
 
 #: spec fields serialised to / parsed from JSON, in canonical order
 _SPEC_FIELDS = (
@@ -116,8 +123,8 @@ class FaultSpec:
     target:
         Component name the fault applies to (tile name for
         :data:`ACCEL_STALL`, fifo name for :data:`CFIFO_PTR_LOSS`, stream
-        name for :data:`RECONFIG_FAIL` / :data:`TASK_STALL`).  ``None``
-        matches every component the kind can affect.
+        name for :data:`RECONFIG_FAIL`).  ``None`` matches every
+        component the kind can affect.
     duration:
         Width of the armed window in cycles (armed while
         ``at <= now < at + duration``).
@@ -168,7 +175,7 @@ class FaultSpec:
             raise FaultError(f"fault duration must be >= 1, got {self.duration}")
         if self.count is not None and self.count < 1:
             raise FaultError(f"fault count must be >= 1, got {self.count}")
-        if self.kind in (ACCEL_STALL, RING_DELAY, TASK_STALL) and self.extra < 1:
+        if self.kind in (ACCEL_STALL, RING_DELAY) and self.extra < 1:
             raise FaultError(f"{self.kind} needs extra >= 1 cycles, got {self.extra}")
         if self.ring not in ("data", "credit"):
             raise FaultError(f"ring must be 'data' or 'credit', got {self.ring!r}")
@@ -317,6 +324,11 @@ class FaultInjector:
         #: chronological record of every fault that actually fired
         self.events: list[dict[str, Any]] = []
         self._fired: Counter[int] = Counter()  # spec index -> times fired
+        #: kind -> its ``(plan index, spec)`` pairs, so a hook scans only
+        #: the specs it can fire
+        self._by_kind: dict[str, list[tuple[int, FaultSpec]]] = {}
+        for idx, spec in enumerate(plan.specs):
+            self._by_kind.setdefault(spec.kind, []).append((idx, spec))
         #: dropped flits per (ring, src, dst), awaiting repair
         self._lost: Counter[tuple[str, int, int]] = Counter()
 
@@ -349,9 +361,20 @@ class FaultInjector:
                                                 if k not in ("time", "kind")})
 
     def _matching(self, kind: str) -> Iterable[tuple[int, FaultSpec]]:
-        for idx, spec in enumerate(self.plan.specs):
-            if spec.kind == kind and self._armed(spec, idx):
+        for idx, spec in self._by_kind.get(kind, ()):
+            if self._armed(spec, idx):
                 yield idx, spec
+
+    def can_fire(self, component: str) -> bool:
+        """Does the plan hold a kind that ``component``'s hooks act on?
+
+        ``component`` is ``"ring"``, ``"cfifo"`` or ``"tile"``.  Builders
+        attach the injector only where this holds: a hook whose kinds the
+        plan lacks never fires, records nothing and draws nothing from the
+        RNG, so leaving it unwired is exact — and it keeps the component on
+        its fault-free fast path.
+        """
+        return not _COMPONENT_KINDS[component].isdisjoint(self._by_kind)
 
     # -- hook points -----------------------------------------------------
     def accel_extra(self, tile_name: str) -> int:
@@ -428,16 +451,6 @@ class FaultInjector:
             self._fire(spec, idx, target=tile_name)
             return True
         return False
-
-    def task_stall(self, stream: str) -> int:
-        """Extra budget-overrun cycles for ``stream``'s producer task."""
-        total = 0
-        for idx, spec in self._matching(TASK_STALL):
-            if spec.target is not None and spec.target != stream:
-                continue
-            self._fire(spec, idx, target=stream, extra=spec.extra)
-            total += spec.extra
-        return total
 
     # -- recovery support ------------------------------------------------
     def claim_drops(self, data_src: int, data_dst: int) -> tuple[int, int]:

@@ -128,6 +128,21 @@ def _fan_out():
     return g
 
 
+def _mixed_tie():
+    """A float firing (a0) and a Fraction one (a2) end at t=10 together:
+    each record keeps its own end, so a2's start stays Fraction(80, 9)."""
+    g = CSDFGraph("mixed-tie")
+    g.add_actor("a0", duration=[4.0, 0, 6.0], phases=3)
+    g.add_actor("a1", duration=0.0)
+    g.add_actor("a2", duration=[Fraction(10, 9), Fraction(10, 3)], phases=2)
+    g.add_actor("a3", duration=0.0)
+    g.add_edge("a0", "a1", production=[2, 0, 0], consumption=1, tokens=1, name="e0")
+    g.add_edge("a1", "a2", production=3, consumption=[2, 0], name="e1")
+    g.add_edge("a2", "a3", production=[1, 0], consumption=3, name="e2")
+    g.add_edge("a3", "a0", production=1, consumption=[1, 0, 0], tokens=1, name="e3")
+    return g
+
+
 def _exact(graph):
     return not any(isinstance(d, float) for a in graph for d in a.duration)
 
@@ -179,6 +194,7 @@ _horizon = st.one_of(
 )
 @example(_livelock(), 2, None, True, True)
 @example(_fan_out(), 2, None, True, True)
+@example(_mixed_tie(), None, None, True, False)
 @settings(max_examples=400, deadline=None)
 def test_execute_matches_reference(graph, iterations, horizon, record, allow_deadlock):
     if iterations is None and horizon is None:

@@ -32,7 +32,6 @@ from repro.sim.faults import (
     RING_DROP,
     STREAM_JOIN,
     STREAM_LEAVE,
-    TASK_STALL,
     TILE_FAILURE,
     FaultPlan,
     FaultSpec,
@@ -49,11 +48,11 @@ def fault_specs(draw) -> FaultSpec:
         kwargs["duration"] = draw(st.integers(1, 100_000))
     if draw(st.booleans()):
         kwargs["count"] = draw(st.integers(1, 8))
-    if kind in (ACCEL_STALL, RING_DELAY, TASK_STALL):
+    if kind in (ACCEL_STALL, RING_DELAY):
         kwargs["extra"] = draw(st.integers(1, 10_000))
     if kind in (TILE_FAILURE, STREAM_JOIN, STREAM_LEAVE):
         kwargs["target"] = draw(_NAMES)
-    elif kind in (ACCEL_STALL, CFIFO_PTR_LOSS, TASK_STALL) and draw(st.booleans()):
+    elif kind in (ACCEL_STALL, CFIFO_PTR_LOSS) and draw(st.booleans()):
         kwargs["target"] = draw(_NAMES)
     if kind == STREAM_JOIN:
         params = {

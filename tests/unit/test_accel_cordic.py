@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.accel import (
+    CORDIC_ITERATIONS,
     FMDiscriminatorKernel,
     KernelError,
     MixerKernel,
@@ -23,6 +24,15 @@ TOL = 1e-3  # 16 CORDIC iterations give ~2^-16 angular resolution
 def test_cordic_gain_value():
     # the classical K ≈ 1.6468
     assert cordic_gain() == pytest.approx(1.6468, abs=1e-3)
+
+
+@pytest.mark.parametrize("iterations", [CORDIC_ITERATIONS + 1, -1])
+def test_iterations_outside_angle_table_rejected(iterations):
+    limit = f"CORDIC_ITERATIONS={CORDIC_ITERATIONS}"
+    with pytest.raises(ValueError, match=limit):
+        cordic_rotate(1.0, 0.0, 0.5, iterations=iterations)
+    with pytest.raises(ValueError, match=limit):
+        cordic_vector(3.0, 4.0, iterations=iterations)
 
 
 @pytest.mark.parametrize(

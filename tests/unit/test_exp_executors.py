@@ -1,4 +1,8 @@
-"""Executor backends: shared contract, digest equality, stop semantics."""
+"""Executor backends: shared contract, digest equality, stop semantics,
+per-point cleanup."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -135,3 +139,67 @@ def test_engine_maps_executor_names_to_modes():
     with pytest.raises(TypeError):
         run_sweep(sweep, workers=2, executor="queue")
 
+
+# -- per-point cleanup --------------------------------------------------------
+
+class _Cycle:
+    """Garbage that only the cyclic collector can free."""
+
+    def __init__(self):
+        self.me = self
+
+
+#: weak references to the cycles that earlier points left behind
+_left_behind = []
+
+
+def cycle_task(params, ctx):
+    """Report whether every earlier point's cycle is freed; leave a new one."""
+    freed = all(ref() is None for ref in _left_behind)
+    _left_behind.append(weakref.ref(_Cycle()))
+    if params["fail"]:
+        raise RuntimeError("point failed")
+    return {"earlier_freed": freed}
+
+
+class _Abort(BaseException):
+    """Escapes the runner's per-point error capture."""
+
+
+def abort_task(params, ctx):
+    raise _Abort()
+
+
+def test_point_garbage_is_collected_before_the_next_point():
+    """With automatic collection off, only the runner's per-point
+    collection can free a finished point's cycle before the next starts;
+    a failing point is cleaned up too, and the collector's state is
+    restored."""
+    _left_behind.clear()
+    sweep = Sweep("cleanup", cycle_task,
+                  [{"x": i, "fail": i == 1} for i in range(4)], seed=5)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = run_sweep(sweep, workers=1)
+        assert not gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert gc.get_freeze_count() == 0
+    assert [o.ok for o in result.outcomes] == [True, False, True, True]
+    assert [o.value["earlier_freed"] for o in result.outcomes if o.ok] == [
+        True, True, True]
+    assert all(ref() is None for ref in _left_behind)
+
+
+def test_runner_unfreezes_when_a_point_escapes():
+    was_enabled = gc.isenabled()
+    with pytest.raises(_Abort):
+        ChunkRunner(task=abort_task).run(make_sweep(2).points)
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled() == was_enabled
+    result = run_sweep(make_sweep(2), workers=1)
+    assert all(o.ok for o in result.outcomes)
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled() == was_enabled

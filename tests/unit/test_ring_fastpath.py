@@ -1,7 +1,8 @@
 """Unit tests for the fused ring fast path (DESIGN.md §7).
 
 Covers the `schedule_at` / `Callback` kernel primitive, the fast-path
-eligibility predicate (every fallback reason pinned individually), the
+eligibility rule (every fault-free flit is compiled, congested or not; an
+armed fault or the kill switch selects the generator path), the
 validation-before-counters contract of `DualRing.post`, the dropped-flit
 audit regression, chain fusion (`post_chain` and the fused C-FIFO put) and
 the take-rate observability surface.
@@ -132,7 +133,7 @@ def test_fastpath_flit_in_flight_survives_horizon_clamp():
     assert all(link.free() for link in ring._links[DualRing.DATA])
 
 
-# ----------------------------------------------------- eligibility predicate
+# ---------------------------------------------------------- eligibility rule
 def test_fastpath_takes_uncongested_post():
     sim = Simulator()
     ring = DualRing(sim, 6)
@@ -143,29 +144,64 @@ def test_fastpath_takes_uncongested_post():
     assert ring.flits_slow[DualRing.DATA] == 0
 
 
-def test_fastpath_occupied_link_falls_back():
-    """A flit posted while another flit holds a route link goes slow."""
-    sim = Simulator()
-    ring = DualRing(sim, 4)
-    ring.post(0, 1, "a")  # compiled: acquires link 0 within cycle 0
-    # by the time this runs, "a" holds link 0's grant -> generator path
-    sim.schedule_at(0, lambda: ring.post(0, 1, "b"))
-    sim.run()
-    assert ring.flits_fast[DualRing.DATA] == 1
-    assert ring.flits_slow[DualRing.DATA] == 1
+def _record_instants(sim, out, tag, accepted, delivered):
+    """Log the cycles at which one flit's acceptance and delivery fire."""
+    accepted.add_callback(lambda _ev: out.__setitem__(f"{tag}_accepted", sim.now))
+    delivered.add_callback(lambda _ev: out.__setitem__(f"{tag}_delivered", sim.now))
 
 
-def test_fastpath_fuses_disjoint_route_despite_slow_flit_in_flight():
-    """A slow flit elsewhere on the ring does not stand the fast path down."""
-    sim = Simulator()
-    ring = DualRing(sim, 8)
-    ring.post(0, 1, "a")
-    sim.schedule_at(0, lambda: ring.post(0, 1, "b"))  # slow (link 0 held)
-    sim.schedule_at(0, lambda: ring.post(4, 5, "c"))  # disjoint route: fuses
-    sim.run()
-    assert ring.flits_fast[DualRing.DATA] == 2
-    assert ring.flits_slow[DualRing.DATA] == 1
-    assert ring.flits_demoted[DualRing.DATA] == 0
+def test_fastpath_compiles_post_onto_occupied_link():
+    """A flit posted while another flit holds its first link is compiled
+    too: it parks in the link's grant FIFO (one demotion) and is accepted
+    and delivered exactly when the generator path would."""
+    def run(fastpath):
+        sim = Simulator()
+        ring = DualRing(sim, 4)
+        ring.fastpath = fastpath
+        out = {}
+        # "a" acquires link 0 within cycle 0; "b" is posted behind it
+        _record_instants(sim, out, "a", *ring.post(0, 1, "a"))
+        sim.schedule_at(0, lambda: _record_instants(
+            sim, out, "b", *ring.post(0, 1, "b")))
+        sim.run()
+        return ring, out
+
+    fast_ring, fast_out = run(True)
+    slow_ring, slow_out = run(False)
+    assert fast_out == slow_out
+    assert fast_out == {"a_accepted": 1, "a_delivered": 1,
+                        "b_accepted": 2, "b_delivered": 2}
+    assert fast_ring.flits_fast[DualRing.DATA] == 2
+    assert fast_ring.flits_slow[DualRing.DATA] == 0
+    assert fast_ring.flits_demoted[DualRing.DATA] == 1  # "b" waited once
+    assert slow_ring.flits_slow[DualRing.DATA] == 2
+
+
+def test_fastpath_compiles_congested_and_disjoint_posts():
+    """Congestion on one route neither stands the fast path down for a
+    disjoint route nor sends the congested flit to the generator path."""
+    def run(fastpath):
+        sim = Simulator()
+        ring = DualRing(sim, 8)
+        ring.fastpath = fastpath
+        out = {}
+        _record_instants(sim, out, "a", *ring.post(0, 1, "a"))
+        sim.schedule_at(0, lambda: _record_instants(  # link 0 held by "a"
+            sim, out, "b", *ring.post(0, 1, "b")))
+        sim.schedule_at(0, lambda: _record_instants(  # disjoint route
+            sim, out, "c", *ring.post(4, 5, "c")))
+        sim.run()
+        return ring, out
+
+    fast_ring, fast_out = run(True)
+    slow_ring, slow_out = run(False)
+    assert fast_out == slow_out
+    assert fast_out == {"a_accepted": 1, "a_delivered": 1,
+                        "b_accepted": 2, "b_delivered": 2,
+                        "c_accepted": 1, "c_delivered": 1}
+    assert fast_ring.flits_fast[DualRing.DATA] == 3
+    assert fast_ring.flits_slow[DualRing.DATA] == 0
+    assert fast_ring.flits_demoted[DualRing.DATA] == 1  # only "b"
 
 
 def test_compiled_flit_parks_on_commit_cycle_grant_race():
@@ -428,22 +464,47 @@ def test_post_chain_declines_with_injector_attached():
     assert ring.flits_sent[DualRing.DATA] == 0  # no state mutated
 
 
-def test_post_chain_declines_on_busy_route_without_mutation():
-    """post_chain refuses while another flit holds a grant on the head route."""
-    sim = Simulator()
-    ring = DualRing(sim, 4)
-    ring.post(0, 1, "blocker")  # compiled: acquires link 0 within cycle 0
-    out = {}
+def test_post_chain_compiles_head_on_busy_route():
+    """A chain whose head route is held commits anyway: the head parks in
+    the grant FIFO (one demotion), the tail is relayed at the head's
+    acceptance, and every instant equals the unfused caller's posts on a
+    generator-path ring (where ``post_chain`` declines)."""
+    def run(fastpath):
+        sim = Simulator()
+        ring = DualRing(sim, 4)
+        ring.fastpath = fastpath
+        out = {}
+        # compiled: acquires link 0 within cycle 0
+        _record_instants(sim, out, "blocker", *ring.post(0, 1, "blocker"))
 
-    def try_chain():
-        before = dict(ring.flits_sent)
-        out["chain"] = ring.post_chain(0, 1, ((0, "a", None), (1, "b", None)))
-        out["unchanged"] = ring.flits_sent == before
+        def deliver(word):
+            out[f"{word}_delivered"] = sim.now
 
-    sim.schedule_at(0, try_chain)
-    sim.run()
-    assert out["chain"] is None
-    assert out["unchanged"]
+        def producer():
+            chain = ring.post_chain(0, 1, ((0, "a", deliver), (1, "b", deliver)))
+            out["chained"] = chain is not None
+            for i, word in enumerate("ab"):
+                if chain is None:  # the unfused caller: post, await acceptance
+                    accepted, _ = ring.post(0, 1, word, on_delivery=deliver)
+                else:
+                    accepted = chain[i][0]
+                yield accepted
+                out[f"{word}_accepted"] = sim.now
+
+        sim.process(producer())
+        sim.run()
+        return ring, out
+
+    fast_ring, fast_out = run(True)
+    slow_ring, slow_out = run(False)
+    assert fast_out.pop("chained") and not slow_out.pop("chained")
+    assert fast_out == slow_out
+    assert fast_out == {"blocker_accepted": 1, "blocker_delivered": 1,
+                        "a_accepted": 2, "a_delivered": 2,
+                        "b_accepted": 3, "b_delivered": 3}
+    assert fast_ring.flits_fast[DualRing.DATA] == 3
+    assert fast_ring.flits_slow[DualRing.DATA] == 0
+    assert fast_ring.flits_demoted[DualRing.DATA] == 1  # the head only
 
 
 def test_post_chain_validates_offsets():

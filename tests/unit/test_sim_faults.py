@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from repro.arch import CFifo, simulate_system
+from repro.core import AcceleratorSpec, GatewaySystem, StreamSpec
 from repro.sim import Simulator
 from repro.sim.faults import (
     ACCEL_STALL,
@@ -11,6 +13,8 @@ from repro.sim.faults import (
     RECONFIG_FAIL,
     RING_DELAY,
     RING_DROP,
+    STREAM_JOIN,
+    STREAM_LEAVE,
     AdmissionController,
     FaultError,
     FaultInjector,
@@ -26,6 +30,16 @@ from repro.sim.faults import (
 def test_spec_rejects_unknown_kind():
     with pytest.raises(FaultError, match="unknown fault kind"):
         FaultSpec(kind="meltdown", at=0)
+
+
+def test_task_stall_kind_is_rejected():
+    """No component fires ``task_stall``, so a plan naming it is refused
+    instead of silently doing nothing."""
+    with pytest.raises(FaultError, match="unknown fault kind"):
+        FaultSpec(kind="task_stall", at=0, extra=1)
+    with pytest.raises(FaultError, match="unknown fault kind"):
+        FaultPlan.from_json(
+            '{"faults": [{"kind": "task_stall", "at": 0, "extra": 1}]}')
 
 
 def test_spec_rejects_bad_window():
@@ -171,6 +185,78 @@ def test_reconfig_fail_targets_stream():
     inj = injector_at(0, spec)
     assert not inj.reconfig_fails("ntsc")
     assert inj.reconfig_fails("pal")
+
+
+# -- wiring the injector by kind --------------------------------------------
+
+def _wired_churn_run(*extra_specs):
+    """A two-stream churn run (one join, one leave) plus ``extra_specs``;
+    returns the run and every C-FIFO it built, joined streams' included."""
+    system = GatewaySystem(
+        accelerators=(AcceleratorSpec("a", 1), AcceleratorSpec("b", 2)),
+        streams=(StreamSpec("s0", Fraction(1, 100_000), 40, block_size=4),
+                 StreamSpec("s1", Fraction(1, 100_000), 40, block_size=4)),
+        entry_copy=2, exit_copy=1,
+    )
+    plan = FaultPlan(specs=(
+        FaultSpec(kind=STREAM_JOIN, at=150, target="s2",
+                  params={"throughput": [1, 100_000], "reconfigure": 40,
+                          "block_size": 4}),
+        FaultSpec(kind=STREAM_LEAVE, at=400, target="s1"),
+        *extra_specs,
+    ))
+    run = simulate_system(system, blocks=3, faults=plan)
+    assert [t.trigger for t in run.reconfig.transitions] == [
+        STREAM_JOIN, STREAM_LEAVE]
+    fifos = [c for c in run.soc.ring.clients if isinstance(c, CFifo)]
+    assert len(fifos) == 6  # in + out for s0, s1 and the joined s2
+    return run, fifos
+
+
+def test_churn_only_plan_leaves_ring_tiles_and_fifos_unwired(monkeypatch):
+    """Join/leave specs fire no ring, tile or C-FIFO hook, so those stay
+    unwired — and every C-FIFO put takes the fused path."""
+    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+    run, fifos = _wired_churn_run()
+    assert run.injector is not None
+    assert run.chain.entry.fault_injector is run.injector
+    assert run.soc.ring.fault_injector is None
+    assert all(tile.fault_injector is None for tile in run.chain.tiles)
+    assert all(fifo.fault_injector is None for fifo in fifos)
+    assert sum(fifo.slow_puts for fifo in fifos) == 0
+    assert sum(fifo.fused_puts for fifo in fifos) > 0
+    assert run.soc.ring.fastpath_stats()["data"]["slow"] == 0
+
+
+def test_ring_fault_plan_wires_ring_and_fifos_not_tiles():
+    # armed long after the run ends: wiring, not firing, is under test
+    run, fifos = _wired_churn_run(FaultSpec(kind=RING_DROP, at=10**9))
+    assert run.soc.ring.fault_injector is run.injector
+    assert all(fifo.fault_injector is run.injector for fifo in fifos)
+    assert all(tile.fault_injector is None for tile in run.chain.tiles)
+
+
+def test_accel_stall_plan_wires_tiles_only():
+    run, fifos = _wired_churn_run(
+        FaultSpec(kind=ACCEL_STALL, at=10**9, extra=1))
+    assert all(tile.fault_injector is run.injector for tile in run.chain.tiles)
+    assert run.soc.ring.fault_injector is None
+    assert all(fifo.fault_injector is None for fifo in fifos)
+
+
+def test_can_fire_follows_the_plan_kinds():
+    sim = Simulator()
+
+    def fires(*kinds):
+        specs = tuple(FaultSpec(kind=k, at=0, extra=1) for k in kinds)
+        inj = FaultInjector(FaultPlan(specs=specs), sim)
+        return {c for c in ("ring", "cfifo", "tile") if inj.can_fire(c)}
+
+    assert fires() == set()
+    assert fires(RECONFIG_FAIL) == set()
+    assert fires(RING_DELAY) == {"ring", "cfifo"}
+    assert fires(CFIFO_PTR_LOSS) == {"cfifo"}
+    assert fires(ACCEL_STALL, RING_DELAY) == {"ring", "cfifo", "tile"}
 
 
 # -- WatchdogConfig ---------------------------------------------------------
