@@ -54,7 +54,7 @@ def stream_words(words, fastpath, trace=False):
     Returns (elapsed_s, flits, observables).
     """
     sim = Simulator()
-    tracer = Tracer(sim) if trace else None
+    tracer = Tracer() if trace else None
     ring = DualRing(sim, STATIONS, tracer=tracer)
     ring.fastpath = fastpath
     fifo = CFifo(sim, ring, 0, 1, capacity=1, name="f", tracer=tracer)

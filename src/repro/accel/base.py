@@ -19,11 +19,13 @@ refinement theory the temporal analysis rests on (Section III).
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - numpy is imported where it computes
+    import numpy as np
 
 __all__ = ["StreamKernel", "KernelError", "run_kernel"]
 
@@ -75,7 +77,9 @@ def _count_words(obj: Any) -> int:
         return sum(_count_words(v) for v in obj.values())
     if isinstance(obj, (list, tuple)):
         return sum(_count_words(v) for v in obj)
-    if isinstance(obj, np.ndarray):
+    # an array cannot exist before numpy is imported: don't import it here
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray):
         return int(obj.size) * (2 if np.iscomplexobj(obj) else 1)
     if isinstance(obj, complex):
         return 2
@@ -84,6 +88,8 @@ def _count_words(obj: Any) -> int:
 
 def run_kernel(kernel: StreamKernel, samples: Iterable) -> np.ndarray:
     """Feed a whole sequence through a kernel; convenience for tests/examples."""
+    import numpy as np
+
     out: list = []
     for s in samples:
         out.extend(kernel.process(s))

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - numpy is imported where it computes
+    import numpy as np
 
 from .base import KernelError, StreamKernel
 
@@ -206,6 +207,8 @@ class PermuteBlockKernel(StreamKernel):
 
 # ---------------------------------------------------------------- functional
 def _chain(data: Iterable, kernels: Sequence[StreamKernel]) -> np.ndarray:
+    import numpy as np
+
     samples: Iterable = data
     for kernel in kernels:
         out: list[int] = []

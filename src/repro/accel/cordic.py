@@ -20,9 +20,10 @@ functional path; the tests assert batch/streaming equivalence.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - numpy is imported where it computes
+    import numpy as np
 
 from .base import KernelError, StreamKernel
 
@@ -287,6 +288,8 @@ class CordicKernel(StreamKernel):
 # ------------------------------------------------------- batch equivalents
 def mix_batch(samples: np.ndarray, freq_over_fs: float, phase0: float = 0.0) -> np.ndarray:
     """Vectorised ideal mixer (reference for :class:`MixerKernel`)."""
+    import numpy as np
+
     n = np.arange(len(samples))
     lo = np.exp(-2j * np.pi * (phase0 + freq_over_fs * n))
     return np.asarray(samples, dtype=complex) * lo
@@ -294,6 +297,8 @@ def mix_batch(samples: np.ndarray, freq_over_fs: float, phase0: float = 0.0) -> 
 
 def fm_demod_batch(samples: np.ndarray, prev_phase: float = 0.0) -> np.ndarray:
     """Vectorised ideal FM discriminator (reference for the kernel)."""
+    import numpy as np
+
     phases = np.angle(np.asarray(samples, dtype=complex))
     all_phases = np.concatenate(([prev_phase], phases))
     delta = np.diff(all_phases)

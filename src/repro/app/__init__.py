@@ -1,14 +1,14 @@
 """Applications: the PAL stereo decoder (paper Section VI), the product
-cipher chain, and the named-scenario registry fronting both."""
+cipher chain, and the named-scenario registry fronting both.
+
+The PAL decoder module computes with numpy throughout (FIR kernels, the
+functional reference), so its names are imported on first access
+(PEP 562) and ``import repro.app`` loads no numpy.
+"""
+
+from importlib import import_module
 
 from .analysis_bridge import PAPER_BLOCK_SIZES, pal_block_sizes, pal_gateway_system
-from .pal_decoder import (
-    PalDecoderConfig,
-    PalSocHandles,
-    build_pal_soc,
-    decode_functional,
-    run_pal_on_soc,
-)
 from .product_cipher import (
     ProductCipherConfig,
     build_cipher_soc,
@@ -28,6 +28,20 @@ from .scenarios import (
 from .scenarios import describe as describe_scenario
 from .scenarios import get as get_scenario
 from .scenarios import names as scenario_names
+
+#: the numpy-backed PAL decoder's names, imported on first use
+_LAZY = dict.fromkeys(("PalDecoderConfig", "PalSocHandles", "build_pal_soc",
+                       "decode_functional", "run_pal_on_soc"), "pal_decoder")
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "PAPER_BLOCK_SIZES",

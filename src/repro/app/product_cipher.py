@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..accel.cipher import (
     KeyMixKernel,
@@ -38,6 +37,9 @@ from ..accel.cipher import (
 from ..arch import Compute, Get, MPSoC, Put, TaskSpec
 from ..core import AcceleratorSpec, GatewaySystem, ParameterError, StreamSpec
 from ..sim import Kind
+
+if TYPE_CHECKING:  # pragma: no cover - numpy is imported where it computes
+    import numpy as np
 
 __all__ = [
     "ProductCipherConfig",
@@ -138,6 +140,8 @@ def encrypt_functional(
     plaintext: np.ndarray, config: ProductCipherConfig, session: int = 0
 ) -> np.ndarray:
     """Golden-reference encryption of one session's byte stream."""
+    import numpy as np
+
     states = config.session_states(session)
     key = tuple(states[0]["key"])
     table = tuple(states[1]["table"])
@@ -269,6 +273,8 @@ def run_cipher_on_soc(
     :func:`encrypt_functional` per session — sharing the three cipher tiles
     between sessions is functionally transparent.
     """
+    import numpy as np
+
     handles = build_cipher_soc(config, plaintexts)
     if horizon is None:
         total = sum(len(d) for d in plaintexts.values())

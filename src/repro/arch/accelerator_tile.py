@@ -51,7 +51,9 @@ class AcceleratorTile:
         self.kernel = kernel
         self.input = input_channel
         self.output = output_channel
-        self.tracer = tracer
+        self.tracer = tracer if tracer and tracer.keeps("adopt", "tile_failed") else None
+        #: the per-sample ``fire`` records' own handle, held only if kept
+        self._fire_tracer = tracer if tracer and tracer.keeps("fire") else None
         self.samples_in = 0
         self.samples_out = 0
         self.busy = False
@@ -142,9 +144,9 @@ class AcceleratorTile:
                 outputs = self.kernel.process(word)
                 self.samples_in += 1
                 self.busy = False
-                if self.tracer:
-                    self.tracer.log(self.sim.now, self.name, "fire",
-                                    produced=len(outputs))
+                if self._fire_tracer:
+                    self._fire_tracer.log(self.sim.now, self.name, "fire",
+                                          produced=len(outputs))
                 self.pending_out = len(outputs)
                 for out in outputs:
                     yield from self.output.send(out)

@@ -76,7 +76,7 @@ class CFifo:
         self.consumer = consumer_station
         self.capacity = int(capacity)
         self.name = name
-        self.tracer = tracer
+        self.tracer = tracer if tracer and tracer.keeps(Kind.PUT, Kind.GET) else None
         # producer's local view of free space (read-pointer copy)
         self._space = Signal(sim, initial=capacity, name=f"{name}.space")
         # consumer's local view of available words (write-pointer copy)

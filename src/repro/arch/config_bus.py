@@ -29,7 +29,7 @@ class ConfigBus:
             raise SimulationError("config bus word time must be >= 1 cycle")
         self.sim = sim
         self.word_time = int(word_time)
-        self.tracer = tracer
+        self.tracer = tracer if tracer and tracer.keeps("transfer", "transfer_cycles") else None
         self._mutex = Signal(sim, initial=1, name="cfgbus")
         self.words_transferred = 0
         self.transactions = 0

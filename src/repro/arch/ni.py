@@ -54,7 +54,7 @@ class HardwareFifoChannel:
         self.dst = dst_station
         self.name = name
         self.capacity = int(capacity)
-        self.tracer = tracer
+        self.tracer = tracer if tracer and tracer.keeps("send", "recv") else None
         self._credits = Signal(sim, initial=capacity, name=f"{name}.credits")
         self._buffer = FifoQueue(sim, capacity, name=f"{name}.buf")
         self.words_sent = 0

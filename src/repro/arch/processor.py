@@ -33,6 +33,8 @@ class ProcessorTile:
         self.name = name
         self.station = station
         self.ring = ring
+        # the tile emits nothing itself; its scheduler and C-FIFOs each
+        # decide whether to hold the tracer
         self.tracer = tracer
         self.scheduler = BudgetScheduler(sim, name=f"{name}.cpu", quantum=quantum,
                                          tracer=tracer)

@@ -324,7 +324,7 @@ class DualRing:
         self.sim = sim
         self.n = int(n_stations)
         self.hop_latency = int(hop_latency)
-        self.tracer = tracer
+        self.tracer = tracer if tracer and tracer.keeps("deliver") else None
         self._links = {
             self.DATA: [_Link(sim) for _ in range(self.n)],
             self.CREDIT: [_Link(sim) for _ in range(self.n)],

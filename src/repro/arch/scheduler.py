@@ -114,7 +114,7 @@ class BudgetScheduler:
         self.sim = sim
         self.name = name
         self.quantum = int(quantum)
-        self.tracer = tracer
+        self.tracer = tracer if tracer and tracer.keeps("task_done") else None
         self._tasks: list[_Task] = []
         self._wake = sim.event()
         self._started = False

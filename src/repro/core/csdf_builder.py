@@ -156,9 +156,9 @@ def measure_block_time(
 
     A block spans from the start of ``vG0``'s phase 0 to the end of
     ``vG1``'s last phase (exactly the τ_s of Fig. 6).  Returns one value per
-    completed block.
+    completed block.  Only the two gateway actors' firings are recorded.
     """
-    res = execute(graph, iterations=blocks, record=True)
+    res = execute(graph, iterations=blocks, record=(info.entry, info.exit))
     g0 = [f for f in res.firings_of(info.entry) if f.phase == 0]
     g1 = [f for f in res.firings_of(info.exit) if f.phase == info.eta - 1]
     return [end.end - start.start for start, end in zip(g0, g1)]

@@ -43,9 +43,13 @@ class RefinementReport:
 def refines_times(
     refined: list[float],
     abstract: list[float],
-    tolerance: float = 1e-9,
+    tolerance: float = 0,
 ) -> RefinementReport:
     """Check ``refined[j] ≤ abstract[j]`` for all common indices.
+
+    The check is exact by default: a token any later than its abstract
+    counterpart is a violation.  ``tolerance`` admits that much lateness,
+    for callers comparing inexact (float) times.
 
     The refinement may produce *more* tokens than the abstraction within the
     observation window (it is faster); the abstraction producing more than
@@ -69,7 +73,7 @@ def refines_execution(
     refined: ExecutionResult,
     abstract: ExecutionResult,
     actors: dict[str, str] | list[str],
-    tolerance: float = 1e-9,
+    tolerance: float = 0,
 ) -> RefinementReport:
     """Compare production times actor-by-actor between two executions.
 

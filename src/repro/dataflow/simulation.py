@@ -14,7 +14,8 @@ The engine is event-driven over a completion heap and supports:
 
 * execution for a fixed number of graph *iterations* or up to a time horizon,
 * exact deadlock detection,
-* full firing records (used to build Fig. 6-style schedules),
+* firing records of every actor (used to build Fig. 6-style schedules) or
+  of named actors only,
 * state capture hooks used by :mod:`repro.dataflow.statespace` for exact
   steady-state throughput of bounded graphs.
 
@@ -32,7 +33,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import repeat
 from math import ceil, lcm
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .graph import CSDFGraph, GraphError
 from .repetition import firing_repetition_vector
@@ -78,12 +79,11 @@ class SelfTimedEngine:
     analyses drive the engine directly through :meth:`advance` and
     :meth:`state_key`.  ``clock`` is the current time in ticks and ``scale``
     the ticks per time unit (1 for float graphs), so ``now`` is
-    ``clock / scale``.
+    ``clock / scale``.  ``record`` is as for :func:`execute`.
     """
 
-    def __init__(self, graph: CSDFGraph, record: bool = True) -> None:
+    def __init__(self, graph: CSDFGraph, record: bool | Collection[str] = True) -> None:
         self.graph = graph
-        self.record = record
         self._actor_order = sorted(graph.actors)
         self._edge_order = sorted(graph.edges)
         self._index = {a: i for i, a in enumerate(self._actor_order)}
@@ -128,6 +128,12 @@ class SelfTimedEngine:
             self._phases.append(tuple(phases))
 
         n = len(self._actor_order)
+        # per actor: are its firings recorded?  Only a run scoped to named
+        # actors refuses to answer for the others (see _recorded_index)
+        self._scoped = not isinstance(record, bool)
+        self._kept = ([a in record for a in self._actor_order] if self._scoped
+                      else [record] * n)
+        self.record = any(self._kept)
         self._tokens = [graph.edge(e).tokens for e in self._edge_order]
         self._phase = [0] * n
         self._busy: list = [None] * n  # end tick of the firing in flight
@@ -167,7 +173,7 @@ class SelfTimedEngine:
         self._done[i] += 1
         if self._done[i] == self._target[i]:
             self._below -= 1
-        if self.record:
+        if self._kept[i]:
             self._records.append((i, p, end))
         return wake
 
@@ -234,9 +240,9 @@ class SelfTimedEngine:
         completion step is :meth:`_complete` inlined: this loop runs once
         per firing.
         """
-        heap, phases, tokens, busy, phase, done, target = (
+        heap, phases, tokens, busy, phase, done, target, kept = (
             self._heap, self._phases, self._tokens, self._busy, self._phase,
-            self._done, self._target,
+            self._done, self._target, self._kept,
         )
         records = self._records if self.record else None
         while heap:
@@ -257,7 +263,7 @@ class SelfTimedEngine:
                 done[i] += 1
                 if done[i] == target[i]:
                     self._below -= 1
-                if records is not None:
+                if records is not None and kept[i]:
                     records.append((i, p, end))
                 dirty |= wake
             self._settle(dirty)
@@ -292,12 +298,19 @@ class SelfTimedEngine:
         return (tuple(self._tokens), tuple(self._phase), remaining)
 
     # -- records --------------------------------------------------------------
+    def _recorded_index(self, actor: str) -> int | None:
+        """``actor``'s index; raises if a scoped run did not record it."""
+        k = self._index.get(actor)
+        if self._scoped and (k is None or not self._kept[k]):
+            raise GraphError(f"actor {actor!r} was not recorded in this run")
+        return k
+
     def _firings(self, actor: str | None = None) -> list[Firing]:
         """Recorded firings (of one actor, or all) in public time."""
         names, phases, time = self._actor_order, self._phases, self._time
         records = self._records
         if actor is not None:
-            k = self._index.get(actor)
+            k = self._recorded_index(actor)
             records = [r for r in records if r[0] == k]
         return [
             Firing(names[i], p, time(end - phases[i][p][0]), time(end))
@@ -306,7 +319,7 @@ class SelfTimedEngine:
 
     def _ends(self, actor: str) -> list:
         """End times of ``actor``'s recorded firings in public time."""
-        k = self._index.get(actor)
+        k = self._recorded_index(actor)
         time = self._time
         return [time(end) for i, _p, end in self._records if i == k]
 
@@ -346,7 +359,7 @@ def execute(
     graph: CSDFGraph,
     iterations: int | None = None,
     horizon: float | None = None,
-    record: bool = True,
+    record: bool | Collection[str] = True,
     allow_deadlock: bool = True,
 ) -> ExecutionResult:
     """Run a self-timed execution.
@@ -362,7 +375,10 @@ def execute(
     horizon:
         Stop when simulated time passes this value.
     record:
-        Keep the full firing list (needed for schedules/refinement checks).
+        Keep the full firing list (needed for schedules/refinement checks),
+        none (False), or a collection of actor names to keep only their
+        firings; asking the result for an actor outside that collection
+        raises :class:`~repro.dataflow.graph.GraphError`.
     allow_deadlock:
         When False, a deadlock raises :class:`DeadlockError` instead of
         returning a result flagged ``deadlocked``.

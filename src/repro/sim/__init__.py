@@ -30,7 +30,7 @@ from .metrics import (
     stream_metrics,
 )
 from .queues import FifoQueue, Signal
-from .trace import GanttRow, IntervalAccumulator, Kind, TraceRecord, Tracer
+from .trace import GanttRow, Kind, TraceRecord, Tracer
 
 __all__ = [
     "AdmissionController",
@@ -46,7 +46,6 @@ __all__ = [
     "GanttRow",
     "GatewayUtilization",
     "Interrupt",
-    "IntervalAccumulator",
     "Kind",
     "Process",
     "Signal",

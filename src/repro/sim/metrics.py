@@ -243,7 +243,7 @@ def observed_sample_latency(tracer: Tracer, binding: Any) -> int | None:
     if tracer.dropped:
         # ring eviction broke the positional word -> block correspondence
         return None
-    puts = [r.time for r in tracer.query(kind=Kind.PUT, source=in_fifo.name)]
+    puts = tracer.times(Kind.PUT, in_fifo.name)
     completions = list(binding.completions)
     if not puts or not completions:
         return None

@@ -27,11 +27,11 @@ and therefore no records.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-__all__ = ["Kind", "TraceRecord", "Tracer", "IntervalAccumulator", "GanttRow"]
+__all__ = ["Kind", "TraceRecord", "Tracer", "GanttRow"]
 
 
 class Kind:
@@ -92,6 +92,14 @@ class TraceRecord:
     data: dict[str, Any] = field(default_factory=dict)
 
 
+def _record(row: tuple) -> TraceRecord:
+    """A stored row as a :class:`TraceRecord` (see :meth:`Tracer.log`)."""
+    if len(row) == 5:
+        time, source, kind, name, value = row
+        return TraceRecord(time, source, kind, {name: value})
+    return TraceRecord(*row)
+
+
 class Tracer:
     """A structured, queryable store of :class:`TraceRecord` objects.
 
@@ -106,10 +114,20 @@ class Tracer:
         docstring).  ``"ring"`` requires ``capacity``.
     capacity:
         Ring size for ``mode="ring"``.
+
+    The filter (``enabled`` and ``kinds``) is fixed at construction: no
+    code assigns either afterwards.  Each emitting component asks
+    :meth:`keeps` once, in its own constructor, and holds the tracer only
+    when it keeps a kind that component emits, so a filtered-out
+    per-word kind costs no call at all.  Accepted records are stored as
+    plain tuples — ``(time, source, kind, name, value)`` for a record with
+    exactly one data field, ``(time, source, kind, data)`` otherwise — and
+    :class:`TraceRecord` objects are built only when read.
     """
 
     def __init__(
         self,
+        *,
         enabled: bool = True,
         kinds: Iterable[str] | None = None,
         mode: str = "full",
@@ -126,20 +144,24 @@ class Tracer:
         self.kinds = set(kinds) if kinds is not None else None
         self.mode = mode
         self.capacity = capacity
-        self._records: deque[TraceRecord] | list[TraceRecord]
-        self._records = deque(maxlen=capacity) if mode == "ring" else []
+        self._rows: deque[tuple] | list[tuple]
+        self._rows = deque(maxlen=capacity) if mode == "ring" else []
         self.total_logged = 0          # every accepted record, ever
         self._counts: Counter[tuple[str, str]] = Counter()
+
+    def keeps(self, *kinds: str) -> bool:
+        """Whether a record of any of ``kinds`` would be accepted."""
+        return self.enabled and (self.kinds is None or not self.kinds.isdisjoint(kinds))
 
     @property
     def records(self) -> list[TraceRecord]:
         """Stored records in time order (empty in aggregate mode)."""
-        return list(self._records)
+        return [_record(row) for row in self._rows]
 
     @property
     def dropped(self) -> int:
         """Accepted records no longer stored (ring eviction / aggregate mode)."""
-        return self.total_logged - len(self._records)
+        return self.total_logged - len(self._rows)
 
     def log(self, time: int, source: str, kind: str, **data: Any) -> None:
         """Record an observation (no-op when disabled or filtered out)."""
@@ -150,7 +172,11 @@ class Tracer:
         self.total_logged += 1
         self._counts[(source, kind)] += 1
         if self.mode != "aggregate":
-            self._records.append(TraceRecord(time, source, kind, data))
+            if len(data) == 1:
+                (name, value), = data.items()
+                self._rows.append((time, source, kind, name, value))
+            else:
+                self._rows.append((time, source, kind, data))
 
     # -- queries ---------------------------------------------------------
     def query(
@@ -166,18 +192,23 @@ class Tracer:
         ``data_filters`` match against the record's ``data`` payload, e.g.
         ``tracer.query(kind=Kind.ADMIT, stream="ch1.s1")``.
         """
-        for r in self._records:
-            if kind is not None and r.kind != kind:
+        for row in self._rows:
+            if kind is not None and row[2] != kind:
                 continue
-            if source is not None and r.source != source:
+            if source is not None and row[1] != source:
                 continue
-            if since is not None and r.time < since:
+            if since is not None and row[0] < since:
                 continue
-            if until is not None and r.time > until:
+            if until is not None and row[0] > until:
                 continue
+            r = _record(row)
             if any(r.data.get(k) != v for k, v in data_filters.items()):
                 continue
             yield r
+
+    def times(self, kind: str, source: str) -> list[int]:
+        """Times of the stored ``kind`` records from ``source``, in order."""
+        return [row[0] for row in self._rows if row[1] == source and row[2] == kind]
 
     def by_kind(self, kind: str) -> list[TraceRecord]:
         """All stored records of one kind, in time order."""
@@ -205,48 +236,9 @@ class Tracer:
         return dict(self._counts)
 
     def clear(self) -> None:
-        self._records.clear()
+        self._rows.clear()
         self._counts.clear()
         self.total_logged = 0
-
-
-class IntervalAccumulator:
-    """Accumulates busy intervals per activity label, for utilization stats.
-
-    ``begin(label, t)`` / ``end(label, t)`` pairs accumulate total busy time.
-    Overlapping begins for the same label are treated as nested and only the
-    outermost pair contributes.
-    """
-
-    def __init__(self) -> None:
-        self._busy: dict[str, int] = defaultdict(int)
-        self._open: dict[str, list[int]] = defaultdict(list)
-
-    def begin(self, label: str, time: int) -> None:
-        self._open[label].append(time)
-
-    def end(self, label: str, time: int) -> None:
-        stack = self._open[label]
-        if not stack:
-            raise ValueError(f"end({label!r}) without matching begin")
-        start = stack.pop()
-        if not stack:  # outermost interval closed
-            if time < start:
-                raise ValueError(f"interval for {label!r} ends before it starts")
-            self._busy[label] += time - start
-
-    def busy(self, label: str) -> int:
-        """Total closed busy time for ``label``."""
-        return self._busy[label]
-
-    def labels(self) -> list[str]:
-        return sorted(set(self._busy) | set(k for k, v in self._open.items() if v))
-
-    def utilization(self, label: str, horizon: int) -> float:
-        """Fraction of ``horizon`` spent busy on ``label``."""
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        return self._busy[label] / horizon
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ float and Fraction durations, mixed; zero-duration chains; deadlocks and
 zero-delay livelocks — through both and require every observable result to
 be equal (``==``): firing records, completions, tokens, end time, iteration
 count and deadlock flag of ``execute`` under iteration and horizon stops
-with recording on and off, the whole ``ThroughputResult``, and the errors
-raised.  Any divergence is a bug in the new engine, because the reference
+with recording on, off and scoped to named actors (compared with the
+reference's full records of those actors), the whole ``ThroughputResult``,
+and the errors raised.  Any divergence is a bug in the new engine, because the reference
 defines the semantics.
 
 Fraction denominators come from :data:`DENOMINATORS` (LCM 2520 ≤ 10⁶): the
@@ -23,6 +24,7 @@ from fractions import Fraction
 from math import gcd
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -154,18 +156,20 @@ def _outcome(call, *args, **kwargs):
         return type(err).__name__, str(err)
 
 
-def _observe(res, graph):
+def _observe(res, graph, record=True):
+    """Everything a run answers; for ``record`` naming actors, only theirs."""
     if isinstance(res, tuple):  # raised
         return res
+    actors = sorted(graph.actors) if isinstance(record, bool) else sorted(record)
     return {
-        "firings": res.firings,
+        "firings": [f for f in res.firings if f.actor in actors],
         "completions": res.completions,
         "tokens": res.tokens,
         "end_time": res.end_time,
         "iterations_completed": res.iterations_completed,
         "deadlocked": res.deadlocked,
         "per_actor": {
-            a: (res.firings_of(a), res.production_times(a)) for a in graph.actors
+            a: (res.firings_of(a), res.production_times(a)) for a in actors
         },
     }
 
@@ -212,6 +216,23 @@ def test_execute_matches_reference(graph, iterations, horizon, record, allow_dea
                    for t in times)
 
 
+@given(consistent_graph(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_execute_scoped_records_match_reference(graph, data):
+    """``record`` naming actors keeps exactly their firings, and refuses
+    to answer for any other actor."""
+    actors = sorted(graph.actors)
+    record = data.draw(st.sets(st.sampled_from(actors)), label="record")
+    with _guarded():
+        new = _outcome(execute, graph, iterations=2, record=record)
+        ref = _outcome(refdataflow.execute, graph, iterations=2)
+    assert _observe(new, graph, record) == _observe(ref, graph, record)
+    if not isinstance(new, tuple):
+        for actor in set(actors) - record:
+            with pytest.raises(GraphError, match="not recorded"):
+                new.firings_of(actor)
+
+
 @given(consistent_graph(), st.integers(min_value=0, max_value=3))
 @example(_livelock(), 0)
 @settings(max_examples=300, deadline=None)
@@ -231,16 +252,19 @@ def test_pal_stage2_verify_graphs_match_reference():
     The paper's PAL system, with its block sizes at the 0.127% rate margin
     that reproduces them; each ``execute`` / ``steady_state_throughput``
     call is run on both engines and must agree before the verdict is
-    computed.
+    computed.  Verification records only the actors it reads, so each run
+    is compared on exactly the actors named in its ``record``, against the
+    reference's full records.
     """
     system = Scenario.from_registry(
         "pal_decoder", eta_stage1=10136, eta_stage2=1267, margin_ppm=1270).system
     calls = []
 
-    def both_execute(graph, **kwargs):
-        new = execute(graph, **kwargs)
-        assert _observe(new, graph) == _observe(refdataflow.execute(graph, **kwargs), graph)
-        calls.append(graph.name)
+    def both_execute(graph, record=True, **kwargs):
+        new = execute(graph, record=record, **kwargs)
+        ref = refdataflow.execute(graph, record=True, **kwargs)
+        assert _observe(new, graph, record) == _observe(ref, graph, record)
+        calls.append((graph.name, sorted(record)))
         return new
 
     def both_throughput(graph, **kwargs):
@@ -255,5 +279,6 @@ def test_pal_stage2_verify_graphs_match_reference():
         stack.enter_context(mock.patch.object(
             sdf_abstraction, "steady_state_throughput", both_throughput))
         result = verification.verify_stream(system, "ch1.s2")
-    assert calls == ["sdf[ch1.s2]", "csdf[ch1.s2]", "csdf[ch1.s2]", "sdf[ch1.s2]"]
+    assert calls == ["sdf[ch1.s2]", ("csdf[ch1.s2]", ["vG0", "vG1"]),
+                     ("csdf[ch1.s2]", ["vG1"]), ("sdf[ch1.s2]", ["vS"])]
     assert result.ok and result.eta == 1267

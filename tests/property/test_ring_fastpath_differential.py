@@ -89,7 +89,7 @@ def ring_mixes(draw):
 
 def run_ring_mix(n, hop, drivers, specs, seed, fastpath):
     sim = Simulator()
-    tracer = Tracer(sim)
+    tracer = Tracer()
     ring = DualRing(sim, n, hop_latency=hop, tracer=tracer)
     ring.fastpath = fastpath
     if specs:
@@ -161,7 +161,7 @@ def cfifo_mixes(draw):
 
 def run_cfifo_mix(fifos, specs, seed, fastpath):
     sim = Simulator()
-    tracer = Tracer(sim)
+    tracer = Tracer()
     ring = DualRing(sim, 4, tracer=tracer)
     ring.fastpath = fastpath
     injector = None

@@ -1,5 +1,7 @@
 """Unit tests for schedules, refinement checks and graph validation."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.dataflow import (
@@ -80,6 +82,16 @@ def test_refines_times_missing_production_fails():
     rep = refines_times([1], [1, 2])
     assert not rep
     assert rep.first_violation == 1
+
+
+def test_refinement_checks_are_exact_by_default():
+    late = Fraction(1, 10**12)  # far below the old 1e-9 default slack
+    rep = refines_times([1, 2 + late, 3], [1, 2, 3])
+    assert not rep
+    assert rep.first_violation == 1 and rep.refined_time == 2 + late
+    assert refines_times([1, 2 + late], [1, 2], tolerance=Fraction(1, 10**9))
+    slower = execute(ring(da=2 + late, db=3), iterations=3)
+    assert not refines_execution(slower, execute(ring(), iterations=3), ["A"])
 
 
 def test_refines_execution_between_fast_and_slow_graphs():

@@ -175,3 +175,25 @@ def test_records_disabled():
     res = execute(g, iterations=2, record=False)
     assert res.firings == []
     assert res.completions["A"] >= 2
+
+
+def test_records_scoped_to_named_actors():
+    g = two_actor(back=2)
+    full = execute(g, iterations=1)
+    res = execute(g, iterations=1, record=("A",))
+    assert res.firings == full.firings_of("A")
+    assert res.firings_of("A") == full.firings_of("A")
+    assert res.production_times("A") == full.production_times("A")
+    assert res.completions == full.completions
+    # an actor outside the scope raises instead of answering []
+    with pytest.raises(GraphError, match="'B' was not recorded"):
+        res.firings_of("B")
+    with pytest.raises(GraphError, match="'B' was not recorded"):
+        res.production_times("B")
+
+
+def test_records_true_and_false_unchanged_by_scoping():
+    g = two_actor(back=2)
+    assert {f.actor for f in execute(g, iterations=1, record=True).firings} == {"A", "B"}
+    off = execute(g, iterations=1, record=False)
+    assert off.firings == [] and off.firings_of("B") == []

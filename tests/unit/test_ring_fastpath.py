@@ -592,7 +592,7 @@ def test_ring_clients_registry_and_summary():
 def test_tracer_records_identical_deliveries_fast_and_slow():
     def records(fastpath):
         sim = Simulator()
-        tracer = Tracer(sim)
+        tracer = Tracer()
         ring = DualRing(sim, 6, tracer=tracer)
         ring.fastpath = fastpath
         ring.post(0, 3, "x")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import GanttRow, IntervalAccumulator, Tracer
+from repro.sim import GanttRow, Kind, TraceRecord, Tracer
 
 
 def test_tracer_records_in_order():
@@ -41,42 +41,6 @@ def test_tracer_clear():
     t.log(0, "a", "x")
     t.clear()
     assert t.records == []
-
-
-def test_interval_accumulator_basic():
-    acc = IntervalAccumulator()
-    acc.begin("busy", 10)
-    acc.end("busy", 25)
-    assert acc.busy("busy") == 15
-    assert acc.utilization("busy", 100) == pytest.approx(0.15)
-
-
-def test_interval_accumulator_nested_counts_outer_only():
-    acc = IntervalAccumulator()
-    acc.begin("busy", 0)
-    acc.begin("busy", 5)
-    acc.end("busy", 10)
-    acc.end("busy", 20)
-    assert acc.busy("busy") == 20
-
-
-def test_interval_accumulator_unmatched_end_raises():
-    acc = IntervalAccumulator()
-    with pytest.raises(ValueError):
-        acc.end("busy", 5)
-
-
-def test_interval_accumulator_backwards_interval_raises():
-    acc = IntervalAccumulator()
-    acc.begin("busy", 10)
-    with pytest.raises(ValueError):
-        acc.end("busy", 5)
-
-
-def test_interval_accumulator_zero_horizon_raises():
-    acc = IntervalAccumulator()
-    with pytest.raises(ValueError):
-        acc.utilization("busy", 0)
 
 
 def test_gantt_row_renders_segments():
@@ -145,3 +109,49 @@ def test_tracer_count_by_source():
     assert t.count("x", source="a") == 1
     t.clear()
     assert t.count("x") == 0 and t.total_logged == 0
+
+
+# ------------------------------------------------------ compact row storage
+def test_single_and_multi_field_rows_read_back_as_records():
+    t = Tracer()
+    t.log(3, "fifo", "put", word=1.5)
+    t.log(4, "gw", "admit", stream="s0", block=2)
+    t.log(5, "gw", "tile_failed")
+    assert t.records == [
+        TraceRecord(3, "fifo", "put", {"word": 1.5}),
+        TraceRecord(4, "gw", "admit", {"stream": "s0", "block": 2}),
+        TraceRecord(5, "gw", "tile_failed", {}),
+    ]
+    assert t.by_kind("put") == [TraceRecord(3, "fifo", "put", {"word": 1.5})]
+    assert t.by_source("gw")[0].data == {"stream": "s0", "block": 2}
+    assert t.last("put", word=1.5).time == 3
+    assert [r.time for r in t.query(word=1.5)] == [3]
+    assert t.times("put", "fifo") == [3]
+    assert t.times("put", "gw") == []
+
+
+def test_ring_mode_evicts_rows_of_both_shapes():
+    t = Tracer(mode="ring", capacity=2)
+    t.log(0, "a", "put", word=0)
+    t.log(1, "a", "admit", stream="s", block=0)
+    t.log(2, "a", "put", word=2)
+    assert t.records == [
+        TraceRecord(1, "a", "admit", {"stream": "s", "block": 0}),
+        TraceRecord(2, "a", "put", {"word": 2}),
+    ]
+    assert t.dropped == 1 and t.total_logged == 3
+    assert t.count("put") == 2
+
+
+def test_keeps_reflects_the_filter():
+    assert Tracer().keeps("fire")
+    assert not Tracer(enabled=False).keeps("admit")
+    metrics = Tracer(kinds=Kind.METRICS)
+    assert metrics.keeps(Kind.PUT)
+    assert metrics.keeps("send", Kind.GET)  # any kept kind suffices
+    assert not metrics.keeps(Kind.FIRE, Kind.SEND, Kind.RECV, Kind.DELIVER)
+
+
+def test_tracer_arguments_are_keyword_only():
+    with pytest.raises(TypeError):
+        Tracer(True)
