@@ -3,11 +3,13 @@
 The engine's two load-bearing claims get measured and asserted here:
 
 * **bit-identity** — the same sweep run serially and on the work queue
-  produces byte-equal payload digests (chunk-scoped solver caches + fixed
-  chunk size make results independent of worker count and scheduling);
+  produces byte-equal payload digests (an exact, pure Algorithm 1 makes a
+  memo hit indistinguishable from a solve, so results are independent of
+  worker count, scheduling and which process's memo a point met);
 * **cached speedup** — replica-style sweeps (same analysis system solved
-  at many points) hit the :class:`repro.exp.SolverCache` memo, cutting the
-  Algorithm-1 solve count by the replication factor.
+  at many points) hit the :class:`repro.exp.SolverCache` memo, which
+  lives for the whole sweep in each process, cutting the Algorithm-1
+  solve count by the replication factor.
 
 The grid is sized so that solving dominates a point: systems of 1536 and
 2048 streams at 99% load, where one exact Algorithm 1 solve climbs
@@ -26,9 +28,9 @@ machines the queue cannot beat the serial loop and the artifact records
 why.
 
 The artifact also carries a ``resilience`` section — kill → resume →
-complete, measured: a run interrupted after its first journaled chunk
+complete, measured: a run interrupted after its first journaled point
 and resumed from the result store, and a chaos run whose work-queue
-worker is SIGKILLed mid-chunk, must both land on the undisturbed serial
+worker is SIGKILLed mid-point, must both land on the undisturbed serial
 digest.
 """
 
@@ -50,8 +52,8 @@ from repro.exp.tasks import scalability_blocksizes
 
 from conftest import banner
 
-#: two distinct systems × four replicas each; grid order is streams-major,
-#: so each engine chunk (size 4) sees one system — 3 memo hits per chunk
+#: two distinct systems × four replicas each: a serial run's memo solves
+#: each system once and answers its other three replicas — 6 hits of 8
 AXES = {"streams": [1536, 2048], "load_pct": [99], "replica": [0, 1, 2, 3]}
 #: serial timing rounds; the min damps scheduler/GC noise in the ratio
 BEST_OF = 5
@@ -121,23 +123,22 @@ def _resilience_scenario(sweep, reference_digest):
     """kill → resume → complete: the crash-tolerance claim, measured.
 
     Two disturbances against the same sweep, both required to land on the
-    reference digest: (a) an interrupt after the first journaled chunk
+    reference digest: (a) an interrupt after the first journaled point
     followed by a ``--resume`` run, and (b) a chaos run on the work-queue
-    backend whose first chunk's worker is SIGKILLed mid-flight.
+    backend whose first point's worker is SIGKILLed mid-flight.
     """
     with tempfile.TemporaryDirectory() as store:
         try:
             run_sweep(sweep, workers=1, store=store, interrupt_after=1)
             raise AssertionError("interrupt_after=1 did not interrupt")
         except SweepInterrupted as err:
-            journaled = err.completed_chunks
+            journaled = err.completed_points
         resumed = run_sweep(sweep, workers=1, store=store, resume=True)
-    plan = ChaosPlan(seed=13, events=(ChaosEvent(chunk=0, action="kill"),))
+    plan = ChaosPlan(seed=13, events=(ChaosEvent(point=0, action="kill"),))
     chaotic, monkey = run_chaos_sweep(sweep, plan, workers=2)
     return {
         "interrupt_resume": {
-            "journaled_chunks_at_kill": journaled,
-            "resumed_chunks": resumed.resumed_chunks,
+            "journaled_points_at_kill": journaled,
             "store_point_hits": resumed.store_hits,
             "digest": resumed.digest(),
             "digest_matches_serial": resumed.digest() == reference_digest,
@@ -210,8 +211,6 @@ def test_sweep_engine_artifact(benchmark):
             # below keeps the artifact from presenting it as a speedup
             "parallel_effective_workers": parallel.effective_workers,
             "parallel_mode": parallel.mode,
-            "chunk_count": parallel.chunk_count,
-            "chunk_size": parallel.chunk_size,
         },
     })
     with open(ARTIFACT, "w") as fh:

@@ -554,11 +554,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    chunk_size = spec.get("chunk_size")
     try:
         result = run_sweep(
-            sweep, workers=args.workers, chunk_size=chunk_size,
-            timeout=args.timeout, retries=args.retries, backoff=args.backoff,
+            sweep, workers=args.workers, timeout=args.timeout,
+            retries=args.retries, backoff=args.backoff,
             store=args.store, resume=args.resume,
             interrupt_after=args.interrupt_after, out_dir=args.out,
         )
@@ -573,26 +572,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     path = Path(args.out) / f"BENCH_{result.name}.json"
     cache = result.cache
     print(f"sweep {result.name}: {len(result.outcomes)} point(s) on "
-          f"{result.workers} worker(s) ({result.mode}), chunk size "
-          f"{result.chunk_size}, {result.elapsed_s:.2f}s")
+          f"{result.workers} worker(s) ({result.mode}), "
+          f"{result.elapsed_s:.2f}s")
     print(f"solver cache: {cache['hits']}/{cache['lookups']} hits "
           f"({cache['hit_rate']:.0%})")
     if result.store_path is not None:
-        print(f"store: {result.resumed_chunks}/{result.chunk_count} chunk(s) "
-              f"replayed from journal ({result.store_hits} point hit(s)), "
-              f"journal {result.store_path}")
+        print(f"store: {result.store_hits}/{len(result.outcomes)} point(s) "
+              f"replayed from journal {result.store_path}")
     if result.degraded or result.worker_restarts:
         print(f"recovery: {result.worker_restarts} worker restart(s)"
               + (", degraded to serial" if result.degraded else ""))
     for q in result.quarantined:
-        print(f"  QUARANTINED {q['id']} (chunk {q['chunk']}, "
-              f"{q['failures']} worker death(s)): {q['error']}",
+        print(f"  QUARANTINED {q['id']} ({q['failures']} worker death(s)): "
+              f"{q['error']}",
               file=sys.stderr)
     print(f"wrote {path}")
     if args.check:
-        serial = run_sweep(sweep, workers=1, chunk_size=chunk_size,
-                           timeout=args.timeout, retries=args.retries,
-                           backoff=args.backoff)
+        serial = run_sweep(sweep, workers=1, timeout=args.timeout,
+                           retries=args.retries, backoff=args.backoff)
         if serial.digest() != result.digest():
             print("error: serial re-run digest mismatch — "
                   f"{serial.digest()[:16]} != {result.digest()[:16]}",
@@ -829,14 +826,14 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--backoff", type=float, default=0.0,
                    help="base seconds for seeded exponential retry backoff")
     p.add_argument("--store", default=None,
-                   help="result-store directory: journal completed chunks "
-                        "durably; matching journaled chunks replay as cache "
+                   help="result-store directory: journal completed points "
+                        "durably; matching journaled points replay as cache "
                         "hits")
     p.add_argument("--resume", action="store_true",
                    help="require and resume a matching journal in --store "
                         "(exit 3 from an interrupted run pairs with this)")
     p.add_argument("--interrupt-after", type=int, default=None,
-                   help=argparse.SUPPRESS)  # CI/test hook: stop after N chunks
+                   help=argparse.SUPPRESS)  # CI/test hook: stop after N points
     p.add_argument("--out", default=".",
                    help="directory for BENCH_<name>.json (default: cwd)")
     p.add_argument("--check", action="store_true",

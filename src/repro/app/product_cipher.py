@@ -31,8 +31,6 @@ from ..accel.cipher import (
     PermuteBlockKernel,
     SBoxKernel,
     block_permutation,
-    product_encrypt,
-    sbox_table,
 )
 from ..arch import Compute, Get, MPSoC, Put, TaskSpec
 from ..core import AcceleratorSpec, GatewaySystem, ParameterError, StreamSpec

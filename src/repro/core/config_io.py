@@ -248,19 +248,20 @@ def _check_envelope(report: dict[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 #
 # The sweep engine's :class:`repro.exp.store.ResultStore` journals every
-# completed chunk as it lands so an interrupted run can resume.  Journals are
+# completed point as it lands so an interrupted run can resume.  Journals are
 # append-only JSONL: one envelope per line, written atomically enough that a
 # crash can at worst truncate the *final* line (readers tolerate a ragged
 # tail).  The envelope mirrors the report schema — versioned, kind-tagged —
 # but each entry is a single line, never pretty-printed.
 
 JOURNAL_SCHEMA = "repro.journal"
-JOURNAL_SCHEMA_VERSION = 1
+#: version 2: each ``point`` line is its own commit record, keyed by point
+#: index; a version-1 journal (grouped points) is never read back
+JOURNAL_SCHEMA_VERSION = 2
 
 #: ``meta`` pins the sweep identity a journal belongs to; ``point`` is one
-#: durable point outcome; ``chunk`` marks a chunk fully journaled (the
-#: store's unit of resume — points without their chunk marker are re-run)
-JOURNAL_KINDS = frozenset({"meta", "point", "chunk"})
+#: durable point outcome (the store's unit of commit and resume)
+JOURNAL_KINDS = frozenset({"meta", "point"})
 
 
 class JournalError(ParameterError):

@@ -14,18 +14,19 @@ experiments::
     result = run_sweep(sweep, workers=4, out_dir=".")   # BENCH_scalability.json
     assert result.digest() == run_sweep(sweep, workers=1).digest()
 
-    # durable + resumable: journal chunks as they land, survive kills
+    # durable + resumable: journal points as they land, survive kills
     result = run_sweep(sweep, workers=4, store="results/", resume=False)
     again = run_sweep(sweep, workers=4, store="results/")   # pure cache hit
 
 Guarantees: eager spec validation (bad grids fail before any worker
-spawns), deterministic per-point seeding, chunk-local solver caching,
-and bit-identical merged results for any worker count (``workers=1``
-runs in-process, more run on a crash-tolerant work queue of fresh
-worker processes) and any crash-resume history.  Parallel tasks must be
-importable by those workers: define them in a module, not in
-``__main__``.  Fault tolerance: seeded retries with exponential
-backoff, portable per-point timeouts, dead-worker detection with chunk
+spawns), deterministic per-point seeding, one solver memo per process
+for the whole sweep, and bit-identical merged results for any worker
+count (``workers=1`` runs in-process, more run on a crash-tolerant work
+queue of fresh worker processes) and any crash-resume history.  The point
+is the unit of dispatch, commit, resume and quarantine.  Parallel tasks
+must be importable by those workers: define them in a module, not in
+``__main__``.  Fault tolerance: seeded retries with exponential backoff,
+portable per-point timeouts, dead-worker detection with point
 re-dispatch, poison-point quarantine, and graceful degradation to serial —
 chaos-tested in :mod:`repro.exp.chaos`.
 """
@@ -34,7 +35,6 @@ from . import tasks
 from .cache import SolverCache
 from .chaos import ChaosEvent, ChaosMonkey, ChaosPlan, run_chaos_sweep
 from .engine import (
-    DEFAULT_CHUNK_SIZE,
     PointContext,
     PointOutcome,
     SweepInterrupted,
@@ -48,7 +48,7 @@ from .executors import (
     WorkQueueExecutor,
     resolve_executor,
 )
-from .runner import ChunkRunner, retry_delay
+from .runner import PointRunner, retry_delay
 from .store import ResultStore, StoreMismatch, point_key, sweep_fingerprint
 from .sweep import (
     Sweep,
@@ -59,14 +59,13 @@ from .sweep import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK_SIZE",
     "ChaosEvent",
     "ChaosMonkey",
     "ChaosPlan",
-    "ChunkRunner",
     "Executor",
     "PointContext",
     "PointOutcome",
+    "PointRunner",
     "ResultStore",
     "SerialExecutor",
     "SolverCache",

@@ -8,10 +8,12 @@ constraint set), so a repeated system returns the previously computed
 :class:`~repro.core.blocksize_ilp.BlockSizeResult` verbatim without
 solving again.
 
-The cache is process-local by design: worker processes each own one, and
-the engine scopes a fresh cache per chunk so a point's result depends only
-on its chunk predecessors (deterministic under any worker count).  A
-long-running service bounds it with ``capacity`` (LRU eviction).
+The cache is process-local by design: the sweep engine keeps one per
+sweep in each process that evaluates points (the in-process runner, each
+queue worker).  Algorithm 1 is exact and pure, so a hit returns exactly
+what a fresh solve would: which points share a memo moves the counters,
+never a result.  A long-running service bounds it with ``capacity`` (LRU
+eviction).
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class SolverCache:
     counters make the reuse rate observable (sweep reports surface them).
     ``capacity`` bounds the memo (LRU eviction) so a cache embedded in a
     long-running service cannot grow without limit; ``None`` (the default,
-    used by the chunk-scoped sweep engine) keeps it unbounded.
+    used by the sweep engine, whose memo lives for one sweep) keeps it
+    unbounded.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
@@ -83,18 +86,17 @@ class SolverCache:
             self._memo.popitem(last=False)
             self.evictions += 1
 
-    def resolve(
-        self,
-        system: GatewaySystem,
-        c1_mode: str = "sum",
-        eta_max: int | None = None,
-    ) -> BlockSizeResult:
-        """Solve Algorithm 1 for ``system``, reusing a memoized answer."""
+    def resolve(self, system: GatewaySystem, c1_mode: str = "sum") -> BlockSizeResult:
+        """Solve Algorithm 1 for ``system``, reusing a memoized answer.
+
+        Uncapped only: the memo key is the constraint set, which an
+        ``eta_max`` cap is not part of (capped callers solve directly).
+        """
         fp = system_fingerprint(system, c1_mode=c1_mode)
         cached = self.get(fp)
         if cached is not None:
             return cached
-        result = resolve_block_sizes(system, c1_mode=c1_mode, eta_max=eta_max)
+        result = resolve_block_sizes(system, c1_mode=c1_mode)
         self.put(fp, result)
         return result
 

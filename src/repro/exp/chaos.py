@@ -4,7 +4,7 @@ Mirrors the seeded-plan style of :mod:`repro.sim.faults`: a
 :class:`ChaosPlan` is a deterministic, JSON-serialisable list of
 :class:`ChaosEvent`\\ s derived from one seed, and a :class:`ChaosMonkey`
 executes it against live worker processes — SIGKILLing a worker the moment
-it claims a doomed chunk, or SIGSTOPping it for a fixed nap to exercise
+it claims a doomed point, or SIGSTOPping it for a fixed nap to exercise
 lease-based stall recovery.
 
 The load-bearing assertion (made executable by :func:`run_chaos_sweep` and
@@ -15,9 +15,10 @@ the chaos benchmarks/tests) is the engine's crown invariant under fire:
     undisturbed serial run, with zero lost and zero duplicated points.
 
 That holds because chaos only ever destroys *in-flight* work: a killed
-worker's chunk is re-queued and re-run from its first point (fresh
-chunk-local cache ⇒ same outcomes), and results commit by atomic rename
-(a chunk is either fully published or not at all — never torn).
+worker's point is re-queued and re-run (a pure function of its params and
+seed ⇒ the same outcome, whichever worker's memo it meets), and results
+commit by atomic rename (a point is either fully published or not at all
+— never torn).
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ _ACTIONS = frozenset({KILL, STALL})
 
 @dataclass(frozen=True)
 class ChaosEvent:
-    """One scripted misfortune: what happens when ``chunk`` is claimed."""
+    """One scripted misfortune: what happens when ``point`` is claimed."""
 
-    chunk: int
+    #: index of the point in sweep order
+    point: int
     action: str
     #: nap length for STALL events (must stay below the executor lease to
     #: exercise the SIGCONT path; above it to exercise the lease kill)
@@ -56,15 +58,15 @@ class ChaosEvent:
                 f"chaos action must be one of {sorted(_ACTIONS)}, "
                 f"got {self.action!r}"
             )
-        if self.chunk < 0:
-            raise SweepError(f"chaos chunk index must be >= 0, got {self.chunk}")
+        if self.point < 0:
+            raise SweepError(f"chaos point index must be >= 0, got {self.point}")
         if self.stall_s <= 0:
             raise SweepError(f"stall_s must be positive, got {self.stall_s}")
 
 
 @dataclass(frozen=True)
 class ChaosPlan:
-    """A seeded, reproducible set of chaos events (one per chunk at most)."""
+    """A seeded, reproducible set of chaos events (one per point at most)."""
 
     seed: int
     events: tuple[ChaosEvent, ...]
@@ -73,22 +75,22 @@ class ChaosPlan:
     def random(
         cls,
         seed: int,
-        chunk_count: int,
+        point_count: int,
         kill_rate: float = 0.3,
         stall_rate: float = 0.15,
         stall_s: float = 0.2,
     ) -> "ChaosPlan":
         """Derive a plan from ``seed`` alone — same seed, same misfortunes."""
-        if chunk_count < 1:
-            raise SweepError(f"chunk_count must be >= 1, got {chunk_count}")
+        if point_count < 1:
+            raise SweepError(f"point_count must be >= 1, got {point_count}")
         rng = random.Random(seed)
         events = []
-        for chunk in range(chunk_count):
+        for point in range(point_count):
             roll = rng.random()
             if roll < kill_rate:
-                events.append(ChaosEvent(chunk, KILL))
+                events.append(ChaosEvent(point, KILL))
             elif roll < kill_rate + stall_rate:
-                events.append(ChaosEvent(chunk, STALL, stall_s=stall_s))
+                events.append(ChaosEvent(point, STALL, stall_s=stall_s))
         return cls(seed=seed, events=tuple(events))
 
     def to_dict(self) -> dict[str, Any]:
@@ -96,7 +98,7 @@ class ChaosPlan:
         return {
             "seed": self.seed,
             "events": [
-                {"chunk": e.chunk, "action": e.action, "stall_s": e.stall_s}
+                {"point": e.point, "action": e.action, "stall_s": e.stall_s}
                 for e in self.events
             ],
         }
@@ -108,18 +110,18 @@ class ChaosMonkey:
 
     Plugged into :class:`~repro.exp.executors.WorkQueueExecutor` via its
     ``chaos`` parameter; the executor calls :meth:`strike` exactly once per
-    chunk, the first time it reads the claiming worker's pid.
+    point, the first time it reads the claiming worker's pid.
     """
 
     plan: ChaosPlan
     log: list[dict[str, Any]] = field(default_factory=list)
 
-    def strike(self, chunk: int, pid: int) -> float | None:
-        """Apply the planned event for ``chunk``; returns a stall nap or None."""
-        event = next((e for e in self.plan.events if e.chunk == chunk), None)
+    def strike(self, point: int, pid: int) -> float | None:
+        """Apply the planned event for ``point``; returns a stall nap or None."""
+        event = next((e for e in self.plan.events if e.point == point), None)
         if event is None:
             return None
-        self.log.append({"chunk": chunk, "action": event.action, "pid": pid})
+        self.log.append({"point": point, "action": event.action, "pid": pid})
         if event.action == KILL:
             _kill_quietly(pid, signal.SIGKILL)
             return None
@@ -138,7 +140,6 @@ def run_chaos_sweep(
     sweep,
     plan: ChaosPlan,
     workers: int = 2,
-    chunk_size: int | None = None,
     lease_s: float = 15.0,
     store: Any = None,
     **engine_kwargs: Any,
@@ -165,7 +166,6 @@ def run_chaos_sweep(
     result = run_sweep(
         sweep,
         workers=workers,
-        chunk_size=chunk_size,
         executor=executor,
         store=store,
         **engine_kwargs,

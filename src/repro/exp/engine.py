@@ -3,30 +3,29 @@
 Execution model
 ---------------
 
-Points are split into fixed-size *chunks* (consecutive slices in point
-order).  Each chunk is evaluated by one worker via an
-:class:`~repro.exp.executors.Executor` backend, and ``workers`` picks it:
-one worker runs in-process serially, more run on a spawn-safe
-file-protocol work queue of independent worker processes.  Within a chunk,
-points run serially against a fresh chunk-local
-:class:`~repro.exp.cache.SolverCache`, so memoized solves are shared
-between points of the same chunk and never across chunks — which is what
-makes the central guarantee possible:
+The point is the unit of work.  Each point is evaluated by one worker via
+an :class:`~repro.exp.executors.Executor` backend, and ``workers`` picks
+it: one worker runs in-process serially, more run on a spawn-safe
+file-protocol work queue of independent worker processes.  Each process
+that evaluates points keeps one :class:`~repro.exp.cache.SolverCache` for
+the whole sweep, so memoized solves are shared between the points it
+runs.  Algorithm 1 is exact and pure, so a memo hit returns exactly what
+a fresh solve would — which is what makes the central guarantee
+possible:
 
     **both backends produce bit-identical merged results**, because every
-    deterministic input of a point (its params, its seed, its chunk-local
-    cache history) is independent of worker count, scheduling, crashes and
-    restarts.
+    deterministic input of a point (its params, its seed) is independent
+    of worker count, scheduling, crashes and restarts.
 
 Durability & resume
 -------------------
 
 Arm a :class:`~repro.exp.store.ResultStore` (``store=``) and every
-completed chunk is journaled as it lands; an interrupted or killed run
-resumes incrementally (chunks already on disk replay without executing a
+completed point is journaled as it lands; an interrupted or killed run
+resumes incrementally (points already on disk replay without executing a
 task) and a re-run of an identical spec is a pure cache hit.  The
 ``resume`` flag demands a matching journal exist; ``interrupt_after``
-deterministically stops a run after N freshly executed chunks by raising
+deterministically stops a run after N freshly executed points by raising
 :class:`SweepInterrupted` — the hook CI and the chaos benchmarks use to
 prove the kill → resume → digest-equality cycle.
 
@@ -36,13 +35,13 @@ Fault tolerance
 Per point: deterministic seeded retries with jittered exponential backoff
 and a wall-clock timeout (``SIGALRM`` pre-emption where available, a
 watchdog-thread deadline everywhere else — the mechanism that enforced it
-is recorded in the report).  Per worker: dead-worker detection with chunk
-re-dispatch (exactly-once per point in the merged output via chunk-indexed
-commits), poison-point quarantine after repeated crashes (recorded in the
-report, never silently dropped), and graceful degradation to serial
-execution when workers keep dying.  Wall-clock timings and worker
-attribution live in the report's ``execution`` section, which is
-explicitly excluded from :meth:`SweepResult.digest`.
+is recorded in the report).  Per worker: dead-worker detection with point
+re-dispatch (exactly-once per point in the merged output via
+index-keyed commits), poison-point quarantine after repeated crashes
+(recorded in the report, never silently dropped), and graceful
+degradation to serial execution when workers keep dying.  Wall-clock
+timings and worker attribution live in the report's ``execution``
+section, which is explicitly excluded from :meth:`SweepResult.digest`.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from typing import Any
 from ..core.config_io import dump_report, make_report
 from .executors import Executor, StopExecution, resolve_executor
 from .runner import (  # noqa: F401  (re-exported: public/engine-test surface)
-    ChunkRunner,
+    PointRunner,
     PointContext,
     PointOutcome,
     _call_with_timeout,
@@ -76,12 +75,6 @@ __all__ = [
     "write_benchmark",
 ]
 
-#: default chunk length — a deterministic constant (NOT derived from the
-#: worker count: chunking shapes solver-cache history, and serial vs parallel
-#: runs must chunk identically for bit-identical results)
-DEFAULT_CHUNK_SIZE = 4
-
-
 class SweepInterrupted(RuntimeError):
     """A run stopped early with its progress durably journaled.
 
@@ -92,12 +85,12 @@ class SweepInterrupted(RuntimeError):
     def __init__(self, name: str, completed: int, total: int,
                  store_path: str | None) -> None:
         super().__init__(
-            f"sweep {name!r} interrupted with {completed}/{total} chunk(s) "
+            f"sweep {name!r} interrupted with {completed}/{total} point(s) "
             f"journaled" + (f" in {store_path}" if store_path else "")
         )
         self.name = name
-        self.completed_chunks = completed
-        self.chunk_count = total
+        self.completed_points = completed
+        self.point_count = total
         self.store_path = store_path
 
 
@@ -108,15 +101,13 @@ class SweepResult:
     name: str
     outcomes: list[PointOutcome]
     workers: int
-    chunk_size: int
     elapsed_s: float
     cache: dict[str, Any] = field(default_factory=dict)
     #: the caller's raw ``workers`` argument (None = engine picked)
     requested_workers: int | None = None
     #: processes that could actually run concurrently: 1 when serial,
-    #: otherwise capped by the number of chunks there was work for
+    #: otherwise capped by the number of points there was work for
     effective_workers: int = 1
-    chunk_count: int = 0
     #: ``os.cpu_count()`` on the submitting host — a "parallel speedup"
     #: measured with cpu_count 1 is a serial run in disguise
     cpu_count: int | None = None
@@ -125,10 +116,8 @@ class SweepResult:
     degraded: bool = False
     #: replacement queue workers spawned
     worker_restarts: int = 0
-    #: points recorded via poison quarantine: ``{id, chunk, failures, error}``
+    #: points recorded via poison quarantine: ``{id, failures, error}``
     quarantined: list[dict[str, Any]] = field(default_factory=list)
-    #: chunks replayed from the result store instead of executed
-    resumed_chunks: int = 0
     #: point outcomes served from the store (pure cache hits)
     store_hits: int = 0
     #: journal path when a store was armed
@@ -182,8 +171,6 @@ class SweepResult:
                 "mode": self.mode,
                 "degraded": self.degraded,
                 "worker_restarts": self.worker_restarts,
-                "chunk_size": self.chunk_size,
-                "chunk_count": self.chunk_count,
                 "cpu_count": self.cpu_count,
                 "elapsed_s": self.elapsed_s,
                 "failed_points": [o.id for o in self.failed],
@@ -198,7 +185,6 @@ class SweepResult:
                 },
                 "store": None if self.store_path is None else {
                     "path": self.store_path,
-                    "resumed_chunks": self.resumed_chunks,
                     "point_hits": self.store_hits,
                 },
                 "wall_ms": {o.id: o.wall_ms for o in self.outcomes},
@@ -222,7 +208,6 @@ def write_benchmark(result: SweepResult, directory: str | Path = ".") -> Path:
 def run_sweep(
     sweep: Sweep,
     workers: int | None = None,
-    chunk_size: int | None = None,
     timeout: float | None = None,
     retries: int = 0,
     cache: bool = True,
@@ -242,10 +227,6 @@ def run_sweep(
         runs serially in-process; more run on the
         :class:`~repro.exp.executors.WorkQueueExecutor` (identical results
         by construction).  The only execution knob.
-    chunk_size:
-        Points per chunk (default :data:`DEFAULT_CHUNK_SIZE`).  Must be
-        identical between runs whose digests are compared (and between a
-        run and its resume — the store enforces this).
     timeout:
         Per-point wall-clock limit in seconds.  Enforced pre-emptively via
         ``SIGALRM`` where available, otherwise by a watchdog-thread
@@ -256,8 +237,8 @@ def run_sweep(
         Extra attempts per failing point before recording the error; each
         attempt's seed is derived deterministically and recorded.
     cache:
-        Arm the chunk-local :class:`SolverCache` (disable for cold-solve
-        baselines).
+        Arm the per-process :class:`SolverCache` memo (disable for
+        cold-solve baselines).
     out_dir:
         When given, persist ``BENCH_<name>.json`` there before returning.
     executor:
@@ -266,8 +247,8 @@ def run_sweep(
         and tests use).
     store:
         A :class:`~repro.exp.store.ResultStore` (or its directory path).
-        When armed, completed chunks are durably journaled as they land
-        and matching journaled chunks are replayed instead of executed.
+        When armed, completed points are durably journaled as they land
+        and matching journaled points are replayed instead of executed.
     resume:
         Require a matching journal in ``store`` (raise otherwise) — the
         explicit "continue where the last run died" switch.
@@ -275,17 +256,13 @@ def run_sweep(
         Base seconds for the deterministic jittered exponential retry
         backoff (0 = retry immediately).
     interrupt_after:
-        Stop after this many *freshly executed* chunks have been journaled
+        Stop after this many *freshly executed* points have been journaled
         by raising :class:`SweepInterrupted` (testing/CI hook for the
         interrupt → resume → digest-equality cycle).
     """
     requested_workers = workers
     if workers is None:
         workers = min(4, os.cpu_count() or 1)
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    if chunk_size < 1:
-        raise SweepError(f"chunk_size must be >= 1, got {chunk_size}")
     if retries < 0:
         raise SweepError(f"retries must be >= 0, got {retries}")
     if timeout is not None and timeout <= 0:
@@ -299,11 +276,8 @@ def run_sweep(
     if resume and store is None:
         raise SweepError("resume=True needs a store to resume from")
 
-    chunks = [
-        sweep.points[i:i + chunk_size]
-        for i in range(0, len(sweep.points), chunk_size)
-    ]
-    runner = ChunkRunner(
+    total = len(sweep.points)
+    runner = PointRunner(
         task=sweep.task, retries=retries, timeout=timeout,
         backoff=backoff, use_cache=cache,
     )
@@ -316,41 +290,39 @@ def run_sweep(
         )
         session = result_store.begin(
             sweep.name,
-            sweep_fingerprint(sweep, chunk_size, retries, timeout, cache),
-            chunk_count=len(chunks),
+            sweep_fingerprint(sweep, retries, timeout, cache),
             resume=resume,
         )
 
-    completed: dict[int, tuple[list[PointOutcome], dict[str, Any]]] = (
+    completed: dict[int, tuple[PointOutcome, dict[str, Any]]] = (
         dict(session.completed) if session is not None else {}
     )
-    resumed_chunks = len(completed)
     executed = 0
 
-    def on_chunk(index: int, outcomes: list[PointOutcome],
+    def on_point(index: int, outcome: PointOutcome,
                  stats: dict[str, Any]) -> None:
         nonlocal executed
         if index in completed:
             return  # a re-dispatched twin already landed: exactly-once
-        completed[index] = (outcomes, stats)
+        completed[index] = (outcome, stats)
         if session is not None:
-            session.record_chunk(index, outcomes, stats)
+            session.record_point(index, outcome, stats)
         executed += 1
         if (
             interrupt_after is not None
             and executed >= interrupt_after
-            and len(completed) < len(chunks)
+            and len(completed) < total
         ):
             raise StopExecution()
 
     pending = [
-        (i, chunk) for i, chunk in enumerate(chunks) if i not in completed
+        (i, point) for i, point in enumerate(sweep.points) if i not in completed
     ]
     info = backend._info()
     started = time.perf_counter()
     try:
         if pending:
-            info = backend.run(pending, runner, on_chunk)
+            info = backend.run(pending, runner, on_point)
     finally:
         if session is not None:
             session.close()
@@ -358,13 +330,13 @@ def run_sweep(
 
     if info["stopped"]:
         raise SweepInterrupted(
-            sweep.name, len(completed), len(chunks),
+            sweep.name, len(completed), total,
             str(session.path) if session is not None else None,
         )
-    missing = [i for i in range(len(chunks)) if i not in completed]
+    missing = [i for i in range(total) if i not in completed]
     if missing:  # pragma: no cover - executor contract violation
         raise SweepError(
-            f"executor {info['mode']!r} lost chunk(s) {missing} — "
+            f"executor {info['mode']!r} lost point(s) {missing} — "
             "refusing to merge a partial sweep"
         )
 
@@ -373,9 +345,9 @@ def run_sweep(
     # exact solver has no warm starts, so it is always 0
     totals = {"lookups": 0, "hits": 0, "misses": 0, "warm_starts": 0}
     mechanism: str | None = None
-    for index in range(len(chunks)):
-        chunk_outcomes, stats = completed[index]
-        outcomes.extend(chunk_outcomes)
+    for index in range(total):
+        outcome, stats = completed[index]
+        outcomes.append(outcome)
         mechanism = mechanism or stats.get("timeout_mechanism")
         for key in totals:
             totals[key] += stats.get(key, 0)
@@ -388,18 +360,15 @@ def run_sweep(
         name=sweep.name,
         outcomes=outcomes,
         workers=workers,
-        chunk_size=chunk_size,
         elapsed_s=elapsed,
         cache=totals,
         requested_workers=requested_workers,
         effective_workers=info["effective_workers"],
-        chunk_count=len(chunks),
         cpu_count=os.cpu_count(),
         mode=info["mode"],
         degraded=info["degraded"],
         worker_restarts=info["worker_restarts"],
         quarantined=list(info["quarantined"]),
-        resumed_chunks=resumed_chunks,
         store_hits=session.hits if session is not None else 0,
         store_path=str(session.path) if session is not None else None,
         timeout_mechanism=mechanism,

@@ -1,18 +1,18 @@
 """Execution backends for the sweep engine.
 
-The engine hands every backend the same inputs — a list of ``(chunk_index,
-points)`` jobs plus a picklable :class:`~repro.exp.runner.ChunkRunner` —
+The engine hands every backend the same inputs — a list of ``(index,
+point)`` jobs plus a picklable :class:`~repro.exp.runner.PointRunner` —
 and requires the same contract back:
 
-* call ``on_chunk(index, outcomes, stats)`` **as each chunk lands** (the
-  engine journals it durably before the next chunk is acknowledged);
-* deliver **exactly one** outcome list per chunk index, each computed by
-  :meth:`ChunkRunner.run` (the single shared evaluation loop), so results
+* call ``on_point(index, outcome, stats)`` **as each point lands** (the
+  engine journals it durably before the next point is acknowledged);
+* deliver **exactly one** outcome per point index, each computed by
+  :meth:`PointRunner.run` (the single shared evaluation loop), so results
   are a pure function of the spec regardless of backend;
-* survive dying workers: re-dispatch lost chunks, quarantine poison
-  chunks instead of looping forever, and degrade to in-process serial
+* survive dying workers: re-dispatch lost points, quarantine poison
+  points instead of looping forever, and degrade to in-process serial
   execution when workers keep dying;
-* honour ``on_chunk`` raising :class:`StopExecution` — stop dispatching,
+* honour ``on_point`` raising :class:`StopExecution` — stop dispatching,
   tear down, and report ``stopped=True`` (the engine turns this into a
   resumable :class:`~repro.exp.engine.SweepInterrupted`).
 
@@ -20,21 +20,21 @@ Backends
 --------
 
 :class:`SerialExecutor`
-    Runs chunks in-process, in order.  The reference semantics, and what
+    Runs points in-process, in order.  The reference semantics, and what
     ``workers=1`` runs.
 
 :class:`WorkQueueExecutor`
     A spawn-safe, file-protocol work queue, and what ``workers > 1`` runs:
-    the parent serialises chunks into ``tasks/``, independent worker
-    *processes* (``python -m repro.exp.worker``) claim them by atomic
-    rename into ``claims/`` and commit results by atomic rename into
-    ``results/``.  The parent polls, reaps dead workers (re-queueing their
-    claims), SIGKILLs workers whose claim lease expired (stall recovery),
-    respawns up to a restart budget, quarantines poison chunks and
-    degrades to serial when the worker fleet cannot be kept alive.
-    Because the protocol is plain files + atomic renames, it tolerates
-    SIGKILL at *any* instant: the chaos harness (:mod:`repro.exp.chaos`)
-    leans on exactly this.
+    the parent serialises one task file per point into ``tasks/``,
+    independent worker *processes* (``python -m repro.exp.worker``) claim
+    them by atomic rename into ``claims/`` and commit results by atomic
+    rename into ``results/``.  The parent polls, reaps dead workers
+    (re-queueing their claims), SIGKILLs workers whose claim lease expired
+    (stall recovery), respawns up to a restart budget, quarantines poison
+    points and degrades to serial when the worker fleet cannot be kept
+    alive.  Because the protocol is plain files + atomic renames, it
+    tolerates SIGKILL at *any* instant: the chaos harness
+    (:mod:`repro.exp.chaos`) leans on exactly this.
 """
 
 from __future__ import annotations
@@ -47,13 +47,11 @@ import subprocess
 import sys
 import time
 from abc import ABC, abstractmethod
-from concurrent import futures
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from tempfile import mkdtemp
 from typing import Any, Callable
 
-from .runner import ChunkRunner, PointOutcome
+from .runner import PointOutcome, PointRunner
 from .sweep import SweepError, SweepPoint
 
 __all__ = [
@@ -64,24 +62,24 @@ __all__ = [
     "resolve_executor",
 ]
 
-#: jobs are ``(chunk_index, points)``; outcomes flow back through on_chunk
-Job = tuple[int, tuple[SweepPoint, ...]]
-OnChunk = Callable[[int, list[PointOutcome], dict[str, Any]], None]
+#: jobs are ``(index, point)``; outcomes flow back through on_point
+Job = tuple[int, SweepPoint]
+OnPoint = Callable[[int, PointOutcome, dict[str, Any]], None]
 
 
 class StopExecution(Exception):
-    """Raised *by the on_chunk callback* to stop an executor mid-run."""
+    """Raised *by the on_point callback* to stop an executor mid-run."""
 
 
 class Executor(ABC):
-    """One way of evaluating chunks; see the module docstring contract."""
+    """One way of evaluating points; see the module docstring contract."""
 
     #: mode string recorded in the report execution section
     name = "abstract"
 
     @abstractmethod
     def run(
-        self, jobs: list[Job], runner: ChunkRunner, on_chunk: OnChunk
+        self, jobs: list[Job], runner: PointRunner, on_point: OnPoint
     ) -> dict[str, Any]:
         """Evaluate every job; returns the execution-info dict."""
 
@@ -124,75 +122,21 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def run(self, jobs, runner, on_chunk):
-        for index, points in sorted(jobs):
-            outcomes, stats = runner.run(points)
+    def run(self, jobs, runner, on_point):
+        for index, point in sorted(jobs):
+            outcome, stats = runner.run(point)
             try:
-                on_chunk(index, outcomes, stats)
+                on_point(index, outcome, stats)
             except StopExecution:
                 return self._info(stopped=True)
         return self._info()
-
-
-def _replay_chunk_isolated(
-    runner: ChunkRunner,
-    points: tuple[SweepPoint, ...],
-    failures: int,
-) -> tuple[list[PointOutcome], dict[str, Any], list[tuple[str, str]]]:
-    """Finish a poison-suspect chunk one point at a time, each isolated.
-
-    For point *i* a fresh single-worker pool replays the chunk *prefix*
-    ``[0..i]`` (minus already-quarantined points) so the chunk-local cache
-    history each survivor sees matches what a serial run of the survivors
-    would build, then keeps only outcome *i*.  A prefix whose process dies
-    identifies point *i* as the poison: it is recorded as a quarantined
-    outcome — attributed, never silently dropped — and skipped from later
-    prefixes (a run containing it could never complete on any backend).
-    """
-    outcomes: list[PointOutcome] = []
-    poisoned: list[tuple[str, str]] = []
-    stats: dict[str, Any] = {}
-    alive: list[SweepPoint] = []
-    for point in points:
-        prefix = tuple(alive) + (point,)
-        error: str | None = None
-        with futures.ProcessPoolExecutor(max_workers=1) as pool:
-            future = pool.submit(runner.run, prefix)
-            budget = None
-            if runner.timeout is not None:
-                # the in-worker guard should fire first; this is the belt
-                # for points that wedge a worker so hard signals never land
-                budget = (runner.timeout + 5.0) * len(prefix)
-            try:
-                prefix_outcomes, stats = future.result(timeout=budget)
-                outcomes.append(prefix_outcomes[-1])
-                alive.append(point)
-                continue
-            except BrokenProcessPool:
-                error = (
-                    f"quarantined: point crashed its worker (chunk implicated "
-                    f"in {failures} worker death(s), confirmed in isolation)"
-                )
-            except futures.TimeoutError:
-                for proc in getattr(pool, "_processes", {}).values():
-                    proc.kill()
-                error = (
-                    "quarantined: point wedged an isolated worker past "
-                    f"{budget}s (timeout mechanism never fired)"
-                )
-        poisoned.append((point.id, error))
-        outcomes.append(PointOutcome(
-            id=point.id, params=dict(point.params), seed=point.seed,
-            value=None, error=error, attempts=failures,
-        ))
-    return outcomes, stats, poisoned
 
 
 # ---------------------------------------------------------------------------
 # spawn-safe file-protocol work queue
 # ---------------------------------------------------------------------------
 
-#: queue sub-directories; a chunk lives in exactly one of tasks/claims at a
+#: queue sub-directories; a point lives in exactly one of tasks/claims at a
 #: time (moved by atomic rename), results/ is append-only commit space
 _TASKS, _CLAIMS, _RESULTS = "tasks", "claims", "results"
 _STOP_SENTINEL = "stop"
@@ -200,16 +144,16 @@ _RUNNER_FILE = "runner.pkl"
 #: written by a worker that cannot unpickle ``runner.pkl``; holds the error
 _RUNNER_ERROR_FILE = "runner-error"
 #: present only when a ChaosMonkey is armed: workers hold this many seconds
-#: between claiming a chunk and executing it, guaranteeing the parent
-#: observes the claim and can strike mid-chunk deterministically
+#: between claiming a point and executing it, guaranteeing the parent
+#: observes the claim and can strike mid-point deterministically
 _CHAOS_HOLD_FILE = "chaos-hold"
 
 
-def _chunk_name(index: int) -> str:
-    return f"chunk-{index:05d}.pkl"
+def _task_name(index: int) -> str:
+    return f"point-{index:05d}.pkl"
 
 
-def _chunk_index(name: str) -> int:
+def _task_index(name: str) -> int:
     return int(name.split("-")[1].split(".")[0])
 
 
@@ -226,13 +170,13 @@ class WorkQueueExecutor(Executor):
     Parameters
     ----------
     workers: worker processes to keep alive; a run starts at most one per
-        chunk.
+        point.
     lease_s: a claim older than this is a stalled worker; the parent
-        SIGKILLs it and re-queues the chunk.
+        SIGKILLs it and re-queues the point.
     max_restarts: total replacement workers the parent may spawn before
         declaring the fleet unsustainable and degrading to serial.
-    quarantine_after: per-chunk worker-death count that triggers isolated
-        prefix replay.
+    quarantine_after: per-point worker-death count that triggers the
+        point's last run, alone in a process of its own.
     poll_s: parent poll interval.
     chaos: optional :class:`repro.exp.chaos.ChaosMonkey` consulted when a
         claim's owner is first read — test-only fault injection, never
@@ -261,18 +205,18 @@ class WorkQueueExecutor(Executor):
 
     # -- protocol helpers (parent side) ------------------------------------
 
-    def _setup(self, root: Path, jobs: list[Job], runner: ChunkRunner) -> None:
+    def _setup(self, root: Path, jobs: list[Job], runner: PointRunner) -> None:
         for sub in (_TASKS, _CLAIMS, _RESULTS):
             (root / sub).mkdir(parents=True, exist_ok=True)
         with (root / _RUNNER_FILE).open("wb") as fh:
             pickle.dump(runner, fh)
         if self.chaos is not None:
             (root / _CHAOS_HOLD_FILE).write_text(str(max(0.25, 10 * self.poll_s)))
-        for index, points in jobs:
-            target = root / _TASKS / _chunk_name(index)
+        for index, point in jobs:
+            target = root / _TASKS / _task_name(index)
             tmp = target.with_suffix(".tmp")
             with tmp.open("wb") as fh:
-                pickle.dump(points, fh)
+                pickle.dump(point, fh)
             os.replace(tmp, target)
 
     def _spawn_worker(self, root: Path) -> subprocess.Popen:
@@ -291,14 +235,14 @@ class WorkQueueExecutor(Executor):
             stderr=subprocess.DEVNULL,
         )
 
-    def run(self, jobs, runner, on_chunk):
+    def run(self, jobs, runner, on_point):
         root = Path(mkdtemp(prefix="repro-queue-"))
         try:
-            return self._run(root, jobs, runner, on_chunk)
+            return self._run(root, jobs, runner, on_point)
         finally:
             shutil.rmtree(root, ignore_errors=True)
 
-    def _run(self, root: Path, jobs, runner, on_chunk):
+    def _run(self, root: Path, jobs, runner, on_point):
         self._setup(root, jobs, runner)
         by_index = dict(jobs)
         pending = set(by_index)
@@ -317,20 +261,20 @@ class WorkQueueExecutor(Executor):
             while pending and not stopped:
                 progressed = False
                 # 1. results commit first: a dead worker that already
-                # published its chunk still counts, its claim is garbage
+                # published its point still counts, its claim is garbage
                 for name in sorted(os.listdir(root / _RESULTS)):
                     if not name.endswith(".pkl"):
                         continue
-                    index = _chunk_index(name)
+                    index = _task_index(name)
                     if index not in pending:
                         continue
                     with (root / _RESULTS / name).open("rb") as fh:
-                        outcomes, stats = pickle.load(fh)
+                        outcome, stats = pickle.load(fh)
                     pending.discard(index)
                     claim_seen.pop(index, None)
                     progressed = True
                     try:
-                        on_chunk(index, outcomes, stats)
+                        on_point(index, outcome, stats)
                     except StopExecution:
                         stopped = True
                         break
@@ -384,24 +328,24 @@ class WorkQueueExecutor(Executor):
                         restarts += 1
                         live.append(self._spawn_worker(root))
                 procs = live
-                # 5. quarantine chunks that keep killing workers
+                # 5. a point that keeps killing workers gets one last run
                 for index in [
                     i for i in sorted(pending)
                     if crashes.get(i, 0) >= self.quarantine_after
                 ]:
                     self._steal_task(root, index)
-                    outcomes, stats, poisoned = _replay_chunk_isolated(
-                        runner, by_index[index], crashes[index]
+                    outcome, stats = self._last_run(
+                        root, runner, index, by_index[index], crashes[index]
                     )
-                    quarantined.extend(
-                        {"id": pid_, "chunk": index,
-                         "failures": crashes[index], "error": err}
-                        for pid_, err in poisoned
-                    )
+                    if outcome.quarantined:
+                        quarantined.append({
+                            "id": outcome.id, "failures": crashes[index],
+                            "error": outcome.error,
+                        })
                     pending.discard(index)
                     progressed = True
                     try:
-                        on_chunk(index, outcomes, stats)
+                        on_point(index, outcome, stats)
                     except StopExecution:
                         stopped = True
                         break
@@ -412,10 +356,10 @@ class WorkQueueExecutor(Executor):
                     degraded = True
                     for index in sorted(pending):
                         self._steal_task(root, index)
-                        outcomes, stats = runner.run(by_index[index])
+                        outcome, stats = runner.run(by_index[index])
                         pending.discard(index)
                         try:
-                            on_chunk(index, outcomes, stats)
+                            on_point(index, outcome, stats)
                         except StopExecution:
                             stopped = True
                             break
@@ -441,7 +385,53 @@ class WorkQueueExecutor(Executor):
             stopped=stopped,
         )
 
-    def _raise_if_runner_unloadable(self, root: Path, runner: ChunkRunner) -> None:
+    def _last_run(
+        self,
+        root: Path,
+        runner: PointRunner,
+        index: int,
+        point: SweepPoint,
+        failures: int,
+    ) -> tuple[PointOutcome, dict[str, Any]]:
+        """Run a poison-suspect point once more, alone, in its own worker.
+
+        The worker serves a private one-point queue, so the point can spend
+        neither the main queue's restart budget nor the parent, and no
+        claim lease polices it: a slow but healthy point completes here.
+        Only a run that dies or wedges makes the point a quarantined
+        outcome — attributed, never silently dropped.
+        """
+        solo = root / f"last-{index:05d}"
+        self._setup(solo, [(index, point)], runner)
+        (solo / _STOP_SENTINEL).touch()
+        # the worker's own timeout guard should fire first; the 5 s are the
+        # belt for a point that wedges its process so hard no signal lands
+        budget = None if runner.timeout is None else runner.timeout + 5.0
+        proc = self._spawn_worker(solo)
+        try:
+            proc.wait(timeout=budget)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            error = (
+                "quarantined: point wedged its last run past "
+                f"{budget}s (timeout mechanism never fired)"
+            )
+        else:
+            try:
+                with (solo / _RESULTS / _task_name(index)).open("rb") as fh:
+                    return pickle.load(fh)
+            except OSError:
+                error = (
+                    f"quarantined: point crashed its worker ({failures} "
+                    "worker death(s), then again in its last run, alone)"
+                )
+        return PointOutcome(
+            id=point.id, params=dict(point.params), seed=point.seed,
+            value=None, error=error, attempts=failures,
+        ), {}
+
+    def _raise_if_runner_unloadable(self, root: Path, runner: PointRunner) -> None:
         """Fail fast when a worker could not load the task: respawns cannot help."""
         try:
             error = (root / _RUNNER_ERROR_FILE).read_text()
@@ -461,12 +451,12 @@ class WorkQueueExecutor(Executor):
     ) -> list[int]:
         """Claim files present with no readable owner sidecar."""
         return [
-            _chunk_index(name) for name in os.listdir(root / _CLAIMS)
-            if name.endswith(".pkl") and _chunk_index(name) not in claims
+            _task_index(name) for name in os.listdir(root / _CLAIMS)
+            if name.endswith(".pkl") and _task_index(name) not in claims
         ]
 
     def _read_claims(self, root: Path) -> dict[int, tuple[int, float]]:
-        """Claims as ``{chunk_index: (pid, claimed_at)}`` (tolerant scan)."""
+        """Claims as ``{point_index: (pid, claimed_at)}`` (tolerant scan)."""
         claims: dict[int, tuple[int, float]] = {}
         for name in os.listdir(root / _CLAIMS):
             if not name.endswith(".owner"):
@@ -474,14 +464,14 @@ class WorkQueueExecutor(Executor):
             try:
                 with (root / _CLAIMS / name).open("r") as fh:
                     owner = fh.read().split()
-                claims[_chunk_index(name)] = (int(owner[0]), float(owner[1]))
+                claims[_task_index(name)] = (int(owner[0]), float(owner[1]))
             except (OSError, ValueError, IndexError):
                 continue  # worker mid-write or just died; next poll settles it
         return claims
 
     def _requeue(self, root: Path, index: int) -> None:
         """Move a dead worker's claim back into the task queue (atomic)."""
-        name = _chunk_name(index)
+        name = _task_name(index)
         try:
             os.rename(root / _CLAIMS / name, root / _TASKS / name)
         except OSError:
@@ -489,8 +479,8 @@ class WorkQueueExecutor(Executor):
         _unlink_quietly(root / _CLAIMS / (name + ".owner"))
 
     def _steal_task(self, root: Path, index: int) -> None:
-        """Pull a chunk out of the queue so no worker picks it up again."""
-        name = _chunk_name(index)
+        """Pull a point out of the queue so no worker picks it up again."""
+        name = _task_name(index)
         _unlink_quietly(root / _TASKS / name)
         _unlink_quietly(root / _CLAIMS / name)
         _unlink_quietly(root / _CLAIMS / (name + ".owner"))

@@ -3,7 +3,7 @@
 This module is the part of the engine that actually *calls the task*.  It
 is deliberately free of any executor machinery so that both execution
 backends (:mod:`repro.exp.executors`) and the work-queue worker process
-(:mod:`repro.exp.worker`) share one code path — a chunk evaluated
+(:mod:`repro.exp.worker`) share one code path — a point evaluated
 in-process or in a queue worker produces byte-identical outcomes by
 construction.
 
@@ -22,13 +22,13 @@ Guard rails per point:
   pre-emptively via ``setitimer``; everywhere else the attempt runs in a
   watchdog thread and the caller stops waiting at the deadline (the stuck
   thread is abandoned as a daemon — bounded *wait*, not bounded *work*).
-  Which mechanism enforced the budget is recorded in the chunk stats and
+  Which mechanism enforced the budget is recorded in the point stats and
   surfaced in the report's execution section.
 * **per-point cleanup** — a finished simulation's object graph is cyclic
   (parked generator frames, components, the simulator and its signals), so
-  only the cyclic collector frees it.  The loop collects after every point
-  so that garbage never piles up across points (DESIGN.md §8), with the
-  objects that predate the chunk frozen out of each collection.
+  only the cyclic collector frees it.  The runner collects after every
+  point so that garbage never piles up across points (DESIGN.md §8), with
+  the objects that predate the point frozen out of the collection.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import random
 import signal
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Any, Callable
 
 from .cache import SolverCache
@@ -47,7 +47,7 @@ from .sweep import SweepPoint
 __all__ = [
     "PointContext",
     "PointOutcome",
-    "ChunkRunner",
+    "PointRunner",
     "TIMEOUT_SIGALRM",
     "TIMEOUT_WALL_CLOCK",
     "retry_delay",
@@ -132,11 +132,14 @@ def retry_delay(backoff: float, seed: int, attempt: int) -> float:
 
 
 @dataclass(frozen=True)
-class ChunkRunner:
-    """Everything needed to evaluate one chunk of points, picklable.
+class PointRunner:
+    """Everything needed to evaluate a point, picklable.
 
-    Executors ship a ``ChunkRunner`` to whatever process ends up evaluating
-    the chunk; :meth:`run` is the single shared evaluation loop.
+    Executors ship a ``PointRunner`` to whatever process ends up evaluating
+    points; :meth:`run` is the single shared evaluation loop.  The runner
+    owns the Algorithm 1 memo of its process: one per runner, kept across
+    points, and never pickled — an unpickled runner (one per queue worker)
+    starts a memo of its own.
     """
 
     task: Callable[..., dict]
@@ -145,61 +148,69 @@ class ChunkRunner:
     backoff: float = 0.0
     use_cache: bool = True
 
-    def run(self, points: tuple[SweepPoint, ...]) -> tuple[list[PointOutcome], dict[str, Any]]:
-        """Evaluate ``points`` serially with a fresh chunk-local cache.
+    def __post_init__(self) -> None:
+        memo = SolverCache() if self.use_cache else None
+        object.__setattr__(self, "_memo", memo)
 
-        Each point's garbage is collected before the next point starts;
-        freezing the objects that exist on entry keeps the imported program
-        out of those collections.
+    def __reduce__(self):
+        return type(self), astuple(self)
+
+    def run(self, point: SweepPoint) -> tuple[PointOutcome, dict[str, Any]]:
+        """Evaluate ``point``; returns its outcome and its memo counter deltas.
+
+        The point's garbage is collected before it returns; freezing the
+        objects that exist on entry keeps the imported program out of that
+        collection.
         """
-        solver_cache = SolverCache() if self.use_cache else None
-        outcomes: list[PointOutcome] = []
+        memo = self._memo
+        before = (memo.hits, memo.misses) if memo is not None else (0, 0)
+        value: dict[str, Any] | None = None
+        error: str | None = None
         mechanism: str | None = None
+        attempts = 0
         gc.freeze()
         try:
-            for point in points:
-                value: dict[str, Any] | None = None
-                error: str | None = None
-                attempts = 0
-                t0 = time.perf_counter()
-                for attempt in range(self.retries + 1):
-                    attempts = attempt + 1
-                    if attempt > 0:
-                        delay = retry_delay(self.backoff, point.seed, attempt)
-                        if delay > 0.0:
-                            time.sleep(delay)
-                    ctx = PointContext(
-                        seed=point.seed + attempt, attempt=attempt, cache=solver_cache
+            t0 = time.perf_counter()
+            for attempt in range(self.retries + 1):
+                attempts = attempt + 1
+                if attempt > 0:
+                    delay = retry_delay(self.backoff, point.seed, attempt)
+                    if delay > 0.0:
+                        time.sleep(delay)
+                ctx = PointContext(
+                    seed=point.seed + attempt, attempt=attempt, cache=memo
+                )
+                try:
+                    value, mechanism = _call_with_timeout(
+                        self.task, point, ctx, self.timeout
                     )
-                    try:
-                        value, used = _call_with_timeout(
-                            self.task, point, ctx, self.timeout
-                        )
-                        mechanism = mechanism or used
-                        error = None
-                        break
-                    except _PointTimeout as err:
-                        mechanism = mechanism or err.mechanism
-                        error = f"timeout after {self.timeout}s ({err.mechanism})"
-                    except Exception as err:
-                        error = f"{type(err).__name__}: {err}"
-                wall_ms = (time.perf_counter() - t0) * 1000.0
-                if error is None and not isinstance(value, dict):
-                    error = f"task returned {type(value).__name__}, expected a dict"
-                    value = None
-                outcomes.append(PointOutcome(
-                    id=point.id, params=dict(point.params), seed=point.seed,
-                    value=value, error=error, attempts=attempts,
-                    retry_seed=point.seed + attempts - 1 if attempts > 1 else None,
-                    wall_ms=wall_ms,
-                ))
-                gc.collect()
+                    error = None
+                    break
+                except _PointTimeout as err:
+                    mechanism = err.mechanism
+                    error = f"timeout after {self.timeout}s ({err.mechanism})"
+                except Exception as err:
+                    error = f"{type(err).__name__}: {err}"
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            if error is None and not isinstance(value, dict):
+                error = f"task returned {type(value).__name__}, expected a dict"
+                value = None
+            outcome = PointOutcome(
+                id=point.id, params=dict(point.params), seed=point.seed,
+                value=value, error=error, attempts=attempts,
+                retry_seed=point.seed + attempts - 1 if attempts > 1 else None,
+                wall_ms=wall_ms,
+            )
+            gc.collect()
         finally:
             gc.unfreeze()
-        stats = solver_cache.stats() if solver_cache is not None else {}
+        stats: dict[str, Any] = {}
+        if memo is not None:
+            hits, misses = memo.hits - before[0], memo.misses - before[1]
+            stats = {"lookups": hits + misses, "hits": hits, "misses": misses}
         if self.timeout is not None:
             stats["timeout_mechanism"] = mechanism or _pick_mechanism()
-        return outcomes, stats
+        return outcome, stats
 
 
 class _PointTimeout(Exception):
@@ -237,7 +248,7 @@ def _call_with_timeout(
     if _pick_mechanism() == TIMEOUT_WALL_CLOCK:
         return _call_wall_clock(task, point, ctx, timeout), TIMEOUT_WALL_CLOCK
     # SIGALRM-based guard: only usable from a process's main thread, which
-    # is where queue workers, isolated replays and the serial path run chunks
+    # is where queue workers, the last run and the serial path run points
     def _alarm(signum, frame):
         raise _PointTimeout(TIMEOUT_SIGALRM)
 

@@ -15,7 +15,7 @@ worker process minutes into a run.
 
 Per-point seeds are derived deterministically from the sweep seed, the
 sweep name and the point id (SHA-256), so a point's seed never depends on
-execution order, worker count or chunking — a prerequisite for the
+execution order, worker count or resume history — a prerequisite for the
 engine's serial ≡ parallel bit-identity guarantee.
 """
 

@@ -4,9 +4,10 @@ Each task is a module-level function ``task(params, ctx) -> dict`` (the
 shape :class:`~repro.exp.sweep.Sweep` requires for work-queue fan-out):
 ``params`` is the point's JSON-serialisable parameter dict, ``ctx`` the
 :class:`~repro.exp.engine.PointContext` carrying the deterministic point
-seed and the chunk-local :class:`~repro.exp.cache.SolverCache`.  Returned
-dicts must be JSON-serialisable — they are persisted verbatim into
-``BENCH_<name>.json`` and hashed for the serial ≡ parallel identity check.
+seed and the sweep's :class:`~repro.exp.cache.SolverCache` memo in the
+evaluating process.  Returned dicts must be JSON-serialisable — they are
+persisted verbatim into ``BENCH_<name>.json`` and hashed for the serial ≡
+parallel identity check.
 
 These tasks back both the ported ``benchmarks/bench_*`` files and the
 ``repro sweep`` CLI subcommand (see :data:`TASKS`).
@@ -36,7 +37,7 @@ __all__ = [
 
 
 def _solve(system: GatewaySystem, ctx):
-    """Algorithm 1 via the chunk-local cache when armed, directly otherwise."""
+    """Algorithm 1 via the sweep memo when armed, directly otherwise."""
     if ctx is not None and ctx.cache is not None:
         return ctx.cache.resolve(system)
     return resolve_block_sizes(system)

@@ -7,20 +7,22 @@ crash-oblivious — every step either commits atomically (``os.rename`` /
 
 1. claim the lexicographically first task by renaming it from ``tasks/``
    into ``claims/`` (atomic; losing the race just means trying the next);
-2. publish an owner sidecar (``<chunk>.pkl.owner``: pid + wall-clock) so
+2. publish an owner sidecar (``<point>.pkl.owner``: pid + wall-clock) so
    the parent can lease-police and attribute the claim after a crash;
-3. evaluate the chunk with the shared :class:`~repro.exp.runner.ChunkRunner`
+3. evaluate the point with the shared :class:`~repro.exp.runner.PointRunner`
    loop — byte-identical semantics to the serial backend;
 4. commit the result by ``os.replace`` of a fully-written temp file into
    ``results/`` (readers never observe a torn result);
 5. release the claim and loop; exit once the ``stop`` sentinel exists and
    no tasks remain.
 
-A worker SIGKILLed at any point between 1 and 5 leaves either a claim the
+A worker SIGKILLed at any step between 1 and 5 leaves either a claim the
 parent re-queues (crash before commit) or a committed result plus a stale
 claim the parent ignores (crash after commit) — never a lost or a
-half-visible chunk.  A worker that cannot unpickle ``runner.pkl`` (say, a
-task defined in the parent's ``__main__``) writes why to ``runner-error``.
+half-visible point.  A worker serves one sweep: it unpickles ``runner.pkl``
+once, so its Algorithm 1 memo lives for every point it evaluates.  A
+worker that cannot unpickle ``runner.pkl`` (say, a task defined in the
+parent's ``__main__``) writes why to ``runner-error``.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def serve(queue_dir: str | Path) -> int:
         with owner.open("w") as fh:
             fh.write(f"{os.getpid()} {time.time()}")
         # chaos-armed queues ask workers to hold between claim and execute
-        # so the parent provably observes the claim and can strike mid-chunk
+        # so the parent provably observes the claim and can strike mid-point
         try:
             hold = float((root / "chaos-hold").read_text())
         except (OSError, ValueError):
@@ -84,13 +86,13 @@ def serve(queue_dir: str | Path) -> int:
             time.sleep(hold)
         try:
             with (claims / claimed).open("rb") as fh:
-                points = pickle.load(fh)
+                point = pickle.load(fh)
         except OSError:
             continue  # parent reclaimed it during the owner-write window
-        outcomes, stats = runner.run(points)
+        result = runner.run(point)
         tmp = results / (claimed + ".tmp")
         with tmp.open("wb") as fh:
-            pickle.dump((outcomes, stats), fh)
+            pickle.dump(result, fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, results / claimed)

@@ -2,15 +2,19 @@
 
 These tests actually kill processes.  The invariants under test:
 
-* a SIGKILLed worker never loses or duplicates a point — the chunk is
+* a SIGKILLed worker never loses or duplicates a point — the point is
   re-dispatched and the merged digest matches an undisturbed serial run;
-* a chaos-disturbed work-queue sweep (seeded kills and stalls mid-chunk)
+* a chaos-disturbed work-queue sweep (seeded kills and stalls mid-point)
   converges to the bit-identical serial result;
 * a sweep interrupted mid-run resumes from its journal and finishes
   bit-identical to a never-interrupted run;
 * a point that deterministically kills every worker that touches it is
-  quarantined — recorded in the result, never silently dropped, and never
-  allowed to sink the rest of the sweep;
+  quarantined after its last run — recorded in the result, never silently
+  dropped, and never allowed to sink the rest of the sweep, whose points
+  each run once;
+* a slow but healthy point that outlives the claim lease completes in its
+  last run, which no lease polices, while a point that wedges even its
+  last run is quarantined once ``timeout + 5 s`` run out;
 * a task no fresh worker can import fails the sweep at once instead of
   burning the restart budget and silently degrading to serial.
 """
@@ -21,6 +25,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -63,9 +68,29 @@ def suicide_once_task(params, ctx):
 
 
 def poison_task(params, ctx):
-    """Kill *every* process that evaluates the hot point — unrecoverable."""
+    """Kill *every* process that evaluates the hot point — unrecoverable.
+
+    Every evaluation leaves a mark in the ``marks`` directory first.
+    """
+    with open(os.path.join(params["marks"], f"x{params['x']}"), "a") as fh:
+        fh.write("x")
     if params["x"] == KILL_POINT:
         os.kill(os.getpid(), signal.SIGKILL)
+    return {"y": params["x"], "seed": ctx.seed}
+
+
+def slow_task(params, ctx):
+    """The hot point outlives a short claim lease, then finishes."""
+    if params["x"] == KILL_POINT:
+        time.sleep(1.0)
+    return {"y": params["x"], "seed": ctx.seed}
+
+
+def wedge_task(params, ctx):
+    """The hot point blocks the timeout's SIGALRM, then hangs."""
+    if params["x"] == KILL_POINT:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+        time.sleep(60.0)
     return {"y": params["x"], "seed": ctx.seed}
 
 
@@ -81,7 +106,7 @@ def assert_no_lost_or_duplicated(result, sweep):
 
 
 def test_pool_survives_sigkilled_worker_mid_chunk(tmp_path):
-    """``workers=2`` starts a pool of queue workers; one dies mid-chunk."""
+    """``workers=2`` starts a pool of queue workers; one dies mid-point."""
     sentinel = tmp_path / "crashed"
     sweep = crashy_sweep(sentinel)
 
@@ -121,15 +146,15 @@ def test_chaos_sweep_matches_undisturbed_serial_run():
     sweep = Sweep(
         "chaos_eq", plain_task, [{"x": i} for i in range(10)], seed=9
     )
-    baseline = run_sweep(sweep, workers=1, chunk_size=2)
+    baseline = run_sweep(sweep, workers=1)
     plan = ChaosPlan(
         seed=7,
         events=(
-            ChaosEvent(chunk=1, action="kill"),
-            ChaosEvent(chunk=3, action="stall", stall_s=0.3),
+            ChaosEvent(point=1, action="kill"),
+            ChaosEvent(point=3, action="stall", stall_s=0.3),
         ),
     )
-    result, monkey = run_chaos_sweep(sweep, plan, workers=2, chunk_size=2)
+    result, monkey = run_chaos_sweep(sweep, plan, workers=2)
     assert monkey.log, "chaos plan never struck"
     assert {entry["action"] for entry in monkey.log} == {"kill", "stall"}
     assert_no_lost_or_duplicated(result, sweep)
@@ -141,7 +166,7 @@ def test_chaos_sweep_matches_undisturbed_serial_run():
 def test_chaos_strikes_claims_first_seen_without_an_owner(monkeypatch):
     """A claim first observed before its owner sidecar is still struck.
 
-    Hiding every chunk's owner on its first read forces each claim
+    Hiding every point's owner on its first read forces each claim
     through the orphan pass first — the window a worker opens between
     its claim rename and its owner write, which CPU contention widens.
     """
@@ -162,15 +187,15 @@ def test_chaos_strikes_claims_first_seen_without_an_owner(monkeypatch):
     plan = ChaosPlan(
         seed=7,
         events=(
-            ChaosEvent(chunk=1, action="kill"),
-            ChaosEvent(chunk=3, action="stall", stall_s=0.3),
+            ChaosEvent(point=1, action="kill"),
+            ChaosEvent(point=3, action="stall", stall_s=0.3),
         ),
     )
-    result, monkey = run_chaos_sweep(sweep, plan, workers=2, chunk_size=2)
-    assert sorted((e["chunk"], e["action"]) for e in monkey.log) == [
+    result, monkey = run_chaos_sweep(sweep, plan, workers=2)
+    assert sorted((e["point"], e["action"]) for e in monkey.log) == [
         (1, "kill"), (3, "stall"),
     ]
-    baseline = run_sweep(sweep, workers=1, chunk_size=2)
+    baseline = run_sweep(sweep, workers=1)
     assert result.digest() == baseline.digest()
 
 
@@ -179,18 +204,14 @@ def test_chaos_kill_with_store_then_resume(tmp_path):
     sweep = Sweep(
         "chaos_store", plain_task, [{"x": i} for i in range(8)], seed=2
     )
-    baseline = run_sweep(sweep, workers=1, chunk_size=2)
-    plan = ChaosPlan(seed=3, events=(ChaosEvent(chunk=0, action="kill"),))
-    disturbed, monkey = run_chaos_sweep(
-        sweep, plan, workers=2, chunk_size=2, store=tmp_path
-    )
+    baseline = run_sweep(sweep, workers=1)
+    plan = ChaosPlan(seed=3, events=(ChaosEvent(point=0, action="kill"),))
+    disturbed, monkey = run_chaos_sweep(sweep, plan, workers=2, store=tmp_path)
     assert monkey.log
     assert disturbed.digest() == baseline.digest()
     # everything is journaled: a rerun is a pure replay, still bit-identical
-    replay = run_sweep(
-        sweep, workers=1, chunk_size=2, store=tmp_path, resume=True
-    )
-    assert replay.resumed_chunks == replay.chunk_count == 4
+    replay = run_sweep(sweep, workers=1, store=tmp_path, resume=True)
+    assert replay.store_hits == 8
     assert replay.digest() == baseline.digest()
 
 
@@ -199,34 +220,25 @@ def test_interrupted_pool_run_resumes_bit_identically(tmp_path):
     sweep = Sweep(
         "resume_pool", plain_task, [{"x": i} for i in range(12)], seed=4
     )
-    baseline = run_sweep(sweep, workers=1, chunk_size=3)
+    baseline = run_sweep(sweep, workers=1)
     with pytest.raises(SweepInterrupted) as err:
-        run_sweep(
-            sweep,
-            workers=2,
-            chunk_size=3,
-            store=tmp_path,
-            interrupt_after=2,
-        )
-    assert err.value.completed_chunks >= 2
-    resumed = run_sweep(
-        sweep,
-        workers=2,
-        chunk_size=3,
-        store=tmp_path,
-        resume=True,
-    )
-    assert resumed.resumed_chunks >= 2
+        run_sweep(sweep, workers=2, store=tmp_path, interrupt_after=2)
+    assert err.value.completed_points == 2
+    resumed = run_sweep(sweep, workers=2, store=tmp_path, resume=True)
+    assert resumed.store_hits == 2
     assert_no_lost_or_duplicated(resumed, sweep)
     assert resumed.digest() == baseline.digest()
     assert resumed.payload() == baseline.payload()
 
 
-def test_poison_point_is_quarantined_not_dropped():
+def test_poison_point_is_quarantined_not_dropped(tmp_path):
     sweep = Sweep(
-        "poison", poison_task, [{"x": i} for i in range(6)], seed=8
+        "poison", poison_task,
+        [{"id": f"x={i}", "params": {"x": i, "marks": str(tmp_path)}}
+         for i in range(6)],
+        seed=8,
     )
-    result = run_sweep(sweep, workers=2, chunk_size=2)
+    result = run_sweep(sweep, workers=2)
     assert result.mode == "work-queue"
     assert_no_lost_or_duplicated(result, sweep)
     quarantined = [o for o in result.outcomes if o.quarantined]
@@ -234,13 +246,46 @@ def test_poison_point_is_quarantined_not_dropped():
     assert quarantined[0].error
     healthy = [o for o in result.outcomes if not o.quarantined]
     assert all(o.ok for o in healthy) and len(healthy) == 5
+    # only the poison point ran more than once: its deaths and its last run
+    runs = {path.name: len(path.read_text()) for path in tmp_path.iterdir()}
+    assert runs.pop(f"x{KILL_POINT}") >= 3
+    assert runs == {f"x{i}": 1 for i in range(6) if i != KILL_POINT}
     # quarantine is surfaced in the report, not buried
     report = result.to_report()
     (entry,) = report["execution"]["quarantined"]
+    assert set(entry) == {"id", "failures", "error"}
     assert entry["id"] == f"x={KILL_POINT}"
     assert entry["failures"] >= 2
     assert "quarantined" in entry["error"]
     assert result.failed == quarantined
+
+
+def test_slow_point_outliving_the_lease_completes_in_its_last_run():
+    """The lease kills the slow point's worker until the point is
+    implicated in ``quarantine_after`` deaths; its last run has no lease."""
+    sweep = Sweep("slow", slow_task, [{"x": i} for i in range(4)], seed=3)
+    result = run_sweep(
+        sweep, workers=2, executor=WorkQueueExecutor(workers=2, lease_s=0.3)
+    )
+    assert result.ok
+    assert result.worker_restarts >= 2
+    assert result.quarantined == []
+    assert result.payload() == run_sweep(sweep, workers=1).payload()
+
+
+def test_wedged_point_is_quarantined_when_its_last_run_overruns():
+    """With a per-point timeout the last run is bounded at timeout + 5 s."""
+    sweep = Sweep("wedge", wedge_task, [{"x": i} for i in range(4)], seed=3)
+    started = time.monotonic()
+    result = run_sweep(
+        sweep, workers=2, timeout=0.2,
+        executor=WorkQueueExecutor(workers=2, lease_s=0.3),
+    )
+    assert time.monotonic() - started < 30.0
+    (entry,) = result.quarantined
+    assert entry["id"] == f"x={KILL_POINT}" and entry["failures"] >= 2
+    assert "wedged its last run past 5.2s" in entry["error"]
+    assert [o.ok for o in result.outcomes] == [True, True, False, True]
 
 
 MAIN_TASK_SCRIPT = textwrap.dedent("""
@@ -260,7 +305,7 @@ MAIN_TASK_SCRIPT = textwrap.dedent("""
     WorkQueueExecutor._spawn_worker = counting_spawn
     sweep = Sweep("main_task", task, [{"x": i} for i in range(8)])
     try:
-        run_sweep(sweep, workers=int(sys.argv[1]), chunk_size=2)
+        run_sweep(sweep, workers=int(sys.argv[1]))
         outcome = "ran"
     except SweepError as exc:
         outcome = str(exc)
@@ -299,14 +344,12 @@ def test_chaos_smoke_randomized_plans():
     sweep = Sweep(
         "chaos_smoke", plain_task, [{"x": i} for i in range(16)], seed=21
     )
-    baseline = run_sweep(sweep, workers=1, chunk_size=2)
+    baseline = run_sweep(sweep, workers=1)
     for seed in range(3):
         plan = ChaosPlan.random(
-            seed=seed, chunk_count=8, kill_rate=0.4, stall_rate=0.25
+            seed=seed, point_count=16, kill_rate=0.4, stall_rate=0.25
         )
-        result, monkey = run_chaos_sweep(
-            sweep, plan, workers=2, chunk_size=2
-        )
+        result, monkey = run_chaos_sweep(sweep, plan, workers=2)
         assert_no_lost_or_duplicated(result, sweep)
         assert result.digest() == baseline.digest(), (
             f"chaos seed {seed} diverged (struck: {monkey.log})"

@@ -2,8 +2,9 @@
 
 The sweep engine's contract is that results are a pure function of the
 sweep spec — independent of worker count, scheduling, and which process
-evaluated which chunk.  These properties drive randomly shaped grids
-through serial and work-queue execution and require byte-equal payloads.
+(so which solver memo) evaluated which point.  These properties drive
+randomly shaped grids through serial and work-queue execution and
+require byte-equal payloads.
 """
 
 from hypothesis import given, settings
@@ -44,13 +45,12 @@ def test_serial_payload_is_pure(axes, seed):
     axes=grids,
     seed=st.integers(0, 2**16),
     workers=st.integers(2, 3),
-    chunk_size=st.integers(1, 5),
 )
-def test_parallel_equals_serial_bit_identical(axes, seed, workers, chunk_size):
-    """Any worker count, any chunk size: payloads match the serial run."""
+def test_parallel_equals_serial_bit_identical(axes, seed, workers):
+    """Any worker count: payloads match the serial run."""
     sweep = Sweep.grid("prop_par", arith_task, axes=axes, seed=seed)
-    serial = run_sweep(sweep, workers=1, chunk_size=chunk_size)
-    parallel = run_sweep(sweep, workers=workers, chunk_size=chunk_size)
+    serial = run_sweep(sweep, workers=1)
+    parallel = run_sweep(sweep, workers=workers)
     assert parallel.digest() == serial.digest()
     assert parallel.payload() == serial.payload()
     assert [o.id for o in parallel.outcomes] == [p.id for p in sweep.points]
@@ -61,8 +61,8 @@ def test_parallel_equals_serial_bit_identical(axes, seed, workers, chunk_size):
 def test_real_task_parallel_equals_serial(etas):
     """The property holds for a real analysis task, not just arithmetic."""
     sweep = Sweep.grid("prop_fig8", fig8_min_buffer, axes={"eta": etas})
-    serial = run_sweep(sweep, workers=1, chunk_size=2)
-    parallel = run_sweep(sweep, workers=2, chunk_size=2)
+    serial = run_sweep(sweep, workers=1)
+    parallel = run_sweep(sweep, workers=2)
     assert parallel.digest() == serial.digest()
 
 
@@ -92,50 +92,36 @@ def test_task_receives_derived_seed(axes, seed):
 @given(
     axes=grids,
     seed=st.integers(0, 2**16),
-    chunk_size=st.integers(1, 4),
     stop_after=st.integers(1, 3),
 )
-def test_serial_pool_and_resumed_runs_coincide(
-    axes, seed, chunk_size, stop_after
-):
+def test_serial_pool_and_resumed_runs_coincide(axes, seed, stop_after):
     """serial ≡ parallel ≡ interrupted-then-resumed, for arbitrary grids.
 
     The parallel run is the work queue's worker pool.  The crash/resume
     history is part of the quantifier: we interrupt a stored run after
-    ``stop_after`` chunks and resume it, and the result must still be
-    byte-identical to both the serial and the parallel run.
+    ``stop_after`` points and resume it on the queue, and the result must
+    still be byte-identical to both the serial and the parallel run.
     """
     import tempfile
 
     from repro.exp import SweepInterrupted
 
     sweep = Sweep.grid("prop_resume", arith_task, axes=axes, seed=seed)
-    serial = run_sweep(sweep, workers=1, chunk_size=chunk_size)
-    parallel = run_sweep(sweep, workers=2, chunk_size=chunk_size)
+    serial = run_sweep(sweep, workers=1)
+    parallel = run_sweep(sweep, workers=2)
     assert parallel.mode == "work-queue"
     assert parallel.digest() == serial.digest()
     assert parallel.payload() == serial.payload()
 
     with tempfile.TemporaryDirectory() as store:
         try:
-            run_sweep(
-                sweep,
-                workers=1,
-                chunk_size=chunk_size,
-                store=store,
-                interrupt_after=stop_after,
-            )
-            interrupted = False  # fewer chunks than stop_after: ran through
+            run_sweep(sweep, workers=1, store=store, interrupt_after=stop_after)
+            interrupted = False  # no more points than stop_after: ran through
         except SweepInterrupted:
             interrupted = True
-        resumed = run_sweep(
-            sweep,
-            workers=1,
-            chunk_size=chunk_size,
-            store=store,
-            resume=interrupted,
+        resumed = run_sweep(sweep, workers=2, store=store, resume=interrupted)
+        assert resumed.store_hits == (
+            stop_after if interrupted else len(sweep.points)
         )
-        if interrupted:
-            assert resumed.resumed_chunks >= stop_after
         assert resumed.digest() == serial.digest()
         assert resumed.payload() == serial.payload()

@@ -7,7 +7,6 @@ import pytest
 from repro.core import (
     AcceleratorSpec,
     GatewaySystem,
-    ParameterError,
     StreamSpec,
     compute_block_sizes,
 )
@@ -114,13 +113,11 @@ def test_cache_plugs_into_scenario_solve():
     assert all(s.block_size is not None for s in a.system.streams)
 
 
-@pytest.mark.parametrize("eta_max", [None, 4096])
-def test_eta_max_flows_through(eta_max):
-    result = SolverCache().resolve(make_system(), eta_max=eta_max)
-    assert all(v >= 1 for v in result.block_sizes.values())
-    top = max(result.block_sizes.values())
-    with pytest.raises(ParameterError, match="eta_max"):
-        SolverCache().resolve(make_system(), eta_max=top - 1)
+def test_resolve_takes_no_cap():
+    """The memo key is the constraint set, which a cap is not part of: a
+    capped call answered from an uncapped entry would skip the cap."""
+    with pytest.raises(TypeError):
+        SolverCache().resolve(make_system(), eta_max=7)
 
 
 # ---------------------------------------------------------------------------

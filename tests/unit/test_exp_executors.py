@@ -2,6 +2,7 @@
 per-point cleanup."""
 
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -14,7 +15,8 @@ from repro.exp import (
     run_sweep,
 )
 from repro.exp.executors import StopExecution
-from repro.exp.runner import ChunkRunner
+from repro.exp.runner import PointRunner
+from repro.exp.tasks import scalability_blocksizes
 
 
 def square_task(params, ctx):
@@ -25,12 +27,8 @@ def make_sweep(n=6):
     return Sweep("backends", square_task, [{"x": i} for i in range(n)], seed=11)
 
 
-def make_jobs(sweep, size=2):
-    pts = sweep.points
-    return [
-        (i, tuple(pts[lo : lo + size]))
-        for i, lo in enumerate(range(0, len(pts), size))
-    ]
+def make_jobs(sweep):
+    return list(enumerate(sweep.points))
 
 
 # -- resolve_executor ---------------------------------------------------------
@@ -63,30 +61,33 @@ def test_resolver_rejects_unknown_backend():
 # -- shared contract ----------------------------------------------------------
 
 def collect(backend, sweep, **runner_kwargs):
-    runner = ChunkRunner(task=sweep.task, **runner_kwargs)
+    runner = PointRunner(task=sweep.task, **runner_kwargs)
     landed = {}
 
-    def on_chunk(index, outcomes, stats):
-        assert index not in landed, "chunk delivered twice"
-        landed[index] = outcomes
+    def on_point(index, outcome, stats):
+        assert index not in landed, "point delivered twice"
+        landed[index] = outcome
 
-    info = backend.run(make_jobs(sweep), runner, on_chunk)
+    info = backend.run(make_jobs(sweep), runner, on_point)
     return landed, info
 
 
-def test_serial_runs_chunks_in_order():
+def test_serial_runs_points_in_order():
     sweep = make_sweep()
-    landed, info = collect(SerialExecutor(), sweep)
-    assert sorted(landed) == [0, 1, 2]
+    order = []
+    info = SerialExecutor().run(
+        make_jobs(sweep)[::-1], PointRunner(task=sweep.task),
+        lambda index, outcome, stats: order.append((index, outcome.id)),
+    )
+    assert order == [(i, f"x={i}") for i in range(6)]
     assert info["mode"] == "serial"
     assert not info["degraded"] and not info["stopped"]
-    assert [o.id for o in landed[0]] == ["x=0", "x=1"]
 
 
 @pytest.mark.parametrize(
     "backend_name,backend",
     [
-        # more workers than the three chunks: only three may start
+        # more workers than the three points: only three may start
         ("surplus-workers", WorkQueueExecutor(workers=5, poll_s=0.01)),
         ("queue", WorkQueueExecutor(workers=2, poll_s=0.01)),
     ],
@@ -100,7 +101,7 @@ def test_parallel_backends_match_serial_exactly(backend_name, backend, monkeypat
         return real_spawn(self, root)
 
     monkeypatch.setattr(WorkQueueExecutor, "_spawn_worker", counting_spawn)
-    sweep = make_sweep()
+    sweep = make_sweep(3)
     serial_landed, _ = collect(SerialExecutor(), sweep)
     landed, info = collect(backend, sweep)
     assert info["mode"] == "work-queue"
@@ -108,9 +109,7 @@ def test_parallel_backends_match_serial_exactly(backend_name, backend, monkeypat
     assert info["worker_restarts"] == 0
     assert sorted(landed) == sorted(serial_landed)
     for index in serial_landed:
-        assert [o.payload() for o in landed[index]] == [
-            o.payload() for o in serial_landed[index]
-        ]
+        assert landed[index].payload() == serial_landed[index].payload()
     assert info["quarantined"] == []
 
 
@@ -118,12 +117,12 @@ def test_stop_execution_halts_serial_backend():
     sweep = make_sweep()
     seen = []
 
-    def on_chunk(index, outcomes, stats):
+    def on_point(index, outcome, stats):
         seen.append(index)
         raise StopExecution()
 
     info = SerialExecutor().run(
-        make_jobs(sweep), ChunkRunner(task=sweep.task), on_chunk
+        make_jobs(sweep), PointRunner(task=sweep.task), on_point
     )
     assert seen == [0]
     assert info["stopped"] is True
@@ -138,6 +137,23 @@ def test_engine_maps_executor_names_to_modes():
     assert queued.digest() == serial.digest()
     with pytest.raises(TypeError):
         run_sweep(sweep, workers=2, executor="queue")
+
+
+# -- the sweep memo -----------------------------------------------------------
+
+def test_memo_lives_for_one_sweep_per_process_and_is_never_pickled():
+    """Replicas of one system share a memo across points, each sweep run
+    starts its own, and a pickled runner arrives without one."""
+    sweep = Sweep.grid("memo", scalability_blocksizes,
+                       axes={"streams": [3], "replica": [0, 1, 2]})
+    runner = PointRunner(task=sweep.task)
+    stats = [runner.run(point)[1] for point in sweep.points]
+    assert [(s["hits"], s["misses"]) for s in stats] == [(0, 1), (1, 0), (1, 0)]
+    clone = pickle.loads(pickle.dumps(runner))
+    assert clone == runner and len(clone._memo) == 0
+    for _ in range(2):
+        assert run_sweep(sweep, workers=1).cache["hits"] == 2
+    assert run_sweep(sweep, workers=1, cache=False).cache["lookups"] == 0
 
 
 # -- per-point cleanup --------------------------------------------------------
@@ -196,7 +212,7 @@ def test_point_garbage_is_collected_before_the_next_point():
 def test_runner_unfreezes_when_a_point_escapes():
     was_enabled = gc.isenabled()
     with pytest.raises(_Abort):
-        ChunkRunner(task=abort_task).run(make_sweep(2).points)
+        PointRunner(task=abort_task).run(make_sweep(2).points[0])
     assert gc.get_freeze_count() == 0
     assert gc.isenabled() == was_enabled
     result = run_sweep(make_sweep(2), workers=1)

@@ -205,27 +205,13 @@ def test_task_sees_point_seed():
     assert result.outcomes[0].value["seed"] == point_seed(11, "seeded", "a=1")
 
 
-# -- chunking -----------------------------------------------------------------
-
-def test_chunk_size_default_is_constant():
-    from repro.exp.engine import DEFAULT_CHUNK_SIZE
-
-    assert DEFAULT_CHUNK_SIZE == 4
-    sweep = Sweep.grid("g", echo_task, axes={"a": list(range(9))})
-    result = run_sweep(sweep, workers=1)
-    assert result.chunk_size == DEFAULT_CHUNK_SIZE
-
+# -- point order --------------------------------------------------------------
 
 def test_outcomes_keep_sweep_order_regardless_of_chunking():
+    """Points land in any order on the queue; the merge is in sweep order."""
     sweep = Sweep.grid("g", echo_task, axes={"a": list(range(10))})
-    result = run_sweep(sweep, workers=1, chunk_size=3)
+    result = run_sweep(sweep, workers=2)
     assert [o.params["a"] for o in result.outcomes] == list(range(10))
-
-
-def test_invalid_chunk_size_rejected():
-    sweep = Sweep("s", echo_task, [{"a": 1}])
-    with pytest.raises(SweepError, match="chunk_size"):
-        run_sweep(sweep, workers=1, chunk_size=0)
 
 
 def test_real_task_runs_serially():
@@ -306,15 +292,16 @@ def test_point_timeout_without_outer_itimer_disarms():
 
 def test_report_records_worker_attribution():
     sweep = Sweep.grid("fig8", fig8_min_buffer, axes={"eta": [1, 5, 9]})
-    result = run_sweep(sweep, workers=1, chunk_size=2)
+    result = run_sweep(sweep, workers=1)
     report = result.to_report()
     execution = report["execution"]
     assert execution["requested_workers"] == 1
     assert execution["workers"] == 1
     assert execution["effective_workers"] == 1
     assert execution["mode"] == "serial"
-    assert execution["chunk_count"] == 2
     assert execution["cpu_count"] == os.cpu_count()
+    # the point is the only unit of work: no grouping is reported
+    assert not [key for key in execution if "chunk" in key]
 
 
 def test_engine_picked_workers_recorded_as_unrequested():
@@ -324,7 +311,7 @@ def test_engine_picked_workers_recorded_as_unrequested():
     assert execution["requested_workers"] is None
     assert execution["workers"] >= 1
     # effective workers never exceeds the work available
-    assert execution["effective_workers"] <= max(1, execution["chunk_count"])
+    assert execution["effective_workers"] <= len(result.outcomes)
 
 
 # -- portable timeout fallback + retry attribution -------------------------
