@@ -154,22 +154,43 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    """Full analysis of a user-supplied gateway system (JSON config)."""
+def _read_system(path: str):
+    """The system config at ``path``, or ``None`` after one ``error:`` line."""
     from pathlib import Path
 
+    from .core import ParameterError, load_system
+
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        print(f"error: cannot read system config {path}: {exc}", file=sys.stderr)
+        return None
+    try:
+        return load_system(text)
+    except ParameterError as exc:
+        print(f"error: invalid system config {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    """Full analysis of a user-supplied gateway system (JSON config).
+
+    Exits 1 when the system is infeasible or fails verification, 2 when
+    the config cannot be read or parsed.
+    """
     from .core import (
         analyze_utilization,
         compute_block_sizes,
         gamma,
-        load_system,
         sample_latency_bound,
         sharing_load,
         tau_hat,
         verify_system,
     )
 
-    system = load_system(Path(args.config).read_text())
+    system = _read_system(args.config)
+    if system is None:
+        return 2
     load = sharing_load(system)
     print(f"aggregate load c0·Σμ = {float(load):.4f}")
     if load >= 1:
@@ -611,19 +632,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     import asyncio
     import json
-    from pathlib import Path
 
-    from .core import ParameterError, load_system
+    from .core import ParameterError
     from .serve import AdmissionService, serve_forever, smoke_session
 
-    try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"error: cannot read system config {args.config}: {exc}",
-              file=sys.stderr)
+    system = _read_system(args.config)
+    if system is None:
         return 2
     try:
-        system = load_system(text)
         service = AdmissionService(system, queue_depth=args.queue_depth)
     except ParameterError as exc:
         print(f"error: invalid system config {args.config}: {exc}",

@@ -43,7 +43,7 @@ raw :class:`~repro.core.params.GatewaySystem` descriptions.  A
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -79,8 +79,6 @@ class Scenario:
     max_cycles: int | None = None
     poll_interval: int = 1
     trace: bool = True
-    trace_mode: str = "full"
-    trace_capacity: int | None = None
     context_mode: str = "software"
     no_fastpath: bool = False
 
@@ -138,18 +136,9 @@ class Scenario:
                 )
         return replace(self, max_cycles=max_cycles)
 
-    def with_trace(
-        self, trace: bool, mode: str = "full", capacity: int | None = None
-    ) -> "Scenario":
-        """Toggle the structured tracer (mode, and ring capacity in events)."""
-        if capacity is not None:
-            capacity = int(capacity)
-            if capacity < 1:
-                raise ParameterError(
-                    f"trace capacity must be >= 1 (or None), got {capacity}"
-                )
-        return replace(self, trace=trace, trace_mode=mode,
-                       trace_capacity=capacity)
+    def with_trace(self, trace: bool) -> "Scenario":
+        """Toggle the per-block structured trace (``Kind.METRICS``)."""
+        return replace(self, trace=trace)
 
     def with_no_fastpath(self, no_fastpath: bool = True) -> "Scenario":
         """Disable the ring's fused fast path for this run (differential use)."""
@@ -205,8 +194,6 @@ class Scenario:
         kwargs: dict[str, Any] = {
             "blocks": self.blocks,
             "trace": self.trace,
-            "trace_mode": self.trace_mode,
-            "trace_capacity": self.trace_capacity,
             "poll_interval": self.poll_interval,
             "context_mode": self.context_mode,
             "faults": self.faults,
@@ -257,7 +244,6 @@ class RunResult:
     scenario: Scenario
     run: Any  # repro.arch.harness.SimulationRun (kept Any: arch imports api-free)
     solver: BlockSizeResult | None = None
-    _metrics: dict[str, StreamMetrics] | None = field(default=None, repr=False)
 
     # -- raw views -------------------------------------------------------
     @property
@@ -279,10 +265,8 @@ class RunResult:
         return self.run.chain
 
     def metrics(self) -> dict[str, StreamMetrics]:
-        """Per-stream observed metrics (cached: derivation walks the trace)."""
-        if self._metrics is None:
-            self._metrics = self.run.metrics()
-        return self._metrics
+        """Per-stream observed metrics, derived from the run's counters."""
+        return self.run.metrics()
 
     def utilization(self) -> GatewayUtilization:
         return self.run.utilization()

@@ -36,7 +36,6 @@ from ..accel import (
     synthesize_pal_baseband,
 )
 from ..arch import Compute, Get, MPSoC, Put, TaskSpec
-from ..sim import Kind
 
 __all__ = ["PalDecoderConfig", "decode_functional", "build_pal_soc", "run_pal_on_soc",
            "PalSocHandles"]
@@ -126,13 +125,8 @@ class PalSocHandles:
     collected: dict[str, list]
 
     def stream_metrics(self) -> dict:
-        """Observed per-stream :class:`~repro.sim.StreamMetrics`.
-
-        Trace-derived quantities (observed sample latency) are populated
-        when the SoC was built with ``trace=True``.
-        """
-        tracer = self.soc.tracer if self.soc.tracer.enabled else None
-        return self.chain.stream_metrics(tracer)
+        """Observed per-stream :class:`~repro.sim.StreamMetrics`."""
+        return self.chain.stream_metrics()
 
     def utilization(self) -> object:
         """Entry-gateway :class:`~repro.sim.GatewayUtilization` so far."""
@@ -142,9 +136,6 @@ class PalSocHandles:
 def build_pal_soc(
     config: PalDecoderConfig,
     baseband: np.ndarray,
-    trace: bool = False,
-    trace_mode: str = "ring",
-    trace_capacity: int | None = 65536,
 ) -> PalSocHandles:
     """Wire the Fig. 10 task graph onto the shared-accelerator MPSoC.
 
@@ -163,9 +154,7 @@ def build_pal_soc(
     stage-2 inputs ("passed … to a processing tile or entry-gateway").
     """
     n = len(baseband)
-    soc = MPSoC(n_stations=8, trace=trace,
-                trace_kinds=Kind.METRICS if trace else None,
-                trace_mode=trace_mode, trace_capacity=trace_capacity)
+    soc = MPSoC(n_stations=8)
     producer = soc.add_processor("fe")       # front-end feeder, station 0
     consumer = soc.add_processor("audio")    # stereo task, station 1
 

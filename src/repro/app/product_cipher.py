@@ -34,7 +34,6 @@ from ..accel.cipher import (
 )
 from ..arch import Compute, Get, MPSoC, Put, TaskSpec
 from ..core import AcceleratorSpec, GatewaySystem, ParameterError, StreamSpec
-from ..sim import Kind
 
 if TYPE_CHECKING:  # pragma: no cover - numpy is imported where it computes
     import numpy as np
@@ -166,16 +165,12 @@ class CipherSocHandles:
     collected: dict[str, list]
 
     def stream_metrics(self) -> dict:
-        tracer = self.soc.tracer if self.soc.tracer.enabled else None
-        return self.chain.stream_metrics(tracer)
+        return self.chain.stream_metrics()
 
 
 def build_cipher_soc(
     config: ProductCipherConfig,
     plaintexts: dict[str, np.ndarray],
-    trace: bool = False,
-    trace_mode: str = "ring",
-    trace_capacity: int | None = 65536,
 ) -> CipherSocHandles:
     """Wire the cipher sessions onto the shared three-tile MPSoC.
 
@@ -195,9 +190,7 @@ def build_cipher_soc(
                 f"number of η={config.eta} blocks"
             )
 
-    soc = MPSoC(n_stations=7, trace=trace,
-                trace_kinds=Kind.METRICS if trace else None,
-                trace_mode=trace_mode, trace_capacity=trace_capacity)
+    soc = MPSoC(n_stations=7)
     producer = soc.add_processor("keysrc")
     consumer = soc.add_processor("sink")
     entry_station = 2

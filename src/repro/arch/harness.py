@@ -36,7 +36,6 @@ from ..sim.metrics import (
     StreamMetrics,
     fastpath_summary,
     gateway_utilization,
-    stream_metrics,
 )
 from ..sim import Signal, SimulationError, Simulator
 from ..sim.faults import (
@@ -83,11 +82,7 @@ class SimulationRun:
 
     def metrics(self) -> dict[str, StreamMetrics]:
         """Per-stream observed metrics, in round-robin order."""
-        tracer = self.soc.tracer if self.soc.tracer.enabled else None
-        return {
-            name: stream_metrics(binding, tracer)
-            for name, binding in self.chain.bindings.items()
-        }
+        return self.chain.stream_metrics()
 
     def utilization(self) -> GatewayUtilization:
         """Entry-gateway cycle breakdown over the run."""
@@ -207,8 +202,6 @@ def simulate_system(
     system: GatewaySystem,
     blocks: int = 4,
     trace: bool = True,
-    trace_mode: str = "full",
-    trace_capacity: int | None = None,
     poll_interval: int = 1,
     context_mode: str = "software",
     faults: FaultPlan | None = None,
@@ -259,8 +252,6 @@ def simulate_system(
         n_stations=4 + len(kernels),
         trace=trace,
         trace_kinds=Kind.METRICS if trace else None,
-        trace_mode=trace_mode,
-        trace_capacity=trace_capacity,
     )
     if no_fastpath:
         # per-run override of the fused ring fast path (the differential

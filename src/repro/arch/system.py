@@ -80,15 +80,12 @@ class SharedChain:
                                   "tile_remapped", spare=spare.name,
                                   position=idx)
 
-    def stream_metrics(self, tracer: Tracer | None = None) -> dict:
-        """Per-stream :class:`~repro.sim.metrics.StreamMetrics`.
-
-        Pass the owning :class:`MPSoC`'s tracer to additionally derive
-        trace-based quantities (observed sample latency).
-        """
+    def stream_metrics(self) -> dict:
+        """Per-stream :class:`~repro.sim.metrics.StreamMetrics`, from the
+        bindings' counters, in round-robin order."""
         from ..sim.metrics import stream_metrics
 
-        return {name: stream_metrics(b, tracer) for name, b in self.bindings.items()}
+        return {name: stream_metrics(b) for name, b in self.bindings.items()}
 
     def utilization_breakdown(self, horizon: int):
         """Entry-gateway :class:`~repro.sim.metrics.GatewayUtilization`."""
@@ -130,12 +127,9 @@ class MPSoC:
         config_bus_word_time: int = 1,
         trace: bool = False,
         trace_kinds: "set[str] | frozenset[str] | None" = None,
-        trace_mode: str = "full",
-        trace_capacity: int | None = None,
     ) -> None:
         self.sim = Simulator()
-        self.tracer = Tracer(enabled=trace, kinds=trace_kinds, mode=trace_mode,
-                             capacity=trace_capacity)
+        self.tracer = Tracer(enabled=trace, kinds=trace_kinds)
         self.ring = DualRing(self.sim, n_stations, hop_latency=hop_latency,
                              tracer=self.tracer if trace else None)
         self.config_bus = ConfigBus(self.sim, word_time=config_bus_word_time,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Iterable
 
-from ..sim.metrics import StreamMetrics
+from ..sim.metrics import StreamMetrics, block_quantities
 from .params import GatewaySystem, ParameterError
 from .timing import (
     epsilon_hat,
@@ -422,12 +422,9 @@ def _window_metrics(
 ) -> StreamMetrics:
     """Per-window :class:`StreamMetrics` rebuilt from sliced timestamps."""
     n = len(completions)
-    block_times = tuple(c - a for a, c in zip(admissions, completions))
-    waits = tuple(a - c for c, a in zip(completions, admissions[1:]))
-    turnarounds = tuple(c2 - c1 for c1, c2 in zip(completions, completions[1:]))
-    throughput = None
-    if n >= 2 and completions[-1] > completions[0]:
-        throughput = Fraction(eta * (n - 1), completions[-1] - completions[0])
+    block_times, waits, turnarounds, throughput = block_quantities(
+        eta, admissions, completions
+    )
     return StreamMetrics(
         name=name,
         eta=eta,

@@ -176,7 +176,8 @@ class WorkQueueExecutor(Executor):
     max_restarts: total replacement workers the parent may spawn before
         declaring the fleet unsustainable and degrading to serial.
     quarantine_after: per-point worker-death count that triggers the
-        point's last run, alone in a process of its own.
+        point's last run, alone in a process of its own (one death, once
+        no worker is left to retry the point).
     poll_s: parent poll interval.
     chaos: optional :class:`repro.exp.chaos.ChaosMonkey` consulted when a
         claim's owner is first read — test-only fault injection, never
@@ -328,10 +329,12 @@ class WorkQueueExecutor(Executor):
                         restarts += 1
                         live.append(self._spawn_worker(root))
                 procs = live
-                # 5. a point that keeps killing workers gets one last run
+                # 5. a point that keeps killing workers gets one last run;
+                # once no worker is left one death suffices, so step 6
+                # never runs a point that has killed a process in this one
                 for index in [
                     i for i in sorted(pending)
-                    if crashes.get(i, 0) >= self.quarantine_after
+                    if crashes.get(i, 0) >= (self.quarantine_after if procs else 1)
                 ]:
                     self._steal_task(root, index)
                     outcome, stats = self._last_run(

@@ -26,7 +26,6 @@ from .metrics import (
     fastpath_summary,
     gateway_utilization,
     metrics_table,
-    observed_sample_latency,
     stream_metrics,
 )
 from .queues import FifoQueue, Signal
@@ -60,6 +59,5 @@ __all__ = [
     "fastpath_summary",
     "gateway_utilization",
     "metrics_table",
-    "observed_sample_latency",
     "stream_metrics",
 ]

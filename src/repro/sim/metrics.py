@@ -3,12 +3,12 @@
 This is the measurement half of the observability layer: it turns the raw
 counters and timestamp lists accumulated by the architecture components
 (:class:`~repro.arch.gateway.StreamBinding`, :class:`~repro.arch.cfifo.CFifo`,
-:class:`~repro.arch.gateway.EntryGateway`) plus the structured trace
-(:class:`~repro.sim.trace.Tracer`) into the quantities the paper's analysis
-bounds: observed block processing time (vs. Eq. 2), round-robin wait
-(vs. Eq. 3), block turnaround (vs. Eq. 4) and achieved throughput
-(vs. Eq. 5).  :mod:`repro.core.conformance` compares these observations
-against the closed-form bounds.
+:class:`~repro.arch.gateway.EntryGateway`) into the quantities the paper's
+analysis bounds: observed block processing time (vs. Eq. 2), round-robin
+wait (vs. Eq. 3), block turnaround (vs. Eq. 4) and achieved throughput
+(vs. Eq. 5).  Every one is per block, so a derivation costs O(blocks) and
+never reads the trace.  :mod:`repro.core.conformance` compares these
+observations against the closed-form bounds.
 
 Everything here is duck-typed on the architecture objects (``sim`` must not
 import ``arch``): a *binding* needs ``name``, ``eta``, ``samples_in``,
@@ -21,16 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable
-
-from .trace import Kind, Tracer
+from typing import Any, Iterable, Sequence
 
 __all__ = [
     "StreamMetrics",
     "GatewayUtilization",
+    "block_quantities",
     "stream_metrics",
     "gateway_utilization",
-    "observed_sample_latency",
     "fastpath_summary",
     "metrics_table",
 ]
@@ -64,7 +62,6 @@ class StreamMetrics:
     last_output_at: int | None
     in_high_water: int | None
     out_high_water: int | None
-    worst_sample_latency: int | None = None
 
     # -- recovery quantities (all zero/False on a fault-free run) --------
     retries: int = 0
@@ -139,7 +136,6 @@ class StreamMetrics:
             "last_output_at": self.last_output_at,
             "in_high_water": self.in_high_water,
             "out_high_water": self.out_high_water,
-            "worst_sample_latency": self.worst_sample_latency,
         }
 
 
@@ -185,26 +181,31 @@ class GatewayUtilization:
         }
 
 
-def stream_metrics(binding: Any, tracer: Tracer | None = None) -> StreamMetrics:
-    """Derive :class:`StreamMetrics` from one stream binding.
+def block_quantities(
+    eta: int, admissions: Sequence[int], completions: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], Fraction | None]:
+    """Block times, waits, turnarounds and throughput of one stream.
 
-    When a ``tracer`` with stored C-FIFO ``put`` records is given, the
-    observed worst-case sample latency (input put → block completion) is
-    included; it is only meaningful when the producer is rate-limited
-    rather than backlogged.
+    ``admissions[i]`` and ``completions[i]`` are block ``i``'s admission
+    and completion times; an admission past the last completion is a block
+    still in flight and yields nothing.  See :class:`StreamMetrics` for
+    what each quantity observes.
     """
-    admissions = list(binding.admissions)
-    completions = list(binding.completions)
     n = len(completions)
     block_times = tuple(c - a for a, c in zip(admissions, completions))
     waits = tuple(a - c for c, a in zip(completions, admissions[1:]))
     turnarounds = tuple(c2 - c1 for c1, c2 in zip(completions, completions[1:]))
     throughput: Fraction | None = None
     if n >= 2 and completions[-1] > completions[0]:
-        throughput = Fraction(binding.eta * (n - 1), completions[-1] - completions[0])
-    latency = None
-    if tracer is not None:
-        latency = observed_sample_latency(tracer, binding)
+        throughput = Fraction(eta * (n - 1), completions[-1] - completions[0])
+    return block_times, waits, turnarounds, throughput
+
+
+def stream_metrics(binding: Any) -> StreamMetrics:
+    """Derive :class:`StreamMetrics` from one stream binding's counters."""
+    block_times, waits, turnarounds, throughput = block_quantities(
+        binding.eta, list(binding.admissions), list(binding.completions)
+    )
     return StreamMetrics(
         name=binding.name,
         eta=binding.eta,
@@ -219,7 +220,6 @@ def stream_metrics(binding: Any, tracer: Tracer | None = None) -> StreamMetrics:
         last_output_at=binding.last_output_at,
         in_high_water=getattr(getattr(binding, "in_fifo", None), "high_water", None),
         out_high_water=getattr(getattr(binding, "out_fifo", None), "high_water", None),
-        worst_sample_latency=latency,
         retries=getattr(binding, "retries", 0),
         watchdog_timeouts=getattr(binding, "watchdog_timeouts", 0),
         recovery_cycles=getattr(binding, "recovery_cycles", 0),
@@ -227,35 +227,6 @@ def stream_metrics(binding: Any, tracer: Tracer | None = None) -> StreamMetrics:
         degraded_cycles=getattr(binding, "degraded_cycles", 0),
         failed=getattr(binding, "failed", False),
     )
-
-
-def observed_sample_latency(tracer: Tracer, binding: Any) -> int | None:
-    """Worst observed put-to-completion latency over completed blocks.
-
-    The j-th word put into the stream's input C-FIFO belongs to block
-    ``j // η``; its latency is that block's completion time minus the put
-    time.  Returns ``None`` when the trace has no usable ``put`` records
-    (tracing disabled, ring-evicted, or aggregate mode).
-    """
-    in_fifo = getattr(binding, "in_fifo", None)
-    if in_fifo is None:
-        return None
-    if tracer.dropped:
-        # ring eviction broke the positional word -> block correspondence
-        return None
-    puts = tracer.times(Kind.PUT, in_fifo.name)
-    completions = list(binding.completions)
-    if not puts or not completions:
-        return None
-    worst = None
-    for j, t_put in enumerate(puts):
-        block = j // binding.eta
-        if block >= len(completions):
-            break
-        lat = completions[block] - t_put
-        if worst is None or lat > worst:
-            worst = lat
-    return worst
 
 
 def gateway_utilization(entry: Any, horizon: int) -> GatewayUtilization:

@@ -1,20 +1,17 @@
 """Event tracing for the architecture simulator.
 
 The tracer records timestamped records of simulator activity (sample
-transfers, block admissions, reconfigurations, stalls).  Records double as
-the measurement substrate for the evaluation: utilization percentages,
-observed throughput, bound-conformance checks and Gantt-chart data are all
-computed from traces.
+transfers, block admissions, reconfigurations, stalls).  The evaluation's
+metrics come from the components' own counters (:mod:`repro.sim.metrics`),
+so nothing in the package reads a trace back: it is the event log a test,
+a benchmark or a user inspects to see what a run did.
 
 :class:`Kind` names the typed record vocabulary emitted by the architecture
-components; :mod:`repro.sim.metrics` consumes it.  A tracer can run in three
-storage modes:
-
-* ``"full"`` — every record kept (the default; what the unit tests inspect),
-* ``"ring"`` — only the newest ``capacity`` records kept (bounded memory for
-  long soak runs; aggregate counters still see every record),
-* ``"aggregate"`` — no records stored at all, only per-(source, kind)
-  counters (production-style always-on observability).
+components.  A tracer keeps every record its filter accepts, in one list;
+the harness filters with :attr:`Kind.METRICS`, which keeps the per-block
+and robustness/reconfiguration records and drops every per-word kind, so
+a harness trace grows with a run's blocks, faults and transitions, not
+with its samples.
 
 Record order is kernel dispatch order: components emit records from event
 callbacks, and the calendar-queue scheduler (see :mod:`repro.sim.kernel`
@@ -27,7 +24,7 @@ and therefore no records.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
@@ -77,8 +74,9 @@ class Kind:
         {STREAM_JOIN, STREAM_LEAVE, TILE_FAILED, TILE_REMAP, MODE_CHANGE}
     )
 
-    #: kinds sufficient for metrics/conformance work (cheap to keep)
-    METRICS = (frozenset({ADMIT, RECONFIGURE, COPY, BLOCK_DONE, PUT, GET})
+    #: what a harness run keeps: one record per block, fault and
+    #: transition, none per word
+    METRICS = (frozenset({ADMIT, RECONFIGURE, COPY, BLOCK_DONE})
                | ROBUSTNESS | RECONFIGURATION)
 
 
@@ -92,14 +90,6 @@ class TraceRecord:
     data: dict[str, Any] = field(default_factory=dict)
 
 
-def _record(row: tuple) -> TraceRecord:
-    """A stored row as a :class:`TraceRecord` (see :meth:`Tracer.log`)."""
-    if len(row) == 5:
-        time, source, kind, name, value = row
-        return TraceRecord(time, source, kind, {name: value})
-    return TraceRecord(*row)
-
-
 class Tracer:
     """A structured, queryable store of :class:`TraceRecord` objects.
 
@@ -109,20 +99,12 @@ class Tracer:
         Master switch; a disabled tracer drops everything.
     kinds:
         Optional allow-list of record kinds (others are dropped entirely).
-    mode:
-        Storage mode: ``"full"``, ``"ring"`` or ``"aggregate"`` (see module
-        docstring).  ``"ring"`` requires ``capacity``.
-    capacity:
-        Ring size for ``mode="ring"``.
 
     The filter (``enabled`` and ``kinds``) is fixed at construction: no
     code assigns either afterwards.  Each emitting component asks
     :meth:`keeps` once, in its own constructor, and holds the tracer only
     when it keeps a kind that component emits, so a filtered-out
-    per-word kind costs no call at all.  Accepted records are stored as
-    plain tuples — ``(time, source, kind, name, value)`` for a record with
-    exactly one data field, ``(time, source, kind, data)`` otherwise — and
-    :class:`TraceRecord` objects are built only when read.
+    per-word kind costs no call at all.
     """
 
     def __init__(
@@ -130,38 +112,14 @@ class Tracer:
         *,
         enabled: bool = True,
         kinds: Iterable[str] | None = None,
-        mode: str = "full",
-        capacity: int | None = None,
     ) -> None:
-        if mode not in ("full", "ring", "aggregate"):
-            raise ValueError(f"unknown tracer mode {mode!r}")
-        if mode == "ring":
-            if capacity is None or capacity < 1:
-                raise ValueError("ring mode needs a positive capacity")
-        elif capacity is not None:
-            raise ValueError(f"capacity is only meaningful in ring mode, not {mode!r}")
         self.enabled = enabled
         self.kinds = set(kinds) if kinds is not None else None
-        self.mode = mode
-        self.capacity = capacity
-        self._rows: deque[tuple] | list[tuple]
-        self._rows = deque(maxlen=capacity) if mode == "ring" else []
-        self.total_logged = 0          # every accepted record, ever
-        self._counts: Counter[tuple[str, str]] = Counter()
+        self.records: list[TraceRecord] = []
 
     def keeps(self, *kinds: str) -> bool:
         """Whether a record of any of ``kinds`` would be accepted."""
         return self.enabled and (self.kinds is None or not self.kinds.isdisjoint(kinds))
-
-    @property
-    def records(self) -> list[TraceRecord]:
-        """Stored records in time order (empty in aggregate mode)."""
-        return [_record(row) for row in self._rows]
-
-    @property
-    def dropped(self) -> int:
-        """Accepted records no longer stored (ring eviction / aggregate mode)."""
-        return self.total_logged - len(self._rows)
 
     def log(self, time: int, source: str, kind: str, **data: Any) -> None:
         """Record an observation (no-op when disabled or filtered out)."""
@@ -169,14 +127,7 @@ class Tracer:
             return
         if self.kinds is not None and kind not in self.kinds:
             return
-        self.total_logged += 1
-        self._counts[(source, kind)] += 1
-        if self.mode != "aggregate":
-            if len(data) == 1:
-                (name, value), = data.items()
-                self._rows.append((time, source, kind, name, value))
-            else:
-                self._rows.append((time, source, kind, data))
+        self.records.append(TraceRecord(time, source, kind, data))
 
     # -- queries ---------------------------------------------------------
     def query(
@@ -192,23 +143,18 @@ class Tracer:
         ``data_filters`` match against the record's ``data`` payload, e.g.
         ``tracer.query(kind=Kind.ADMIT, stream="ch1.s1")``.
         """
-        for row in self._rows:
-            if kind is not None and row[2] != kind:
+        for r in self.records:
+            if kind is not None and r.kind != kind:
                 continue
-            if source is not None and row[1] != source:
+            if source is not None and r.source != source:
                 continue
-            if since is not None and row[0] < since:
+            if since is not None and r.time < since:
                 continue
-            if until is not None and row[0] > until:
+            if until is not None and r.time > until:
                 continue
-            r = _record(row)
             if any(r.data.get(k) != v for k, v in data_filters.items()):
                 continue
             yield r
-
-    def times(self, kind: str, source: str) -> list[int]:
-        """Times of the stored ``kind`` records from ``source``, in order."""
-        return [row[0] for row in self._rows if row[1] == source and row[2] == kind]
 
     def by_kind(self, kind: str) -> list[TraceRecord]:
         """All stored records of one kind, in time order."""
@@ -226,19 +172,15 @@ class Tracer:
         return found
 
     def count(self, kind: str, source: str | None = None) -> int:
-        """Lifetime count of accepted records (survives ring eviction)."""
-        if source is not None:
-            return self._counts[(source, kind)]
-        return sum(n for (_s, k), n in self._counts.items() if k == kind)
+        """Stored records of ``kind`` (from ``source``, when given)."""
+        return sum(1 for _ in self.query(kind=kind, source=source))
 
     def counts(self) -> dict[tuple[str, str], int]:
-        """Lifetime (source, kind) → count aggregation."""
-        return dict(self._counts)
+        """Stored records per (source, kind)."""
+        return dict(Counter((r.source, r.kind) for r in self.records))
 
     def clear(self) -> None:
-        self._rows.clear()
-        self._counts.clear()
-        self.total_logged = 0
+        self.records.clear()
 
 
 @dataclass(frozen=True)

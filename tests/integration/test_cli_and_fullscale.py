@@ -6,6 +6,7 @@ dataflow check operates with razor-thin slack (η/γ exceeds μ by 2 parts in
 mis-reports the guarantee at this scale).
 """
 
+import pytest
 
 from repro import __main__ as cli
 
@@ -121,6 +122,22 @@ def test_cli_analyze_infeasible_config(tmp_path, capsys):
     code, out = run_cli(["analyze", str(cfg)], capsys)
     assert code == 1
     assert "INFEASIBLE" in out
+
+
+@pytest.mark.parametrize("text", [None, '{"entry_copy": 6,'],
+                         ids=["missing", "malformed"])
+def test_cli_analyze_bad_config_exits_2(tmp_path, capsys, text):
+    """A config that cannot be read or parsed is a usage error (exit 2),
+    told apart from analyze's INFEASIBLE / failed-verification exit 1."""
+    cfg = tmp_path / "system.json"
+    if text is not None:
+        cfg.write_text(text)
+    code = cli.main(["analyze", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    (line,) = err.strip().splitlines()
+    assert line.startswith("error: ") and str(cfg) in line
+    assert "Traceback" not in err
 
 
 SMALL_CFG = (

@@ -15,6 +15,9 @@ These tests actually kill processes.  The invariants under test:
 * a slow but healthy point that outlives the claim lease completes in its
   last run, which no lease polices, while a point that wedges even its
   last run is quarantined once ``timeout + 5 s`` run out;
+* a sweep that runs out of workers degrades to serial in the parent, but
+  a point that has already killed a worker gets its last run in a process
+  of its own, so it cannot kill the parent;
 * a task no fresh worker can import fails the sweep at once instead of
   burning the restart budget and silently degrading to serial.
 """
@@ -41,7 +44,8 @@ from repro.exp import (
 )
 
 KILL_POINT = 2  # the "x" value whose task misbehaves in crashy sweeps
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
 
 
 def plain_task(params, ctx):
@@ -288,6 +292,62 @@ def test_wedged_point_is_quarantined_when_its_last_run_overruns():
     assert [o.ok for o in result.outcomes] == [True, True, False, True]
 
 
+DEGRADE_SCRIPT = textwrap.dedent("""
+    import json, sys
+    from repro.exp import Sweep, WorkQueueExecutor, run_sweep
+    from tests.integration.test_sweep_recovery import poison_task
+
+    sweep = Sweep(
+        "degrade", poison_task,
+        [{"id": f"x={i}", "params": {"x": i, "marks": sys.argv[1]}}
+         for i in range(4)],
+        seed=8,
+    )
+    # one worker and no restart budget: the poison point's first death
+    # leaves no worker, so the rest of the sweep degrades to serial
+    result = run_sweep(
+        sweep, workers=2, executor=WorkQueueExecutor(workers=1, max_restarts=0)
+    )
+    print(json.dumps({
+        "ok": [o.ok for o in result.outcomes],
+        "quarantined": result.quarantined,
+        "degraded": result.degraded,
+    }))
+""")
+
+
+def _child_env():
+    """The test run's environment, able to import repro and this module."""
+    paths = [str(SRC), str(ROOT)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+def test_degraded_sweep_runs_a_crashed_point_only_in_its_own_process(tmp_path):
+    """Run in a child interpreter: a crashed point run in the parent would
+    SIGKILL the process that runs the sweep."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    script = tmp_path / "degrade.py"
+    script.write_text(DEGRADE_SCRIPT)
+    done = subprocess.run(
+        [sys.executable, str(script), str(marks)],
+        capture_output=True, text=True, timeout=120, cwd=ROOT, env=_child_env(),
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["degraded"]
+    assert report["ok"] == [i != KILL_POINT for i in range(4)]
+    (entry,) = report["quarantined"]
+    assert entry["id"] == f"x={KILL_POINT}" and entry["failures"] == 1
+    assert "quarantined" in entry["error"]
+    # the poison point ran twice (its first death and its last run), the
+    # healthy points once each, whichever process ran them
+    runs = {path.name: len(path.read_text()) for path in marks.iterdir()}
+    assert runs == {f"x{i}": 2 if i == KILL_POINT else 1 for i in range(4)}
+
+
 MAIN_TASK_SCRIPT = textwrap.dedent("""
     import json, sys
     from repro.exp import Sweep, SweepError, WorkQueueExecutor, run_sweep
@@ -319,10 +379,7 @@ def test_task_defined_in_main_fails_fast_in_parallel(tmp_path, workers):
     script.write_text(MAIN_TASK_SCRIPT)
     done = subprocess.run(
         [sys.executable, str(script), str(workers)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(SRC)] + ([os.environ["PYTHONPATH"]]
-                          if os.environ.get("PYTHONPATH") else []))},
+        capture_output=True, text=True, timeout=120, env=_child_env(),
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)

@@ -22,8 +22,13 @@ from repro.app.scenarios import build_scenario
 from repro.arch import CFifo, DualRing
 from repro.arch.harness import simulate_system
 from repro.core import AcceleratorSpec, GatewaySystem, StreamSpec
-from repro.sim import FaultInjector, FaultPlan, FaultSpec, Simulator, Tracer
+from repro.sim import FaultInjector, FaultPlan, FaultSpec, Kind, Simulator, Tracer
 from repro.sim.faults import CFIFO_PTR_LOSS, RING_DELAY, RING_DROP
+
+#: the harness keeps only per-block records (``Kind.METRICS``); its
+#: differentials run under this filter instead, so they also compare every
+#: C-FIFO word put and got
+WORD_KINDS = Kind.METRICS | {Kind.PUT, Kind.GET}
 
 
 def canon(records):
@@ -270,7 +275,7 @@ def run_system_mix(system, blocks, specs, seed, fastpath):
     plan = FaultPlan(specs=specs, seed=seed) if specs else None
     # both legs must be env-independent: the differential is fast-vs-slow
     # even when the surrounding test run exports REPRO_NO_FASTPATH=1
-    with mock.patch.dict(os.environ):
+    with mock.patch.dict(os.environ), mock.patch.object(Kind, "METRICS", WORD_KINDS):
         os.environ.pop("REPRO_NO_FASTPATH", None)
         run = simulate_system(system, blocks=blocks, faults=plan,
                               no_fastpath=not fastpath)
@@ -298,6 +303,8 @@ def test_system_fastpath_differential(mix):
     assert fast["fastpath_enabled"] and not slow["fastpath_enabled"]
     fast.pop("fastpath_enabled")
     slow.pop("fastpath_enabled")
+    # the producer's backlog is always put; a dropped flit may stop every get
+    assert Kind.PUT in {kind for _t, _s, kind, _d in fast["trace"]}
     assert fast == slow
 
 
@@ -309,7 +316,7 @@ CORPUS_SEEDS = range(8)
 
 def run_corpus_point(seed, fastpath):
     scenario = build_scenario(f"scenario://generated?seed={seed}")
-    with mock.patch.dict(os.environ):
+    with mock.patch.dict(os.environ), mock.patch.object(Kind, "METRICS", WORD_KINDS):
         os.environ.pop("REPRO_NO_FASTPATH", None)
         run = scenario.with_no_fastpath(not fastpath).build().run
     return {
@@ -333,4 +340,5 @@ def test_corpus_fastpath_differential(seed):
     slow = run_corpus_point(seed, fastpath=False)
     assert fast.pop("slow_flits") == 0
     assert slow.pop("slow_flits") > 0
+    assert {Kind.PUT, Kind.GET} <= {kind for _t, _s, kind, _d in fast["trace"]}
     assert fast == slow

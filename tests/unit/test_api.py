@@ -55,8 +55,9 @@ def test_builders_return_new_frozen_scenarios(small_system):
 
 
 def test_with_trace_sets_mode(small_system):
-    s = Scenario(small_system).with_trace(True, mode="ring")
-    assert (s.trace, s.trace_mode) == (True, "ring")
+    s = Scenario(small_system).with_trace(False)
+    assert (s.trace, Scenario(small_system).trace) == (False, True)
+    assert s.with_trace(True) == Scenario(small_system)
 
 
 def test_solve_is_noop_when_sizes_assigned(small_system):
@@ -89,11 +90,6 @@ def test_build_solves_and_records_solver(unsolved_system):
     result = Scenario(unsolved_system).with_blocks(2).build()
     assert result.solver is not None
     assert result.solver.block_sizes.keys() == {"s0", "s1"}
-
-
-def test_metrics_cached(small_system):
-    result = Scenario(small_system).with_blocks(2).build()
-    assert result.metrics() is result.metrics()
 
 
 def test_conformance_ok_on_clean_run(small_system):
@@ -252,13 +248,6 @@ def test_run_result_clean_property(small_system):
     result = Scenario(small_system).with_blocks(2).build()
     assert result.clean is result.attributed_conformance().fully_attributed
     assert result.clean
-
-
-def test_with_trace_capacity_validated(small_system):
-    s = Scenario(small_system).with_trace(True, mode="ring", capacity=128)
-    assert s.trace_capacity == 128
-    with pytest.raises(ParameterError, match="capacity"):
-        Scenario(small_system).with_trace(True, mode="ring", capacity=0)
 
 
 def test_with_no_fastpath_round_trips(small_system):

@@ -7,13 +7,11 @@ import pytest
 from repro.sim import (
     GatewayUtilization,
     StreamMetrics,
-    Tracer,
     gateway_utilization,
     metrics_table,
-    observed_sample_latency,
     stream_metrics,
 )
-from repro.sim.trace import Kind
+from repro.sim.metrics import block_quantities
 
 
 class FakeFifo:
@@ -54,6 +52,17 @@ def test_stream_metrics_derivations():
     assert m.in_high_water == 7 and m.out_high_water == 3
 
 
+def test_block_quantities_ignore_a_block_in_flight():
+    # block 2 was admitted at 70 but has not completed
+    block_times, waits, turnarounds, throughput = block_quantities(
+        4, [0, 30, 70], [20, 60]
+    )
+    assert block_times == (20, 30)
+    assert waits == (10, 10)
+    assert turnarounds == (40,)
+    assert throughput == Fraction(4, 40)
+
+
 def test_stream_metrics_single_block_no_throughput():
     m = stream_metrics(FakeBinding(admissions=[5], completions=[30]))
     assert m.throughput is None
@@ -69,25 +78,13 @@ def test_stream_metrics_to_dict_json_friendly():
     json.dumps(d)  # must not raise (no Fractions/tuples of oddities)
     assert d["worst_block_time"] == 30
     assert d["throughput"] == pytest.approx(4 * 1 / 60)
-
-
-def test_observed_sample_latency_from_trace():
-    t = Tracer()
-    b = FakeBinding(eta=2, admissions=[10, 40], completions=[30, 60])
-    # words 0,1 -> block 0 (done @30); words 2,3 -> block 1 (done @60)
-    for time in (1, 5, 12, 44):
-        t.log(time, "s.in", Kind.PUT, word=0)
-    # worst case is word 2: put @12, its block completes @60
-    assert observed_sample_latency(t, b) == 60 - 12
-
-
-def test_observed_sample_latency_unusable_after_ring_eviction():
-    t = Tracer(mode="ring", capacity=2)
-    b = FakeBinding(eta=2, admissions=[10], completions=[30])
-    for time in (1, 5, 12):
-        t.log(time, "s.in", Kind.PUT, word=0)
-    assert t.dropped == 1
-    assert observed_sample_latency(t, b) is None
+    # the report's per-stream keys; a fault-free run has no "recovery"
+    assert set(d) == {
+        "name", "eta", "blocks_done", "samples_in", "samples_out",
+        "worst_block_time", "mean_block_time", "worst_wait",
+        "worst_turnaround", "throughput", "first_output_at",
+        "last_output_at", "in_high_water", "out_high_water",
+    }
 
 
 class FakeEntry:

@@ -56,38 +56,6 @@ def test_gantt_row_idle():
 
 
 # ------------------------------------------------------- structured tracer
-def test_tracer_ring_mode_bounded_memory():
-    t = Tracer(mode="ring", capacity=3)
-    for i in range(10):
-        t.log(i, "gw", "put", word=i)
-    assert [r.time for r in t.records] == [7, 8, 9]
-    assert t.total_logged == 10
-    assert t.dropped == 7
-    # lifetime counters survive eviction
-    assert t.count("put") == 10
-
-
-def test_tracer_aggregate_mode_counts_only():
-    t = Tracer(mode="aggregate")
-    for i in range(5):
-        t.log(i, "gw", "admit", stream="s0")
-    t.log(5, "fifo", "get")
-    assert t.records == []
-    assert t.count("admit") == 5
-    assert t.count("get", source="fifo") == 1
-    assert t.counts() == {("gw", "admit"): 5, ("fifo", "get"): 1}
-    assert t.dropped == 6
-
-
-def test_tracer_mode_validation():
-    with pytest.raises(ValueError):
-        Tracer(mode="bogus")
-    with pytest.raises(ValueError):
-        Tracer(mode="ring")  # no capacity
-    with pytest.raises(ValueError):
-        Tracer(mode="full", capacity=8)  # capacity is ring-only
-
-
 def test_tracer_query_filters():
     t = Tracer()
     t.log(0, "gw", "admit", stream="a", block=0)
@@ -107,11 +75,12 @@ def test_tracer_count_by_source():
     t.log(1, "b", "x")
     assert t.count("x") == 2
     assert t.count("x", source="a") == 1
+    assert t.counts() == {("a", "x"): 1, ("b", "x"): 1}
     t.clear()
-    assert t.count("x") == 0 and t.total_logged == 0
+    assert t.count("x") == 0 and t.counts() == {}
 
 
-# ------------------------------------------------------ compact row storage
+# ------------------------------------------------------------ record storage
 def test_single_and_multi_field_rows_read_back_as_records():
     t = Tracer()
     t.log(3, "fifo", "put", word=1.5)
@@ -126,29 +95,16 @@ def test_single_and_multi_field_rows_read_back_as_records():
     assert t.by_source("gw")[0].data == {"stream": "s0", "block": 2}
     assert t.last("put", word=1.5).time == 3
     assert [r.time for r in t.query(word=1.5)] == [3]
-    assert t.times("put", "fifo") == [3]
-    assert t.times("put", "gw") == []
-
-
-def test_ring_mode_evicts_rows_of_both_shapes():
-    t = Tracer(mode="ring", capacity=2)
-    t.log(0, "a", "put", word=0)
-    t.log(1, "a", "admit", stream="s", block=0)
-    t.log(2, "a", "put", word=2)
-    assert t.records == [
-        TraceRecord(1, "a", "admit", {"stream": "s", "block": 0}),
-        TraceRecord(2, "a", "put", {"word": 2}),
-    ]
-    assert t.dropped == 1 and t.total_logged == 3
-    assert t.count("put") == 2
 
 
 def test_keeps_reflects_the_filter():
     assert Tracer().keeps("fire")
     assert not Tracer(enabled=False).keeps("admit")
     metrics = Tracer(kinds=Kind.METRICS)
-    assert metrics.keeps(Kind.PUT)
-    assert metrics.keeps("send", Kind.GET)  # any kept kind suffices
+    assert metrics.keeps(Kind.ADMIT)
+    assert metrics.keeps("send", Kind.BLOCK_DONE)  # any kept kind suffices
+    # the harness filter keeps no per-word kind
+    assert not metrics.keeps(Kind.PUT, Kind.GET)
     assert not metrics.keeps(Kind.FIRE, Kind.SEND, Kind.RECV, Kind.DELIVER)
 
 
