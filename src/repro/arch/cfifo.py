@@ -24,7 +24,8 @@ the consumer only after the (ring-delayed) write-pointer update.
 Fused put (DESIGN.md §7): once the producer's space grant fires — the
 exact dispatch position where the unfused code would post the data flit —
 and no fault injector is attached, :meth:`CFifo.put` offers the data +
-write-pointer posted writes to the ring as one precompiled chain
+write-pointer posted writes to the ring as one precompiled chain over its
+data route, bound at construction like the read-pointer route
 (:meth:`~repro.arch.ring.DualRing.post_chain`).  The ring takes every such
 chain unless its own injector is attached or the fast path is off; a held
 link only makes the chain's flits queue for the grant, exactly as the
@@ -48,7 +49,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from ..sim import Signal, SimulationError, Simulator, Tracer
+from ..sim import Event, Signal, SimulationError, Simulator, Tracer
 from ..sim.trace import Kind
 from .ring import DualRing
 
@@ -82,10 +83,13 @@ class CFifo:
         # consumer's local view of available words (write-pointer copy)
         self._avail = Signal(sim, initial=0, name=f"{name}.avail")
         self._memory: deque[Any] = deque()  # consumer-side buffer contents
-        # hot-path handles: put/get run once per word, so the bound methods
-        # and the constant wptr chain entry are hoisted out of them
+        # hot-path handles: put/get run once per word, so the bound methods,
+        # the constant wptr chain entry and both routes (the stations never
+        # change) are hoisted out of them
         self._append = self._memory.append
         self._wptr_entry = (ring.hop_latency, None, self._release_avail)
+        self._data_route = ring.route(producer_station, consumer_station)
+        self._rptr_route = ring.route(consumer_station, producer_station)
         self.words_put = 0
         self.words_got = 0
         #: puts whose data+wptr flits were fused into one precompiled chain
@@ -114,18 +118,6 @@ class CFifo:
     def _release_space(self, _payload: Any) -> None:
         self._space.release(1)
 
-    def _counted_post(self, src: int, dst: int, payload: Any, on_delivery,
-                      events: bool = True):
-        """``ring.post`` plus this FIFO's own fast/slow flit attribution."""
-        before = self.ring.flits_fast[DualRing.DATA]
-        out = self.ring.post(src, dst, payload, ring=DualRing.DATA,
-                             on_delivery=on_delivery, events=events)
-        if self.ring.flits_fast[DualRing.DATA] > before:
-            self.flits_fast += 1
-        else:
-            self.flits_slow += 1
-        return out
-
     # -- producer ---------------------------------------------------------
     def put(self, word: Any):
         """Generator: claim space, post data + write-pointer update.
@@ -144,10 +136,8 @@ class CFifo:
         if claimed > self.high_water:
             self.high_water = claimed
         if self.fault_injector is None:
-            chain = self.ring.post_chain(
-                self.producer, self.consumer,
-                ((0, word, self._append), self._wptr_entry),
-                client=self,
+            chain = self._data_route.post_chain(
+                ((0, word, self._append), self._wptr_entry), self,
             )
             if chain is not None:
                 self.fused_puts += 1
@@ -158,9 +148,8 @@ class CFifo:
                 return
         self.slow_puts += 1
         # data word (posted write into the consumer's FIFO memory)
-        accepted, _ = self._counted_post(
-            self.producer, self.consumer, word, self._append,
-        )
+        accepted = Event(self.sim)
+        self._data_route.post(word, self._append, accepted, None, self)
         yield accepted
         injector = self.fault_injector
         if injector is not None and injector.cfifo_ptr_loss(self.name, "write"):
@@ -169,10 +158,10 @@ class CFifo:
             self.lost_avail += 1
         else:
             # write-pointer update; availability becomes visible on delivery
-            accepted2, _ = self._counted_post(
-                self.producer, self.consumer, None, self._release_avail,
-            )
-            yield accepted2
+            accepted = Event(self.sim)
+            self._data_route.post(None, self._release_avail, accepted, None,
+                                  self)
+            yield accepted
         self.words_put += 1
         if self.tracer:
             self.tracer.log(self.sim.now, self.name, Kind.PUT, word=word)
@@ -201,10 +190,7 @@ class CFifo:
             self.lost_space += 1
         else:
             # read-pointer update replenishes producer space on arrival
-            self._counted_post(
-                self.consumer, self.producer, None, self._release_space,
-                events=False,
-            )
+            self._rptr_route.post(None, self._release_space, None, None, self)
         if self.tracer:
             self.tracer.log(self.sim.now, self.name, Kind.GET, word=word)
         return word
@@ -227,10 +213,7 @@ class CFifo:
         if injector is not None and injector.cfifo_ptr_loss(self.name, "read"):
             self.lost_space += 1
         else:
-            self._counted_post(
-                self.consumer, self.producer, None, self._release_space,
-                events=False,
-            )
+            self._rptr_route.post(None, self._release_space, None, None, self)
         if self.tracer:
             self.tracer.log(self.sim.now, self.name, Kind.GET, word=word)
         return True, word

@@ -12,13 +12,23 @@ report of :mod:`repro.core.conformance`.
 
 Streams are fed *backlogged* (every input sample available up front), the
 regime under which the τ̂/ε̂/γ/throughput comparisons are meaningful.
+
+Each tile mounts a stand-in accelerator that passes every sample through
+unchanged.  A harness run measures timing only: a tile's firing takes the
+spec's ``ρ`` cycles whatever the kernel computes, and no metric, digest or
+report reads a word's value.  What the bounds do depend on is the size of
+the context the gateways save and restore on a stream switch, so the
+stand-in keeps the context of a mixer tuned to 0 Hz (two bus words).  A
+real mixer in its place costs a 16-step CORDIC rotation per sample and
+changes no result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
-from ..accel import MixerKernel
+from ..accel.base import StreamKernel
 from ..core.conformance import (
     AttributedReport,
     ConformanceReport,
@@ -54,13 +64,42 @@ from .system import MPSoC, SharedChain
 __all__ = ["SimulationRun", "SimulationStalled", "simulate_system"]
 
 
-class SimulationStalled(SimulationError):
-    """``simulate_system`` hit its ``max_cycles`` guard before the streams
-    drained.  The message names the stalled gateways and streams."""
+#: the stand-in accelerator's context: that of a mixer tuned to 0 Hz
+_CONTEXT = {"freq_over_fs": 0.0, "phase": 0.0}
 
-    def __init__(self, diagnostic: str) -> None:
+
+class _PassThrough(StreamKernel):
+    """The harness's stand-in accelerator: ``ρ`` cycles, output = input.
+
+    Its saved and restored context is :data:`_CONTEXT`, so context switches
+    cost what they cost on a mixer tile (see the module docstring).
+    """
+
+    def __init__(self, rho: int = 1) -> None:
+        self.rho = rho
+        self._context = dict(_CONTEXT)
+
+    def process(self, sample: Any) -> list:
+        return [sample]
+
+    def get_state(self) -> dict[str, Any]:
+        return dict(self._context)
+
+    def set_state(self, state: dict[str, Any]) -> None:
+        self._context = dict(state)
+
+
+class SimulationStalled(SimulationError):
+    """``simulate_system`` reached its cycle cap (``max_cycles``, or the
+    conservative deadlock cap) before every stream drained or failed.  The
+    message names the stalled gateways and streams; ``run`` is the run as
+    it stood at the cap."""
+
+    def __init__(self, diagnostic: str,
+                 run: "SimulationRun | None" = None) -> None:
         super().__init__(diagnostic)
         self.diagnostic = diagnostic
+        self.run = run
 
 
 @dataclass
@@ -214,8 +253,10 @@ def simulate_system(
     """Simulate ``system`` with ``blocks`` backlogged blocks per stream.
 
     Every stream must have a block size assigned (run Algorithm 1 first).
-    Returns once all streams' outputs have been drained or the conservative
-    horizon is reached.
+    Returns once every stream's outputs have been drained (or the stream
+    failed); a run that reaches its cycle cap first raises
+    :class:`SimulationStalled`, whose message names the stalled gateways
+    and streams.
 
     A non-empty ``faults`` plan arms a :class:`~repro.sim.faults.FaultInjector`
     and (unless overridden) a default watchdog whose per-stream budgets are
@@ -223,9 +264,7 @@ def simulate_system(
     from the streams' μ requirements.  Pass a ``watchdog`` explicitly to
     guard a fault-free run, or ``admission=False`` to disable degradation.
 
-    ``max_cycles``, when given, replaces the conservative deadlock cap and
-    turns hitting it into a :class:`SimulationStalled` error whose message
-    names the stalled gateways and streams.
+    ``max_cycles``, when given, replaces the conservative deadlock cap.
 
     ``no_fastpath=True`` disables the ring's fused fast path for this run
     (equivalent to the ``REPRO_NO_FASTPATH=1`` environment kill switch) —
@@ -242,11 +281,7 @@ def simulate_system(
     """
     system.require_block_sizes()
     churn = spares > 0 or bool(faults is not None and faults.churn)
-    kernels = []
-    for spec in system.accelerators:
-        k = MixerKernel(0.0)
-        k.rho = spec.rho  # instance override of the class-level firing duration
-        kernels.append(k)
+    kernels = [_PassThrough(spec.rho) for spec in system.accelerators]
 
     soc = MPSoC(
         n_stations=4 + len(kernels),
@@ -282,7 +317,7 @@ def simulate_system(
             "eta": eta,
             "in_fifo": in_fifo,
             "out_fifo": out_fifo,
-            "states": [MixerKernel(0.0).get_state() for _ in kernels],
+            "states": [dict(_CONTEXT) for _ in kernels],
             "reconfigure_cycles": spec.reconfigure,
         })
     drained = Signal(soc.sim, name="harness.drained")
@@ -356,7 +391,7 @@ def simulate_system(
                 out_fifo.fault_injector = injector
             binding = StreamBinding(
                 name=spec.name, eta=eta, in_fifo=in_fifo, out_fifo=out_fifo,
-                states=[MixerKernel(0.0).get_state() for _ in kernels],
+                states=[dict(_CONTEXT) for _ in kernels],
                 output_ratio=ratio, reconfigure_cycles=spec.reconfigure,
             )
             book.track(binding)
@@ -425,17 +460,20 @@ def simulate_system(
         finished = soc.sim.run_while(
             lambda: not book.complete(reconfig), cap
         )
-        if max_cycles is not None and not finished:
-            raise SimulationStalled(_stall_diagnostic(chain, blocks, soc.sim.now))
     else:
         done = soc.sim.process(_wait_for(drained, len(configs)))
-        if not soc.sim.run_until(done, cap) and max_cycles is not None:
-            raise SimulationStalled(_stall_diagnostic(chain, blocks, soc.sim.now))
-    return SimulationRun(
+        finished = soc.sim.run_until(done, cap)
+    run = SimulationRun(
         system=system, soc=soc, chain=chain, blocks=blocks,
         poll_interval=poll_interval, horizon=max(1, soc.sim.now),
         injector=injector, watchdog=wd, admission=adm, reconfig=reconfig,
     )
+    if not finished:
+        # a stream that neither drained nor failed: returned, its metrics
+        # would read as a clean run
+        raise SimulationStalled(
+            _stall_diagnostic(chain, blocks, soc.sim.now, cap), run)
+    return run
 
 
 class _ChurnBook:
@@ -506,13 +544,15 @@ class _ChurnBook:
         self.mark_done(binding.name)
 
 
-def _stall_diagnostic(chain: SharedChain, blocks: int, now: int) -> str:
+def _stall_diagnostic(chain: SharedChain, blocks: int, now: int,
+                      cap: int) -> str:
     """Name what is stuck: gateways, streams and channels with residue."""
     entry, exit_gw = chain.entry, chain.exit
     current = entry._current.name if entry._current is not None else None
     active = exit_gw._active.name if exit_gw._active is not None else None
     lines = [
-        f"simulation stalled at cycle {now} (max_cycles guard)",
+        f"simulation stalled at cycle {now}: streams neither drained nor "
+        f"failed within the {cap}-cycle cap",
         f"  entry gateway: current stream={current}, "
         f"idle tokens={entry.idle.count}, blocks admitted={entry.blocks_admitted}",
         f"  exit gateway: active stream={active}, "

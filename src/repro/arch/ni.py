@@ -12,9 +12,11 @@ The ``α1 = α2 = 2``-token NI buffers of the paper's CSDF model (Fig. 5) are
 exactly the ``capacity`` of these channels.
 
 Both the data flit posted by :meth:`HardwareFifoChannel.send` and the credit
-flit returned by :meth:`HardwareFifoChannel.recv` are single posted writes,
-so they ride the ring's fused fast path (DESIGN.md §7) unless a ring fault
-is armed for them — no per-hop generator, and the in-flight accounting
+flit returned by :meth:`HardwareFifoChannel.recv` are single posted writes
+over routes bound when the channel is built, so they ride the ring's fused
+fast path (DESIGN.md §7) unless a ring fault is armed for them — no per-hop
+generator, no ``delivered`` event (the consumer acts on delivery through
+its hook, and nothing awaits it), and the in-flight accounting
 (:attr:`~HardwareFifoChannel.words_in_flight` /
 :attr:`~HardwareFifoChannel.credits_in_flight`) the gateway's quiescence and
 repair logic relies on stays exact because delivery side effects run at the
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..sim import FifoQueue, Signal, SimulationError, Simulator, Tracer
+from ..sim import Event, FifoQueue, Signal, SimulationError, Simulator, Tracer
 from .ring import DualRing
 
 __all__ = ["HardwareFifoChannel"]
@@ -66,19 +68,11 @@ class HardwareFifoChannel:
         #: this channel's flits that took the ring fast path / generator path
         self.flits_fast = 0
         self.flits_slow = 0
+        # the endpoints never change: validate and bind both routes once
+        self._data_route = ring.route(src_station, dst_station, DualRing.DATA)
+        self._credit_route = ring.route(dst_station, src_station,
+                                        DualRing.CREDIT)
         ring.clients.append(self)
-
-    def _counted_post(self, src: int, dst: int, payload: Any, ring_dir: str,
-                      on_delivery, events: bool = True):
-        """``ring.post`` plus this channel's own fast/slow flit attribution."""
-        before = self.ring.flits_fast[ring_dir]
-        out = self.ring.post(src, dst, payload, ring=ring_dir,
-                             on_delivery=on_delivery, events=events)
-        if self.ring.flits_fast[ring_dir] > before:
-            self.flits_fast += 1
-        else:
-            self.flits_slow += 1
-        return out
 
     # -- producer side ------------------------------------------------------
     def send(self, word: Any):
@@ -90,9 +84,8 @@ class HardwareFifoChannel:
         """
         yield self._credits.acquire(1)
         self.words_in_flight += 1
-        accepted, _delivered = self._counted_post(
-            self.src, self.dst, word, DualRing.DATA, self._arrive
-        )
+        accepted = Event(self.sim)
+        self._data_route.post(word, self._arrive, accepted, None, self)
         yield accepted
         self.words_sent += 1
         if self.tracer:
@@ -136,10 +129,7 @@ class HardwareFifoChannel:
 
     def _return_credit(self) -> None:
         self.credits_in_flight += 1
-        self._counted_post(
-            self.dst, self.src, None, DualRing.CREDIT, self._credit_lands,
-            events=False,
-        )
+        self._credit_route.post(None, self._credit_lands, None, None, self)
 
     def _credit_lands(self, _payload: Any) -> None:
         self.credits_in_flight -= 1

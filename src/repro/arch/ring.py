@@ -45,8 +45,11 @@ drop, and is the reference the compiled path is checked against.
 :meth:`DualRing.post_chain` extends the fusion across a back-to-back burst
 (C-FIFO data+wptr): the head flit commits compiled and each later flit is
 relayed at its predecessor's acceptance instant, so a chain never
-front-runs competing injections.  ``REPRO_NO_FASTPATH=1`` disables the
-fast path wholesale; ``tests/property/test_ring_fastpath_differential.py``
+front-runs competing injections.  C-FIFOs and NI channels post over
+routes bound once at construction (:meth:`DualRing.route`), which also
+credit each flit's path to the posting component.  ``REPRO_NO_FASTPATH=1``
+disables the fast path wholesale;
+``tests/property/test_ring_fastpath_differential.py``
 holds the two modes to equivalent observable traces and
 ``benchmarks/bench_ring_fastpath.py`` records the speedup.
 """
@@ -119,9 +122,9 @@ class _FastFlit(Event):
     event is counted once per flit in ``DualRing.flits_demoted``.
     """
 
-    __slots__ = ("ring", "direction", "route", "_route_len", "src", "dst",
-                 "payload", "on_delivery", "accepted", "delivered", "hop",
-                 "demoted", "_state", "_cb")
+    __slots__ = ("ring", "route", "links", "_route_len", "payload",
+                 "on_delivery", "accepted", "delivered", "hop", "demoted",
+                 "_state", "_cb")
 
     # _state values: which protocol step fires when this entry dispatches
     _START = 0       # process-init position: acquire the first hop's grant
@@ -150,20 +153,19 @@ class _FastFlit(Event):
     # where the generator would have created its next event, so bucket
     # append order — and therefore dispatch order — is identical to the
     # slow path's.
-    def launch(self, direction, route, src, dst, payload,
-               on_delivery, accepted, delivered) -> None:
-        """Arm one transit and take the process-init calendar position.
+    def launch(self, route, payload, on_delivery, accepted,
+               delivered) -> None:
+        """Arm one transit over a bound route and take the process-init
+        calendar position.
 
         Fresh or recycled, the object re-enters the calendar here; the
         trailing ``_schedule(self, 0)`` mirrors ``sim.process(flit())``'s
         init entry.  ``callbacks`` needs no reset — ``_step`` re-armed it
         as its first action on the previous dispatch.
         """
-        self.direction = direction
         self.route = route
-        self._route_len = len(route)
-        self.src = src
-        self.dst = dst
+        self.links = route.links
+        self._route_len = route.hops
         self.payload = payload
         self.on_delivery = on_delivery
         self.accepted = accepted
@@ -200,7 +202,7 @@ class _FastFlit(Event):
             return
         if state == self._OCC_END:
             # occupancy over: release the grant (waking any queued flit)
-            grant = self.route[self.hop].grant
+            grant = self.links[self.hop].grant
             if grant._waiters:
                 grant.release(1)
             else:
@@ -233,16 +235,16 @@ class _FastFlit(Event):
             self._deliver()
             return
         # inlined _acquire_hop (see its docstring for the position rules)
-        grant = self.route[hop].grant
+        grant = self.links[hop].grant
         if not grant._waiters and grant._count >= 1:
             grant._count -= 1
             self._state = self._GRANTED
             sim._active.append(self)
             return
         ev = grant.acquire(1)
-        if not ev.triggered and not self.demoted:
+        if not ev._triggered and not self.demoted:
             self.demoted = True
-            self.ring.flits_demoted[self.direction] += 1
+            self.ring.flits_demoted[self.route.kind] += 1
         ev.add_callback(self._parked_grant)
 
     def _acquire_hop(self) -> None:
@@ -256,19 +258,19 @@ class _FastFlit(Event):
         queues in the link's FIFO and fires on release — either way the
         occupancy starts at the slow path's resume position.
         """
-        grant = self.route[self.hop].grant
+        grant = self.links[self.hop].grant
         if not grant._waiters and grant._count >= 1:
             grant._count -= 1
             self._state = self._GRANTED
             self.sim._active.append(self)
             return
         ev = grant.acquire(1)
-        if not ev.triggered and not self.demoted:
+        if not ev._triggered and not self.demoted:
             # mid-route congestion: the closed-form schedule is lost, but
             # the queue position is the generator's, so ordering and the
             # eventual timing are unchanged
             self.demoted = True
-            self.ring.flits_demoted[self.direction] += 1
+            self.ring.flits_demoted[self.route.kind] += 1
         ev.add_callback(self._parked_grant)
 
     def _parked_grant(self, _ev: Event) -> None:
@@ -287,8 +289,9 @@ class _FastFlit(Event):
     def _deliver(self) -> None:
         ring = self.ring
         if ring.tracer:
-            ring.tracer.log(ring.sim.now, f"ring.{self.direction}", "deliver",
-                            src=self.src, dst=self.dst)
+            route = self.route
+            ring.tracer.log(ring.sim.now, f"ring.{route.kind}", "deliver",
+                            src=route.src, dst=route.dst)
         if self.on_delivery is not None:
             self.on_delivery(self.payload)
         if self.delivered is not None:
@@ -297,6 +300,115 @@ class _FastFlit(Event):
         # (callers only ever see the accepted/delivered events), and the
         # dispatch loop writes nothing after our callback returns.
         ring._flit_pool.append(self)
+
+
+class _Route:
+    """One validated ``(src, dst, ring)`` triple bound to its link tuple.
+
+    Built once per triple by :meth:`DualRing.route`.  A post over a bound
+    route does, in order, what every flit needs and nothing else: count it
+    in ``flits_sent``, ask an attached fault injector for a delay or drop,
+    run the compiled or the per-hop generator transit, and credit the
+    ``client`` (the posting C-FIFO or NI channel, when given) with the path
+    the flit took in its ``flits_fast`` / ``flits_slow`` counters.
+    """
+
+    __slots__ = ("ring", "kind", "src", "dst", "links", "hops")
+
+    def __init__(self, ring: "DualRing", kind: str, src: int, dst: int,
+                 links: tuple[_Link, ...]) -> None:
+        self.ring = ring
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.links = links
+        self.hops = len(links)
+
+    def post(self, payload: Any = None, on_delivery=None,
+             accepted: Event | None = None, delivered: Event | None = None,
+             client: Any = None) -> None:
+        """Inject one flit; ``accepted``/``delivered`` are fired if given.
+
+        The compiled transit (:class:`_FastFlit`) carries every flit the
+        fault injector arms no delay or drop for; the per-hop generator
+        serves armed faults and the ``REPRO_NO_FASTPATH=1`` reference.
+        """
+        ring = self.ring
+        kind = self.kind
+        ring.flits_sent[kind] += 1
+        extra_delay = dropped = 0
+        if ring.fault_injector is not None:
+            extra_delay, dropped = ring.fault_injector.ring_fault(
+                kind, self.src, self.dst)
+        if ring.fastpath and not extra_delay and not dropped:
+            pool = ring._flit_pool
+            rec = pool.pop() if pool else _FastFlit(ring)
+            ring.flits_fast[kind] += 1
+            if client is not None:
+                client.flits_fast += 1
+            rec.launch(self, payload, on_delivery, accepted, delivered)
+            return
+        ring.flits_slow[kind] += 1
+        if client is not None:
+            client.flits_slow += 1
+        ring.sim.process(
+            self._transit(payload, on_delivery, accepted, delivered,
+                          extra_delay, dropped),
+            name=f"flit:{kind}:{self.src}->{self.dst}",
+        )
+
+    def post_chain(self, flits, client: Any = None):
+        """:meth:`DualRing.post_chain` over this route, without re-checking
+        ``flits`` (a caller with a constant, well-formed chain binds the
+        route and calls this directly).  Declines with ``None`` and no
+        state mutated while a fault injector is attached or the fast path
+        is off."""
+        ring = self.ring
+        if not ring.fastpath or ring.fault_injector is not None:
+            return None
+        out = [(Event(ring.sim), None) for _ in flits]
+        # head flit: compiled commit at the current instant
+        self.post(flits[0][1], flits[0][2], out[0][0], None, client)
+        for i in range(1, len(flits)):
+            _off, payload, cb = flits[i]
+
+            def relay(_ev, payload=payload, cb=cb, accepted=out[i][0]):
+                self.post(payload, cb, accepted, None, client)
+
+            # ride the previous flit's acceptance: the relay runs at the
+            # exact instant (and within-cycle position) the unfused caller
+            # would resume and post this flit
+            out[i - 1][0].add_callback(relay)
+        return out
+
+    def _transit(self, payload, on_delivery, accepted, delivered,
+                 extra_delay, dropped):
+        """Per-hop generator transit: armed delays and drops, and the
+        reference path under ``REPRO_NO_FASTPATH=1``."""
+        ring = self.ring
+        first = True
+        for link in self.links:
+            yield from link.traverse(ring.hop_latency)
+            if first:
+                if accepted is not None:
+                    accepted.succeed()
+                first = False
+        if extra_delay:
+            yield ring.sim.timeout(extra_delay)
+        if dropped:
+            # the flit is lost in transit; the producer's posted write
+            # already completed, so only delivery-side effects vanish
+            # (`delivered` stays pending forever — see the warning in
+            # :meth:`DualRing.post`)
+            ring.flits_dropped[self.kind] += 1
+            return
+        if ring.tracer:
+            ring.tracer.log(ring.sim.now, f"ring.{self.kind}", "deliver",
+                            src=self.src, dst=self.dst)
+        if on_delivery is not None:
+            on_delivery(payload)
+        if delivered is not None:
+            delivered.succeed(payload)
 
 
 class DualRing:
@@ -346,11 +458,11 @@ class DualRing:
         #: components (C-FIFOs, NI channels) that registered for per-source
         #: fast-path take-rate reporting — see :func:`repro.sim.metrics`
         self.clients: list[Any] = []
-        self._route_cache: dict[tuple[int, str, int], tuple[_Link, ...]] = {}
+        #: bound routes, one per validated (src, dst, ring) triple
+        self._routes: dict[tuple[int, int, str], _Route] = {}
         #: recycled compiled-transit records (each is a reference cycle,
         #: so pooling also keeps them away from the cyclic GC)
         self._flit_pool: list[_FastFlit] = []
-        self._hops_cache: dict[tuple[int, int, str], int] = {}
 
     # -- helpers ----------------------------------------------------------
     def _check_station(self, station: int) -> None:
@@ -369,20 +481,24 @@ class DualRing:
             return (src - dst) % self.n
         raise RingError(f"unknown ring {ring!r}")
 
-    def _route(self, src: int, ring: str, hops: int) -> tuple[_Link, ...]:
-        # routes are static, post() is hot: memoise the link tuples
-        key = (src, ring, hops)
-        route = self._route_cache.get(key)
+    def route(self, src: int, dst: int, ring: str = DATA) -> "_Route":
+        """The bound route from ``src`` to ``dst`` on ``ring``.
+
+        Validated on first use, raising what :meth:`hops` raises, and
+        cached per triple: a channel's endpoints never change, so C-FIFOs
+        and NI channels bind their routes at construction and post every
+        flit through :meth:`_Route.post`.
+        """
+        key = (src, dst, ring)
+        route = self._routes.get(key)
         if route is None:
-            step = 1 if ring == self.DATA else -1
+            hops = self.hops(src, dst, ring)
             links = self._links[ring]
-            out = []
-            cur = src
-            for _ in range(hops):
-                idx = cur if step == 1 else (cur - 1) % self.n
-                out.append(links[idx])
-                cur = (cur + step) % self.n
-            route = self._route_cache[key] = tuple(out)
+            if ring == self.DATA:
+                path = tuple(links[(src + k) % self.n] for k in range(hops))
+            else:
+                path = tuple(links[(src - 1 - k) % self.n] for k in range(hops))
+            route = self._routes[key] = _Route(self, ring, src, dst, path)
         return route
 
     # -- sending ------------------------------------------------------------
@@ -408,16 +524,14 @@ class DualRing:
            ``delivered`` event — the loss is silent at ring level, exactly
            like the hardware.  Production code must therefore never await
            ``delivered`` without an external watchdog budget; the in-tree
-           consumers (:mod:`repro.arch.cfifo`, :mod:`repro.arch.ni`)
-           discard it and act through ``on_delivery`` only, with the
-           entry-gateway watchdog owning loss recovery.
+           consumers (:mod:`repro.arch.cfifo`, :mod:`repro.arch.ni`) post
+           through their bound routes without one and act through
+           ``on_delivery`` only, with the entry-gateway watchdog owning
+           loss recovery.
         """
         # full validation before any counter mutation: a RingError here must
         # not leave flits_sent counting a flit that was never injected
-        key = (src, dst, ring)
-        hops = self._hops_cache.get(key)
-        if hops is None:
-            hops = self._hops_cache[key] = self.hops(src, dst, ring)
+        route = self.route(src, dst, ring)
         if on_delivery is not None and not callable(on_delivery):
             raise RingError(
                 f"on_delivery must be callable, got {type(on_delivery).__name__}"
@@ -427,35 +541,8 @@ class DualRing:
             delivered = self.sim.event()
         else:
             accepted = delivered = None
-        self._post_into(src, dst, hops, ring, payload, on_delivery,
-                        accepted, delivered)
+        route.post(payload, on_delivery, accepted, delivered)
         return accepted, delivered
-
-    def _post_into(self, src, dst, hops, ring, payload, on_delivery,
-                   accepted, delivered) -> bool:
-        """Inject one validated flit into pre-created events.
-
-        Returns True when the flit was compiled, which it is unless the
-        fast path is off or the fault injector arms a delay or drop for it.
-        Shared by :meth:`post` and the chain relays so a chain flit posts
-        through exactly the code path — and the exact fault-injector query
-        position — the unfused caller would have used.
-        """
-        route = self._route(src, ring, hops)
-        self.flits_sent[ring] += 1
-        injector = self.fault_injector
-        if injector is not None:
-            extra_delay, dropped = injector.ring_fault(ring, src, dst)
-        else:
-            extra_delay, dropped = 0, False
-
-        if self.fastpath and not extra_delay and not dropped:
-            self._post_fast(route, src, dst, ring, payload, on_delivery,
-                            accepted, delivered)
-            return True
-        self._post_slow(route, src, dst, ring, payload, on_delivery,
-                        accepted, delivered, extra_delay, dropped)
-        return False
 
     def post_chain(
         self,
@@ -495,10 +582,7 @@ class DualRing:
         """
         if not self.fastpath or self.fault_injector is not None:
             return None
-        key = (src, dst, ring)
-        hops = self._hops_cache.get(key)
-        if hops is None:
-            hops = self._hops_cache[key] = self.hops(src, dst, ring)
+        route = self.route(src, dst, ring)
         last = -1
         for off, _payload, cb in flits:
             if off <= last:
@@ -510,79 +594,7 @@ class DualRing:
                 raise RingError(
                     f"on_delivery must be callable, got {type(cb).__name__}"
                 )
-        route = self._route(src, ring, hops)
-        sim = self.sim
-        out = [(Event(sim), None) for _ in flits]
-        # head flit: compiled commit at the current instant
-        self.flits_sent[ring] += 1
-        self._post_fast(route, src, dst, ring, flits[0][1], flits[0][2],
-                        out[0][0], out[0][1])
-        if client is not None:
-            client.flits_fast += 1
-        for i in range(1, len(flits)):
-            _off, payload, cb = flits[i]
-            accepted, delivered = out[i]
-
-            def relay(_ev, payload=payload, cb=cb,
-                      accepted=accepted, delivered=delivered):
-                fused = self._post_into(src, dst, hops, ring, payload, cb,
-                                        accepted, delivered)
-                if client is not None:
-                    if fused:
-                        client.flits_fast += 1
-                    else:
-                        client.flits_slow += 1
-
-            # ride the previous flit's acceptance: the relay runs at the
-            # exact instant (and within-cycle position) the unfused caller
-            # would resume and post this flit
-            out[i - 1][0].add_callback(relay)
-        return out
-
-    # -- internal posting paths ------------------------------------------
-    def _post_fast(self, route, src, dst, ring, payload, on_delivery,
-                   accepted, delivered):
-        """Compiled transit: closed-form acceptance at ``now + hop_latency``
-        and delivery at ``now + hops * hop_latency``, carried by a pooled
-        :class:`_FastFlit` record (no process, no generator)."""
-        pool = self._flit_pool
-        rec = pool.pop() if pool else _FastFlit(self)
-        self.flits_fast[ring] += 1
-        rec.launch(ring, route, src, dst, payload, on_delivery,
-                   accepted, delivered)
-
-    def _post_slow(self, route, src, dst, ring, payload, on_delivery,
-                   accepted, delivered, extra_delay, dropped):
-        """Per-hop generator transit: armed delays and drops, and the
-        reference path under ``REPRO_NO_FASTPATH=1``."""
-        self.flits_slow[ring] += 1
-
-        def flit():
-            first = True
-            for link in route:
-                yield from link.traverse(self.hop_latency)
-                if first:
-                    if accepted is not None:
-                        accepted.succeed()
-                    first = False
-            if extra_delay:
-                yield self.sim.timeout(extra_delay)
-            if dropped:
-                # the flit is lost in transit; the producer's posted
-                # write already completed, so only delivery-side effects
-                # vanish (`delivered` stays pending forever — see the
-                # warning in :meth:`post`)
-                self.flits_dropped[ring] += 1
-                return
-            if self.tracer:
-                self.tracer.log(self.sim.now, f"ring.{ring}", "deliver",
-                                src=src, dst=dst)
-            if on_delivery is not None:
-                on_delivery(payload)
-            if delivered is not None:
-                delivered.succeed(payload)
-
-        self.sim.process(flit(), name=f"flit:{ring}:{src}->{dst}")
+        return route.post_chain(flits, client)
 
     # -- observability ----------------------------------------------------
     def fastpath_stats(self) -> dict[str, dict[str, Any]]:

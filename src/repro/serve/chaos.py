@@ -8,10 +8,13 @@ exactly-once claims — a crash after commit but before the response is the
 canonical double-apply trap, and an idempotent retry must come back with
 the recorded answer instead of a second transition.
 
-Everything is driven by one seeded :class:`random.Random` consulted in
-request order, so a failing soak run replays deterministically from its
-seed (single-worker services consult it from one task; the batch worker is
-the only consumer).
+Crash decisions and solve-stall decisions come from two seeded
+:class:`random.Random` streams, both derived from ``seed``.  How many solves
+a run makes depends on wall-clock batching and the solver timeout; with one
+shared stream every stall draw would shift the crash draws after it.  Kept
+apart, the N-th crash-point consultation decides the same way in every run,
+so a failing soak run replays its crashes from its seed (the batch worker is
+the only consumer of either stream).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class ServeChaos:
     Parameters
     ----------
     seed:
-        Seed of the single RNG every probabilistic draw uses.
+        Seed from which the crash and the stall RNG streams are derived.
     crash_before:
         Probability a batch handler crashes *before* touching any state
         (clients must see ``internal`` and the state must be unchanged).
@@ -62,19 +65,20 @@ class ServeChaos:
                 raise ValueError(f"{name} must be a probability, got {p}")
         if self.solve_delay < 0:
             raise ValueError(f"solve_delay must be >= 0, got {self.solve_delay}")
-        self._rng = random.Random(self.seed)
+        self._crash_rng = random.Random(f"{self.seed}:crash")
+        self._stall_rng = random.Random(f"{self.seed}:stall")
         self.crashes = 0
         self.stalls = 0
 
     def crash_point(self, where: str) -> None:
         """Maybe raise :class:`InjectedCrash` at hook point ``where``."""
         p = self.crash_before if where == "pre" else self.crash_after
-        if p and self._rng.random() < p:
+        if p and self._crash_rng.random() < p:
             self.crashes += 1
             raise InjectedCrash(f"injected handler crash at {where!r}")
 
     async def maybe_stall_solve(self) -> None:
         """Maybe sleep a solve long enough to trip the breaker."""
-        if self.solve_delay_rate and self._rng.random() < self.solve_delay_rate:
+        if self.solve_delay_rate and self._stall_rng.random() < self.solve_delay_rate:
             self.stalls += 1
             await asyncio.sleep(self.solve_delay)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Generator
 from heapq import heappop as _heappop, heappush as _heappush
+from types import GeneratorType
 from typing import Any
 
 __all__ = [
@@ -194,6 +195,36 @@ class Timeout(Event):
                 _heappush(sim._times, when)
             else:
                 bucket.append(self)
+
+
+def _ready(sim: "Simulator", value: Any = None) -> Event:
+    """An event already triggered to fire at the current instant.
+
+    The one-step form of ``sim.event().succeed(value)`` for the hot sites
+    that grant at once (an uncontended :class:`~repro.sim.queues.Signal`
+    acquire, an immediate FIFO put or get, a process start): the flat slot
+    init of :class:`Timeout`, appended exactly where ``succeed()`` would
+    append it, so the dispatch position is unchanged.
+    """
+    ev = Event.__new__(Event)
+    ev.sim = sim
+    ev.callbacks = []
+    ev._value = value
+    ev._ok = True
+    ev._triggered = True
+    ev._processed = False
+    ev._cancelled = False
+    when = sim.now
+    if when == sim._active_cycle:
+        sim._active.append(ev)
+    else:
+        bucket = sim._buckets.get(when)
+        if bucket is None:
+            sim._buckets[when] = [ev]
+            _heappush(sim._times, when)
+        else:
+            bucket.append(ev)
+    return ev
 
 
 class Callback(Event):
@@ -366,7 +397,9 @@ class Process(Event):
         name: str | None = None,
     ) -> None:
         super().__init__(sim)
-        if not isinstance(gen, Generator):
+        # the exact type first: the ABC check is slow and almost every
+        # process is a plain generator
+        if type(gen) is not GeneratorType and not isinstance(gen, Generator):
             raise TypeError(f"Process requires a generator, got {type(gen).__name__}")
         self.name = name or getattr(gen, "__name__", "process")
         self._gen = gen
@@ -378,9 +411,7 @@ class Process(Event):
         # allocation on every yield.
         self._resume_cb = self._resume
         # Kick off at the current instant.
-        init = Event(sim)
-        init.succeed()
-        init.add_callback(self._resume_cb)
+        _ready(sim).callbacks.append(self._resume_cb)
 
     @property
     def is_alive(self) -> bool:
@@ -629,18 +660,30 @@ class Simulator:
         return None
 
     def step(self) -> None:
-        """Fire the single next live event."""
+        """Fire the single next live event.
+
+        The event fires inside its cycle's live bucket, as under the run
+        drivers: zero-delay schedules, and the compiled ring transits that
+        append to the live bucket directly, queue behind it in that cycle.
+        """
         t = self.peek()
         if t is None:
             raise SimulationError("step() on an empty event queue")
         bucket = self._buckets[t]
         event = bucket.pop(0)  # live: peek() pruned the cancelled prefix
-        if not bucket:
-            del self._buckets[t]
         if t > self.now:
             self.skipped_cycles += t - self.now - 1
             self.now = t
-        event._fire()
+        self._active = bucket
+        self._active_cycle = t
+        try:
+            event._fire()
+        finally:
+            self._active = None
+            self._active_cycle = -1
+            if not bucket:
+                # drained: peek() drops the stale heap entry
+                del self._buckets[t]
 
     def run(self, until: int | Event | None = None) -> Any:
         """Run the event loop.

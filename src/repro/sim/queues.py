@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from .kernel import Event, SimulationError, Simulator
+from .kernel import Event, SimulationError, Simulator, _ready
 
 __all__ = ["FifoQueue", "Signal"]
 
@@ -63,42 +63,41 @@ class FifoQueue:
 
     # -- operations --------------------------------------------------------
     def _purge_getters(self) -> None:
-        while self._getters and self._getters[0].cancelled:
+        while self._getters and self._getters[0]._cancelled:
             self._getters.popleft()
 
     def _purge_putters(self) -> None:
-        while self._putters and self._putters[0][0].cancelled:
+        while self._putters and self._putters[0][0]._cancelled:
             self._putters.popleft()
 
     def put(self, item: Any) -> Event:
         """Return an event that fires once ``item`` has been accepted."""
         self._purge_getters()
-        ev = self.sim.event()
         if self._getters and not self._items:
             # Hand over directly to the longest-waiting getter.
             getter = self._getters.popleft()
             self.total_put += 1
             self.total_got += 1
             getter.succeed(item)
-            ev.succeed()
-        elif len(self._items) < self.capacity:
+            return _ready(self.sim)
+        if len(self._items) < self.capacity:
             self._items.append(item)
             self.total_put += 1
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
+            return _ready(self.sim)
+        ev = Event(self.sim)
+        self._putters.append((ev, item))
         return ev
 
     def get(self) -> Event:
         """Return an event that fires with the next token."""
-        ev = self.sim.event()
         if self._items:
             item = self._items.popleft()
             self.total_got += 1
-            ev.succeed(item)
+            ev = _ready(self.sim, item)
             self._drain_putters()
-        else:
-            self._getters.append(ev)
+            return ev
+        ev = Event(self.sim)
+        self._getters.append(ev)
         return ev
 
     def try_put(self, item: Any) -> bool:
@@ -156,7 +155,7 @@ class Signal:
         return self._count
 
     def _purge_waiters(self) -> None:
-        while self._waiters and self._waiters[0][0].cancelled:
+        while self._waiters and self._waiters[0][0]._cancelled:
             self._waiters.popleft()
 
     def release(self, units: int = 1) -> None:
@@ -177,12 +176,11 @@ class Signal:
         if units <= 0:
             raise SimulationError(f"acquire units must be positive, got {units}")
         self._purge_waiters()
-        ev = self.sim.event()
         if not self._waiters and self._count >= units:
             self._count -= units
-            ev.succeed(units)
-        else:
-            self._waiters.append((ev, units))
+            return _ready(self.sim, units)
+        ev = Event(self.sim)
+        self._waiters.append((ev, units))
         return ev
 
     def try_acquire(self, units: int = 1) -> bool:

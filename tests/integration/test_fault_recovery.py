@@ -197,6 +197,25 @@ def test_max_cycles_raises_with_diagnostic():
     assert "pal" in msg and "ntsc" in msg
 
 
+def test_default_cap_stall_raises_instead_of_reading_clean():
+    """Two dropped flits strand both streams with no watchdog timeout and no
+    failure, so the run idles to its default cap.  Returning there would
+    report zero blocks done and a conformance report reading clean."""
+    sys_ = GatewaySystem(
+        accelerators=(AcceleratorSpec("a", 1),),
+        streams=(StreamSpec("s0", Fraction(1, 100000), 10, block_size=3),
+                 StreamSpec("s1", Fraction(1, 100000), 10, block_size=5)),
+        entry_copy=4, exit_copy=1,
+    )
+    spec = FaultSpec(kind=RING_DROP, at=9, duration=11, count=2)
+    with pytest.raises(SimulationStalled) as err:
+        simulate_system(sys_, blocks=1,
+                        faults=FaultPlan(specs=(spec, spec), seed=4096))
+    msg = str(err.value)
+    assert "stalled at cycle" in msg
+    assert "stream s0: 0/1 blocks" in msg and "stream s1: 0/1 blocks" in msg
+
+
 def test_max_cycles_generous_cap_is_silent():
     sys_ = two_stream_system()
     run = simulate_system(sys_, blocks=2, max_cycles=10_000_000)

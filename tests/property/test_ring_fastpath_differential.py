@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.app.scenarios import build_scenario
 from repro.arch import CFifo, DualRing
-from repro.arch.harness import simulate_system
+from repro.arch.harness import SimulationStalled, simulate_system
 from repro.core import AcceleratorSpec, GatewaySystem, StreamSpec
 from repro.sim import FaultInjector, FaultPlan, FaultSpec, Kind, Simulator, Tracer
 from repro.sim.faults import CFIFO_PTR_LOSS, RING_DELAY, RING_DROP
@@ -277,8 +277,14 @@ def run_system_mix(system, blocks, specs, seed, fastpath):
     # even when the surrounding test run exports REPRO_NO_FASTPATH=1
     with mock.patch.dict(os.environ), mock.patch.object(Kind, "METRICS", WORD_KINDS):
         os.environ.pop("REPRO_NO_FASTPATH", None)
-        run = simulate_system(system, blocks=blocks, faults=plan,
-                              no_fastpath=not fastpath)
+        try:
+            run = simulate_system(system, blocks=blocks, faults=plan,
+                                  no_fastpath=not fastpath)
+            stalled = None
+        except SimulationStalled as err:
+            # a dropped C-FIFO flit can strand a stream for good; the stall
+            # and the run as it stood at the cap are both observable
+            run, stalled = err.run, err.diagnostic
     chain = run.chain
     return {
         "bindings": {
@@ -288,6 +294,7 @@ def run_system_mix(system, blocks, specs, seed, fastpath):
         },
         "horizon": run.horizon,
         "trace": canon(run.soc.tracer.records) if run.soc.tracer.enabled else None,
+        "stalled": stalled,
         "fastpath_enabled": run.soc.ring.fastpath,
     }
 

@@ -28,6 +28,20 @@ def test_ring_same_station_rejected():
         ring.hops(2, 2, DualRing.DATA)
 
 
+def test_ring_route_validates_at_bind_time_and_is_cached():
+    ring = DualRing(Simulator(), 4)
+    for src, dst, kind in ((0, 4, DualRing.DATA), (-1, 2, DualRing.CREDIT),
+                           (1, 1, DualRing.DATA), (0, 1, "bogus")):
+        with pytest.raises(RingError):
+            ring.route(src, dst, kind)
+    route = ring.route(3, 1, DualRing.DATA)
+    assert ring.route(3, 1, DualRing.DATA) is route
+    assert ring.route(3, 1, DualRing.CREDIT) is not route
+    assert route.hops == ring.hops(3, 1, DualRing.DATA) == 2
+    # binding posts nothing
+    assert ring.flits_sent == {DualRing.DATA: 0, DualRing.CREDIT: 0}
+
+
 def test_ring_delivery_latency_equals_hops():
     sim = Simulator()
     ring = DualRing(sim, 6, hop_latency=1)
@@ -143,6 +157,18 @@ def test_hw_channel_capacity_validation():
     ring = DualRing(sim, 4)
     with pytest.raises(SimulationError):
         HardwareFifoChannel(sim, ring, 0, 1, capacity=0)
+
+
+def test_channels_bind_their_routes_at_construction():
+    """A bad station pair fails when the channel is built, not at its first
+    word."""
+    sim = Simulator()
+    ring = DualRing(sim, 4)
+    with pytest.raises(RingError):
+        HardwareFifoChannel(sim, ring, 2, 2)
+    with pytest.raises(RingError):
+        CFifo(sim, ring, 1, 4, capacity=2)
+    assert ring.clients == []
 
 
 def test_hw_channel_buffer_never_overflows():

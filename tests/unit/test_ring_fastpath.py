@@ -10,7 +10,7 @@ the take-rate observability surface.
 
 import pytest
 
-from repro.arch import CFifo, DualRing, RingError
+from repro.arch import CFifo, DualRing, HardwareFifoChannel, RingError
 from repro.sim import (
     FaultInjector,
     FaultPlan,
@@ -425,6 +425,45 @@ def test_fast_flit_after_drop_window_hits_fast_path_again():
     assert ring.flits_sent[DualRing.DATA] == 2
 
 
+def test_client_attribution_sums_to_ring_totals_when_paths_mix():
+    """Under an armed ring delay, compiled and generator flits mix on both
+    rings; each bound route credits its client, so the clients' counters
+    add up to the ring's."""
+    sim = Simulator()
+    ring = DualRing(sim, 5)
+    plan = FaultPlan(specs=(
+        FaultSpec(kind=RING_DELAY, at=0, duration=30, extra=2, ring="data"),
+        FaultSpec(kind=RING_DELAY, at=20, duration=30, extra=1, ring="credit"),
+    ))
+    injector = ring.fault_injector = FaultInjector(plan, sim)
+    fifo = CFifo(sim, ring, 0, 2, capacity=3, name="f")
+    fifo.fault_injector = injector  # its get waits out a delayed data flit
+    chan = HardwareFifoChannel(sim, ring, 2, 4, capacity=2, name="c")
+    got = []
+
+    def producer():
+        for w in range(12):
+            yield from fifo.put(w)
+
+    def forward():
+        for _ in range(12):
+            yield from chan.send((yield from fifo.get()))
+
+    def consumer():
+        for _ in range(12):
+            got.append((yield from chan.recv()))
+
+    for gen in (producer(), forward(), consumer()):
+        sim.process(gen)
+    sim.run()
+    assert got == list(range(12))
+    for kind in (DualRing.DATA, DualRing.CREDIT):
+        assert ring.flits_fast[kind] and ring.flits_slow[kind]
+    for counter in ("flits_fast", "flits_slow"):
+        assert (sum(getattr(c, counter) for c in ring.clients)
+                == sum(getattr(ring, counter).values()))
+
+
 # ------------------------------------------------------------- chain fusion
 def test_post_chain_commits_all_or_nothing():
     sim = Simulator()
@@ -604,3 +643,42 @@ def test_tracer_records_identical_deliveries_fast_and_slow():
         )
 
     assert records(True) == records(False)
+
+
+# -------------------------------------------------- harness dispatch audit
+def test_fault_free_harness_run_fires_no_unwatched_event(monkeypatch):
+    """Driven event by event, a fault-free harness run fires no event that
+    nobody watches: the only callback-free dispatches are processes
+    finishing with nobody waiting on them (their end is the work).  An NI
+    data flit that asked for a ``delivered`` event would fire one per
+    word."""
+    from fractions import Fraction
+
+    from repro.arch import simulate_system
+    from repro.core import AcceleratorSpec, GatewaySystem, StreamSpec
+    from repro.sim.kernel import Process
+
+    unwatched = []
+
+    def run_until(sim, stop, limit):
+        while not stop.processed:
+            t = sim.peek()
+            if t is None or t > limit:
+                return False
+            event = sim._buckets[t][0]
+            if not event.callbacks and not isinstance(event, Process):
+                unwatched.append((t, type(event).__name__))
+            sim.step()
+        return True
+
+    monkeypatch.setattr(Simulator, "run_until", run_until)
+    system = GatewaySystem(
+        accelerators=(AcceleratorSpec("a", 1), AcceleratorSpec("b", 2)),
+        streams=(StreamSpec("s0", Fraction(1, 100000), 10, block_size=3),
+                 StreamSpec("s1", Fraction(1, 100000), 10, block_size=5)),
+        entry_copy=4, exit_copy=1,
+    )
+    run = simulate_system(system, blocks=2)
+    assert all(m.blocks_done == 2 for m in run.metrics().values())
+    assert run.chain.channels[0].words_sent > 0
+    assert unwatched == []

@@ -19,6 +19,7 @@ from repro.core.blocksize_ilp import resolve_block_sizes
 from repro.serve import (
     AdmissionService,
     CircuitBreaker,
+    InjectedCrash,
     ProtocolError,
     ReplayError,
     ServeChaos,
@@ -377,6 +378,29 @@ def test_transient_rejects_are_never_latched():
             retry = await svc.submit({**JOIN, "idempotency_key": "k"})
             assert retry["ok"] and "replayed" not in retry
     run(main())
+
+
+def test_chaos_crash_decisions_ignore_stall_draws():
+    """The N-th crash-point consultation decides the same way however many
+    solves were consulted for a stall in between (that number follows
+    wall-clock batching), so a soak replays its crashes from its seed."""
+    async def crashes(stall_draws_between):
+        chaos = ServeChaos(seed=23, crash_before=0.3, solve_delay_rate=0.5)
+        out = []
+        for _ in range(40):
+            for _ in range(stall_draws_between):
+                await chaos.maybe_stall_solve()
+            try:
+                chaos.crash_point("pre")
+            except InjectedCrash:
+                out.append(True)
+            else:
+                out.append(False)
+        return out
+
+    pattern = run(crashes(0))
+    assert any(pattern)
+    assert run(crashes(3)) == pattern
 
 
 def test_definitive_reject_is_latched():

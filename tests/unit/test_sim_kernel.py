@@ -306,6 +306,34 @@ def test_step_empty_queue_raises():
         sim.step()
 
 
+def test_step_dispatches_in_run_order():
+    """step() fires each event inside its cycle's live bucket, so stepping
+    dispatches in exactly the order run() does, deferred callbacks and
+    same-cycle reschedules included."""
+    def trace(drive):
+        sim = Simulator()
+        order = []
+        sim.schedule_at(3, lambda: order.append(("deferred", sim.now)),
+                        defer=True)
+
+        def proc(tag):
+            yield sim.timeout(3)
+            order.append((tag, sim.now))
+            yield sim.timeout(0)
+            order.append((tag + "'", sim.now))
+
+        sim.process(proc("a"))
+        sim.process(proc("b"))
+        drive(sim)
+        return order, sim.now
+
+    def stepped(sim):
+        while sim.peek() is not None:
+            sim.step()
+
+    assert trace(stepped) == trace(lambda sim: sim.run())
+
+
 def test_peek_reports_next_event_time():
     sim = Simulator()
     assert sim.peek() is None
