@@ -50,6 +50,14 @@ historical top-level keys preserved.
 Flag spelling is normalised across subcommands: the config is positional,
 the cycle cap is ``--max-cycles``, work per stream is ``--blocks``
 everywhere.  See README "Command-line interface".
+
+Exit codes: 0 success; 1 a check failed (a bound violation, an
+unattributed violation, a transition over budget, an infeasible design, a
+digest mismatch); 2 invalid input (config, plan, spec or flags); 3 an
+interrupted sweep that ``--resume`` can finish; 4 a simulation that
+reached its cycle cap before every stream drained or failed
+(:class:`~repro.arch.SimulationStalled`), reported as ``error:`` and the
+stall diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -57,6 +65,12 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+
+from .arch import SimulationStalled
+from .core.params import ParameterError
+
+#: exit code of a simulation that stalled at its cycle cap
+EXIT_STALLED = 4
 
 
 def cmd_blocksizes(args: argparse.Namespace) -> int:
@@ -158,7 +172,7 @@ def _read_system(path: str):
     """The system config at ``path``, or ``None`` after one ``error:`` line."""
     from pathlib import Path
 
-    from .core import ParameterError, load_system
+    from .core import load_system
 
     try:
         text = Path(path).read_text()
@@ -230,19 +244,14 @@ def _scenario_from_args(args: argparse.Namespace):
     return Scenario.from_registry("pal_decoder")
 
 
-def _build_result(args: argparse.Namespace, **extra):
-    """Build the :class:`repro.api.Scenario` an args namespace describes.
+def _prepared_scenario(args: argparse.Namespace, **extra):
+    """The :class:`repro.api.Scenario` an args namespace describes.
 
     The single construction point all four simulation subcommands share —
     this is where the CLI is routed through the :mod:`repro.api` facade.
     ``--blocks`` left unset keeps the scenario's own setting (4 for plain
     configs).
     """
-    return _prepared_scenario(args, **extra).build()
-
-
-def _prepared_scenario(args: argparse.Namespace, **extra):
-    """The fully-configured Scenario for ``_build_result`` (pre-build)."""
     scenario = _scenario_from_args(args)
     if getattr(args, "blocks", None) is not None:
         scenario = scenario.with_blocks(args.blocks)
@@ -257,14 +266,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """Simulate a JSON gateway system and print per-stream runtime metrics."""
     import json
 
-    from .core.params import ParameterError
     from .sim import metrics_table
 
-    try:
-        result = _build_result(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = _prepared_scenario(args).build()
     if args.json:
         print(json.dumps(result.report("metrics"), indent=2))
         return 0
@@ -293,13 +297,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     """Simulate a JSON gateway system; report observed-vs-bound margins."""
     import json
 
-    from .core.params import ParameterError
-
-    try:
-        result = _build_result(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = _prepared_scenario(args).build()
     if result.reconfig is not None:
         # churn run: the static model's block sizes are stale after the
         # online re-solves — check each steady mode against its own model
@@ -354,19 +352,13 @@ def cmd_faults(args: argparse.Namespace) -> int:
     """Simulate a JSON gateway system under a fault plan; report recovery."""
     import json
 
-    from .core.params import ParameterError
-
     extra = {}
     if args.plan is not None:
         plan = _load_fault_plan(args.plan)
         if plan is None:
             return 2
         extra["faults"] = plan
-    try:
-        scenario = _prepared_scenario(args, **extra)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = _prepared_scenario(args, **extra)
     plan = scenario.faults
     if not plan:
         print("error: no fault plan — give --plan PLAN.json, or a "
@@ -406,8 +398,6 @@ def cmd_reconfig(args: argparse.Namespace) -> int:
     """Run a churn plan (joins/leaves/tile failures) with live reconfiguration."""
     import json
 
-    from .core.params import ParameterError
-
     if args.blocks is None and args.scenario is None:
         args.blocks = 8  # historical reconfig default for plain configs
     extra = {"spares": args.spares}
@@ -416,11 +406,7 @@ def cmd_reconfig(args: argparse.Namespace) -> int:
         if plan is None:
             return 2
         extra["faults"] = plan
-    try:
-        scenario = _prepared_scenario(args, **extra)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = _prepared_scenario(args, **extra)
     plan = scenario.faults
     if not plan and not args.spares:
         print("error: no churn plan — give --plan PLAN.json, --spares N, or "
@@ -486,19 +472,11 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "describe":
-        try:
-            print(registry.describe(args.name))
-        except registry.ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        print(registry.describe(args.name))
         return 0
 
     # run NAME[?params]
-    try:
-        scenario = registry.build_scenario(args.name)
-    except registry.ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = registry.build_scenario(args.name)
     if args.blocks is not None:
         scenario = scenario.with_blocks(args.blocks)
     if args.max_cycles is not None:
@@ -633,7 +611,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from .core import ParameterError
     from .serve import AdmissionService, serve_forever, smoke_session
 
     system = _read_system(args.config)
@@ -878,7 +855,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "scenario", None) is not None and args.config is not None:
         parser.error("give either a system config or --scenario, not both")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ParameterError as exc:  # a bad config, scenario or parameter
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SimulationStalled as exc:
+        print(f"error: {exc.diagnostic}", file=sys.stderr)
+        return EXIT_STALLED
 
 
 if __name__ == "__main__":

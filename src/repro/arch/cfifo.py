@@ -15,7 +15,10 @@ Timing model:
   (two posted flits; the producer continues after ring acceptance),
 * ``get`` blocks while the consumer's local fill view is zero; it then reads
   the word from local memory (free) and posts the read-pointer update back,
-  which replenishes the producer's space view on arrival.
+  which replenishes the producer's space view on arrival,
+* ``preload`` puts words in place as if the producer had written them
+  before cycle 0: they are visible to the consumer at once, and no flit is
+  posted (the simulation harness's backlogged inputs).
 
 This matches the dataflow abstraction used in the analysis: space is
 released to the producer only after consumption, and availability reaches
@@ -47,7 +50,7 @@ ring fault is armed for it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
+from typing import Any, Iterable
 
 from ..sim import Event, Signal, SimulationError, Simulator, Tracer
 from ..sim.trace import Kind
@@ -166,6 +169,24 @@ class CFifo:
         if self.tracer:
             self.tracer.log(self.sim.now, self.name, Kind.PUT, word=word)
 
+    def preload(self, words: Iterable[Any]) -> None:
+        """Put ``words`` in place as if the producer wrote them before cycle 0.
+
+        They are visible to the consumer at once and count in
+        :attr:`words_put` and :attr:`high_water`; no flit is posted and no
+        event scheduled.  Raises :class:`SimulationError` if they do not fit.
+        """
+        n = len(words := list(words))
+        if not n:
+            return
+        if not self._space.try_acquire(n):
+            raise SimulationError(f"{self.name}: cannot preload {n} words "
+                                  f"into {self._space.count} free slots")
+        self._memory.extend(words)
+        self._avail.release(n)
+        self.words_put += n
+        self.high_water = max(self.high_water, self.capacity - self._space.count)
+
     @property
     def producer_space(self) -> int:
         """Free space as currently visible to the producer."""
@@ -181,6 +202,22 @@ class CFifo:
             # under fault injection a resync can make availability visible
             # slightly before a delayed data flit lands; spin until it does
             yield self.sim.timeout(1)
+        return self._take()
+
+    def try_get(self) -> tuple[bool, Any]:
+        """Non-blocking get: ``(ok, word)``.
+
+        Behaves like :meth:`get` when a word is visible *and* resident;
+        returns ``(False, None)`` otherwise.  The entry gateway's guarded
+        (watchdog) path uses this so an interrupted fetch can never strand
+        a half-consumed availability token.
+        """
+        if not self._memory or not self._avail.try_acquire(1):
+            return False, None
+        return True, self._take()
+
+    def _take(self) -> Any:
+        """Read the head word and post the read-pointer update."""
         word = self._memory.popleft()
         self.words_got += 1
         injector = self.fault_injector
@@ -194,29 +231,6 @@ class CFifo:
         if self.tracer:
             self.tracer.log(self.sim.now, self.name, Kind.GET, word=word)
         return word
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get: ``(ok, word)``.
-
-        Behaves like :meth:`get` when a word is visible *and* resident;
-        returns ``(False, None)`` otherwise.  The entry gateway's guarded
-        (watchdog) path uses this so an interrupted fetch can never strand
-        a half-consumed availability token.
-        """
-        if self._avail.count < 1 or not self._memory:
-            return False, None
-        if not self._avail.try_acquire(1):
-            return False, None
-        word = self._memory.popleft()
-        self.words_got += 1
-        injector = self.fault_injector
-        if injector is not None and injector.cfifo_ptr_loss(self.name, "read"):
-            self.lost_space += 1
-        else:
-            self._rptr_route.post(None, self._release_space, None, None, self)
-        if self.tracer:
-            self.tracer.log(self.sim.now, self.name, Kind.GET, word=word)
-        return True, word
 
     @property
     def consumer_available(self) -> int:

@@ -3,15 +3,21 @@
 This is the glue between the analysis model and the architecture
 simulation: given the parameter object the temporal analysis reasons
 about, it instantiates a matching MPSoC — one accelerator tile per
-:class:`~repro.core.params.AcceleratorSpec` (firing duration ``ρ``), one
-backlogged producer/consumer pair per stream, the entry/exit-gateway pair
-in between — runs it for a number of blocks per stream, and hands back the
+:class:`~repro.core.params.AcceleratorSpec` (firing duration ``ρ``), an
+input and an output C-FIFO per stream, the entry/exit-gateway pair in
+between — runs it for a number of blocks per stream, and hands back the
 observability layer: per-stream :class:`~repro.sim.metrics.StreamMetrics`,
 the gateway utilization breakdown, and the Eq. 2–5 bound-conformance
 report of :mod:`repro.core.conformance`.
 
-Streams are fed *backlogged* (every input sample available up front), the
-regime under which the τ̂/ε̂/γ/throughput comparisons are meaningful.
+Streams are *backlogged*: when a stream is bound, every input word it can
+consume is already resident in its input C-FIFO
+(:meth:`~repro.arch.cfifo.CFifo.preload`), so whenever the entry gateway
+looks a whole block waits (the paper's admission condition 2).  That is
+the regime the τ̂/ε̂/γ/throughput bounds assume, and no producer is
+simulated: the input FIFOs carry only the read-pointer updates the
+gateway's fetches post.  A consumer on the ``cons`` processor tile drains
+every stream's outputs.
 
 Each tile mounts a stand-in accelerator that passes every sample through
 unchanged.  A harness run measures timing only: a tile's firing takes the
@@ -56,9 +62,10 @@ from ..sim.faults import (
     WatchdogConfig,
 )
 from ..sim.trace import Kind
+from .cfifo import CFifo
 from .gateway import StreamBinding
 from .reconfig import ReconfigurationManager
-from .scheduler import Get, Put, TaskSpec
+from .scheduler import Get, TaskSpec
 from .system import MPSoC, SharedChain
 
 __all__ = ["SimulationRun", "SimulationStalled", "simulate_system"]
@@ -274,10 +281,14 @@ def simulate_system(
     positive ``spares`` count (dormant cold-spare tiles for permanent-
     tile-failure failover) — switches the run into **churn mode**: a
     :class:`~repro.arch.reconfig.ReconfigurationManager` executes the
-    requests as hitless online mode transitions, streams are fed
-    continuously instead of with a fixed backlog, and a stream counts as
+    requests as hitless online mode transitions, and a stream counts as
     done once it has completed ``blocks`` blocks (or left, or failed).
-    Static runs are cycle-for-cycle unchanged by this feature.
+
+    Every stream's input C-FIFO holds, from the moment the stream is
+    bound, every word the stream can consume before it counts as done:
+    ``η·blocks`` on a static run, and ``blocks·max(eta_max, η)`` on a churn
+    run, where ``eta_max`` caps online re-solves and a join's requested
+    ``block_size`` may bind a joiner above it.
     """
     system.require_block_sizes()
     churn = spares > 0 or bool(faults is not None and faults.churn)
@@ -292,25 +303,33 @@ def simulate_system(
         # per-run override of the fused ring fast path (the differential
         # suite and the REPRO_NO_FASTPATH CI leg compare against this)
         soc.ring.fastpath = False
-    prod = soc.add_processor("prod")
+    # the station the input words came from: they are preloaded, so no
+    # task runs there, but the gateway's read-pointer updates travel to it
+    producer_station = soc.claim_station()
     cons = soc.add_processor("cons")
     entry_station = 2
     exit_station = entry_station + len(kernels) + 1
 
     # churn runs re-solve block sizes online, so fifo headroom must cover
-    # grown η values and continuously-fed backlog, not just the fixed total
+    # grown η values, not just the fixed total
     cap_words = 4 * (max(s.block_size for s in system.streams) * blocks + 8)
+    eta_max = max(1, cap_words // 2)
+
+    def input_fifo(name: str, words: int) -> CFifo:
+        """A stream's input C-FIFO, holding all ``words`` it will read."""
+        fifo = soc.software_fifo(producer_station, entry_station,
+                                 capacity=words, name=f"{name}.in")
+        fifo.preload(map(float, range(words)))
+        return fifo
 
     configs = []
-    totals: dict[str, int] = {}
     for spec in system.streams:
         eta = spec.block_size
         total = eta * blocks
-        totals[spec.name] = total
-        capacity = cap_words if churn else total + 8
-        in_fifo = prod.fifo_to(entry_station, capacity=capacity,
-                               name=f"{spec.name}.in")
-        out_fifo = soc.software_fifo(exit_station, cons, capacity=capacity,
+        in_fifo = input_fifo(spec.name,
+                             blocks * max(eta_max, eta) if churn else total)
+        out_fifo = soc.software_fifo(exit_station, cons,
+                                     capacity=cap_words if churn else total + 8,
                                      name=f"{spec.name}.out")
         configs.append({
             "name": spec.name,
@@ -380,9 +399,7 @@ def simulate_system(
             )
 
         def _joined_binding(spec: StreamSpec, eta: int) -> StreamBinding:
-            in_fifo = soc.software_fifo(prod, entry_station,
-                                        capacity=cap_words,
-                                        name=f"{spec.name}.in")
+            in_fifo = input_fifo(spec.name, blocks * max(eta_max, eta))
             out_fifo = soc.software_fifo(exit_station, cons,
                                          capacity=cap_words,
                                          name=f"{spec.name}.out")
@@ -401,7 +418,7 @@ def simulate_system(
             soc, chain, system,
             binding_factory=_joined_binding,
             on_stream_left=lambda b: book.mark_done(b.name),
-            eta_max=max(1, cap_words // 2),
+            eta_max=eta_max,
             failure_allowance=failure_allowance,
         )
         if faults is not None:
@@ -410,12 +427,6 @@ def simulate_system(
         for cfg in configs:
             book.track(chain.binding(cfg["name"]))
     else:
-        def producer(fifo, count):
-            def gen():
-                for i in range(count):
-                    yield Put(fifo, float(i))
-            return gen
-
         def consumer(fifo, total_out):
             def gen():
                 for _ in range(total_out):
@@ -424,12 +435,9 @@ def simulate_system(
             return gen
 
         for cfg in configs:
-            name, total = cfg["name"], totals[cfg["name"]]
-            out_per_block = chain.binding(name).expected_out
-            prod.add_task(TaskSpec(f"feed:{name}", producer(cfg["in_fifo"], total)))
-            cons.add_task(TaskSpec(f"drain:{name}",
-                                   consumer(cfg["out_fifo"], out_per_block * blocks)))
-        prod.start()
+            total_out = chain.binding(cfg["name"]).expected_out * blocks
+            cons.add_task(TaskSpec(f"drain:{cfg['name']}",
+                                   consumer(cfg["out_fifo"], total_out)))
         cons.start()
 
     # Conservative cap in case a configuration deadlocks; the normal exit is
@@ -477,14 +485,14 @@ def simulate_system(
 
 
 class _ChurnBook:
-    """Per-stream feeding, draining and completion tracking for churn runs.
+    """Per-stream draining and completion tracking for churn runs.
 
-    Static runs feed a fixed backlog and wait for a fixed output count;
-    under churn neither is known up front (block sizes change online, and a
-    leaving stream never drains its total), so every stream — initial or
-    joined — gets a continuous feeder, a continuous drainer and a watcher
-    that marks it done once it has completed the target number of blocks,
-    failed, or left.
+    Static runs wait for a fixed output count; under churn it is not known
+    up front (block sizes change online, and a leaving stream never drains
+    its total), so every stream — initial or joined — gets a continuous
+    drainer and a watcher that marks it done once it has completed the
+    target number of blocks, failed, or left.  Its inputs need no feeder:
+    :func:`simulate_system` preloads them when the stream is bound.
     """
 
     def __init__(self, sim: Simulator, drained: Signal, blocks: int,
@@ -497,9 +505,8 @@ class _ChurnBook:
         self._done: set[str] = set()
 
     def track(self, binding: StreamBinding) -> None:
-        """Feed, drain and watch one stream until it counts as done."""
+        """Drain and watch one stream until it counts as done."""
         self.expected += 1
-        self.sim.process(self._feed(binding), name=f"feed:{binding.name}")
         self.sim.process(self._drain(binding), name=f"drain:{binding.name}")
         self.sim.process(self._watch(binding), name=f"watch:{binding.name}")
 
@@ -514,18 +521,6 @@ class _ChurnBook:
                 and not reconfig._events
                 and not reconfig.pending_remaps
                 and not reconfig.busy)
-
-    def _feed(self, binding: StreamBinding):
-        # keep the input backlogged (the regime the bounds assume) without
-        # ever blocking in put(): a done/left stream just stops being fed
-        i = 0
-        fifo = binding.in_fifo
-        while binding.name not in self._done:
-            if fifo.producer_space > 0:
-                yield from fifo.put(float(i))
-                i += 1
-            else:
-                yield self.sim.timeout(self.poll)
 
     def _drain(self, binding: StreamBinding):
         fifo = binding.out_fifo
@@ -569,7 +564,8 @@ def _stall_diagnostic(chain: SharedChain, blocks: int, now: int,
             state = "done"
         lines.append(
             f"  stream {name}: {b.blocks_done}/{blocks} blocks, "
-            f"in={b.samples_in} out={b.samples_out}, "
+            f"in={b.samples_in} out={b.samples_out} "
+            f"drained={b.out_fifo.words_got}, "
             f"retries={b.retries}, {state}"
         )
     for ch in chain.channels:

@@ -41,12 +41,16 @@ class StreamMetrics:
     All times are in cycles.  ``block_times[i]`` is the i-th block's
     admission-to-completion duration (the observed counterpart of ``τ̂``);
     ``waits[i]`` is the gap between the completion of block ``i`` and the
-    admission of block ``i+1`` (observed counterpart of ``ε̂``);
-    ``turnarounds[i]`` is the completion-to-completion gap (observed
-    counterpart of ``γ``).  ``throughput`` is input samples per cycle over
-    the steady-state span between the first and last completion (observed
-    counterpart of Eq. 5's ``η/γ`` guarantee); it is ``None`` until two
-    blocks have completed.
+    admission of block ``i+1`` (observed counterpart of ``ε̂``).  A wait
+    counts from the previous block's completion, so it measures queueing
+    behind other streams only when the stream's input is backlogged (a
+    stream short of input words waits longer, and no bound covers that);
+    the simulation harness preloads every input, so its waits are
+    queueing.  ``turnarounds[i]`` is the completion-to-completion gap
+    (observed counterpart of ``γ``).  ``throughput`` is input samples per
+    cycle over the steady-state span between the first and last completion
+    (observed counterpart of Eq. 5's ``η/γ`` guarantee); it is ``None``
+    until two blocks have completed.
     """
 
     name: str

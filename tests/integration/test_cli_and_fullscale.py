@@ -6,9 +6,16 @@ dataflow check operates with razor-thin slack (η/γ exceeds μ by 2 parts in
 mis-reports the guarantee at this scale).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import __main__ as cli
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def run_cli(argv, capsys):
@@ -138,6 +145,23 @@ def test_cli_analyze_bad_config_exits_2(tmp_path, capsys, text):
     (line,) = err.strip().splitlines()
     assert line.startswith("error: ") and str(cfg) in line
     assert "Traceback" not in err
+
+
+def test_cli_stalled_simulation_exits_4_without_traceback():
+    """A run that reaches its cycle cap prints ``error:`` and the stall
+    diagnostic on stderr and exits with its own code."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "metrics",
+         str(ROOT / "examples" / "configs" / "small_radios.json"),
+         "--max-cycles", "100"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 4 == cli.EXIT_STALLED
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: simulation stalled at cycle")
+    assert "stream radio_a: 0/4 blocks" in proc.stderr
+    assert proc.stdout == ""
 
 
 SMALL_CFG = (

@@ -66,8 +66,10 @@ def test_empty_plan_is_bit_identical():
 
 def test_accel_stall_recovers_with_exactly_once_delivery():
     sys_ = two_stream_system()
+    # arm the stall 500 cycles into pal's first block (577 cycles fault-free)
+    first = simulate_system(sys_, blocks=4).chain.bindings["pal"].admissions[0]
     plan = FaultPlan(specs=(
-        FaultSpec(kind=ACCEL_STALL, at=1000, target="sys.acc0",
+        FaultSpec(kind=ACCEL_STALL, at=first + 500, target="sys.acc0",
                   duration=2000, extra=1500, count=1),
     ), seed=7)
     run = simulate_system(sys_, blocks=4, faults=plan)
@@ -198,22 +200,27 @@ def test_max_cycles_raises_with_diagnostic():
 
 
 def test_default_cap_stall_raises_instead_of_reading_clean():
-    """Two dropped flits strand both streams with no watchdog timeout and no
-    failure, so the run idles to its default cap.  Returning there would
-    report zero blocks done and a conformance report reading clean."""
+    """A dropped output C-FIFO data flit strands s0's consumer with no
+    watchdog timeout and no failure, so the run idles to its default cap.
+    Returning there would report every block done and a conformance report
+    reading clean."""
     sys_ = GatewaySystem(
         accelerators=(AcceleratorSpec("a", 1),),
         streams=(StreamSpec("s0", Fraction(1, 100000), 10, block_size=3),
                  StreamSpec("s1", Fraction(1, 100000), 10, block_size=5)),
         entry_copy=4, exit_copy=1,
     )
-    spec = FaultSpec(kind=RING_DROP, at=9, duration=11, count=2)
+    # stations: prod=0 cons=1 entry=2 a=3 exit=4; the drop hits the first
+    # output word on its way from the exit gateway to the consumer
+    spec = FaultSpec(kind=RING_DROP, at=9, duration=11, src=4, dst=1, count=1)
     with pytest.raises(SimulationStalled) as err:
         simulate_system(sys_, blocks=1,
-                        faults=FaultPlan(specs=(spec, spec), seed=4096))
+                        faults=FaultPlan(specs=(spec,), seed=4096))
     msg = str(err.value)
     assert "stalled at cycle" in msg
-    assert "stream s0: 0/1 blocks" in msg and "stream s1: 0/1 blocks" in msg
+    # both blocks left the exit gateway, but one s0 word never arrived
+    assert "stream s0: 1/1 blocks, in=3 out=3 drained=2" in msg
+    assert "stream s1: 1/1 blocks, in=5 out=5 drained=5" in msg
 
 
 def test_max_cycles_generous_cap_is_silent():

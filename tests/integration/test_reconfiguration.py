@@ -205,3 +205,28 @@ def test_infeasible_join_is_refused_and_system_unchanged():
     assert "hog" not in run.chain.bindings
     assert {s.name for s in run.reconfig.system.streams} == {"pal", "ntsc"}
     assert run.attributed_conformance().fully_attributed
+
+
+def test_join_block_size_floor_above_eta_max_completes():
+    """A join's requested η binds the joiner above the re-solve cap.
+
+    The harness caps online re-solves at ``eta_max`` (40 here), but a
+    join's ``block_size`` is honoured as a floor above it, so the joiner's
+    preloaded input must hold ``blocks`` blocks of its bound η (64), not
+    of ``eta_max``: sized by the cap alone, j0 strands after one block.
+    """
+    system = GatewaySystem(
+        accelerators=(AcceleratorSpec("acc0", 1),),
+        streams=(StreamSpec("s0", Fraction(1, 100), 20, block_size=4),),
+    )
+    plan = FaultPlan(specs=(
+        FaultSpec(kind="stream_join", at=200, target="j0",
+                  params={"throughput": [1, 100], "reconfigure": 20,
+                          "block_size": 64}),
+    ))
+    run = simulate_system(system, blocks=3, faults=plan)
+    [t] = run.reconfig.transitions
+    assert t.accepted and t.block_sizes["j0"] == 64
+    j0 = run.chain.bindings["j0"]
+    assert j0.eta == 64 and j0.blocks_done >= 3
+    assert run.attributed_conformance().fully_attributed

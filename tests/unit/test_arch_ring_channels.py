@@ -273,6 +273,39 @@ def test_cfifo_producer_space_view():
     assert f.consumer_available == 3
 
 
+def test_cfifo_preload_is_resident_at_once_without_ring_traffic():
+    sim = Simulator()
+    ring = DualRing(sim, 4)
+    f = CFifo(sim, ring, 0, 2, capacity=5)
+    f.preload(["a", "b", "c"])
+    assert f.consumer_available == 3
+    assert f.producer_space == 2
+    assert f.words_put == 3 and f.high_water == 3
+    assert ring.flits_sent == {DualRing.DATA: 0, DualRing.CREDIT: 0}
+    assert sim.peek() is None  # nothing scheduled
+    got = []
+
+    def consumer():
+        for _ in range(3):
+            got.append((yield from f.get()))
+
+    sim.process(consumer())
+    sim.run()
+    assert got == ["a", "b", "c"]
+    # each get posted its read-pointer update back to the producer station
+    assert ring.flits_sent[DualRing.DATA] == 3
+    assert f.producer_space == 5 and f.words_got == 3
+
+
+def test_cfifo_preload_overfill_raises():
+    sim = Simulator()
+    f = CFifo(sim, DualRing(sim, 4), 0, 1, capacity=3)
+    f.preload([0.0, 1.0])
+    with pytest.raises(SimulationError):
+        f.preload([2.0, 3.0])
+    assert f.consumer_available == 2 and f.words_put == 2
+
+
 def test_cfifo_capacity_validation():
     sim = Simulator()
     ring = DualRing(sim, 4)
