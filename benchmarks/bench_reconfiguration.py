@@ -43,31 +43,49 @@ def make_system(n_streams: int) -> GatewaySystem:
     return sys_.with_block_sizes(compute_block_sizes(sys_).block_sizes)
 
 
-def churn_plan() -> FaultPlan:
+def s0_admissions(system: GatewaySystem) -> list[int]:
+    """s0's admission cycles in a fault-free run of ``system``.
+
+    Every stream stops after ``BLOCKS`` blocks, so a plan timed from these
+    cycles lands on live traffic instead of on an idle chain.
+    """
+    return simulate_system(system, blocks=BLOCKS).chain.bindings[
+        "s0"].admissions
+
+
+def churn_plan(system: GatewaySystem) -> FaultPlan:
+    # join at s0's 3rd admission, let s0 leave at its 6th
+    s0 = s0_admissions(system)
     return FaultPlan(specs=(
-        FaultSpec(kind="stream_join", at=30_000, target="joiner",
+        FaultSpec(kind="stream_join", at=s0[2], target="joiner",
                   params={"throughput": [1, 400], "reconfigure": 410}),
-        FaultSpec(kind="stream_leave", at=60_000, target="s0"),
+        FaultSpec(kind="stream_leave", at=s0[5], target="s0"),
     ), seed=5)
 
 
 def run_churn_sweep():
     rows = []
     for n in (2, 3, 4):
-        run = simulate_system(make_system(n), blocks=BLOCKS,
-                              faults=churn_plan(), admission=False, spares=0)
+        system = make_system(n)
+        run = simulate_system(system, blocks=BLOCKS,
+                              faults=churn_plan(system), admission=False,
+                              spares=0)
         rows.append((n, run))
     return rows
 
 
 def run_failover():
+    # join at s0's 3rd admission, fail the tile at its 6th: the failure
+    # strikes under a block of the 3-stream mode
+    system = make_system(2)
+    s0 = s0_admissions(system)
     plan = FaultPlan(specs=(
-        FaultSpec(kind="stream_join", at=30_000, target="joiner",
+        FaultSpec(kind="stream_join", at=s0[2], target="joiner",
                   params={"throughput": [1, 400], "reconfigure": 410}),
-        FaultSpec(kind="permanent_tile_failure", at=45_000,
+        FaultSpec(kind="permanent_tile_failure", at=s0[5],
                   target="sys.acc0"),
     ), seed=5)
-    return simulate_system(make_system(2), blocks=BLOCKS, faults=plan,
+    return simulate_system(system, blocks=BLOCKS, faults=plan,
                            admission=False, spares=1)
 
 
@@ -116,6 +134,8 @@ def test_spare_failover_latency(benchmark):
                  if t.trigger == "tile_failure"]
     print(f"remap {failure.detail}: latency {failure.latency} cycles "
           f"<= budget {failure.budget} (via {failure.via})")
+    [fired] = run.injector.events
+    assert fired["kind"] == "permanent_tile_failure"
     assert failure.accepted and failure.within_budget
     assert run.chain.remaps == [("sys.acc0", "sys.spare0")]
     for name, binding in run.chain.bindings.items():

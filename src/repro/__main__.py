@@ -55,7 +55,7 @@ Exit codes: 0 success; 1 a check failed (a bound violation, an
 unattributed violation, a transition over budget, an infeasible design, a
 digest mismatch); 2 invalid input (config, plan, spec or flags); 3 an
 interrupted sweep that ``--resume`` can finish; 4 a simulation that
-reached its cycle cap before every stream drained or failed
+reached its cycle cap before every stream completed or failed
 (:class:`~repro.arch.SimulationStalled`), reported as ``error:`` and the
 stall diagnostic on stderr.
 """

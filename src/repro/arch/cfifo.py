@@ -18,7 +18,10 @@ Timing model:
   which replenishes the producer's space view on arrival,
 * ``preload`` puts words in place as if the producer had written them
   before cycle 0: they are visible to the consumer at once, and no flit is
-  posted (the simulation harness's backlogged inputs).
+  posted (the simulation harness's backlogged inputs),
+* ``wait_resident`` waits until a number of words are visible and resident
+  at the consumer but reads none and posts no read pointer (the simulation
+  harness's outputs, sized to hold everything a stream emits).
 
 This matches the dataflow abstraction used in the analysis: space is
 released to the producer only after consumption, and availability reaches
@@ -231,6 +234,26 @@ class CFifo:
         if self.tracer:
             self.tracer.log(self.sim.now, self.name, Kind.GET, word=word)
         return word
+
+    def wait_resident(self, n: int):
+        """Generator: wait until ``n`` words are visible and resident.
+
+        Acquires ``n`` words of the consumer's availability view at once,
+        then, under a fault injector, waits for the data words themselves
+        as :meth:`get` does: a write pointer can arrive while its data flit
+        is delayed or lost.  Nothing is read, so no read pointer is posted
+        and the words keep their slots.
+        """
+        yield self._avail.acquire(n)
+        while len(self._memory) < n:
+            if self.fault_injector is None:
+                raise SimulationError(f"{self.name}: pointer/data ordering violated")
+            yield self.sim.timeout(1)
+
+    @property
+    def resident(self) -> int:
+        """Words in the consumer's memory, delivered and not yet read."""
+        return len(self._memory)
 
     @property
     def consumer_available(self) -> int:

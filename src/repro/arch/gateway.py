@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from ..sim import FifoQueue, Interrupt, Signal, SimulationError, Simulator, Tracer
 from ..sim.trace import Kind
@@ -81,6 +81,9 @@ class StreamBinding:
     states: list[dict[str, Any]]
     output_ratio: Fraction = Fraction(1)
     reconfigure_cycles: int | None = None
+    #: blocks the entry gateway admits for this stream before it stops
+    #: (None: unbounded); the simulation harness sets it to its ``blocks``
+    block_quota: int | None = None
 
     blocks_done: int = 0
     samples_in: int = 0
@@ -143,6 +146,9 @@ class ExitGateway:
         self._abort_requested = False
         self._draining = False
         self._in_recv = False
+        #: called with a binding when it completes its ``block_quota``-th
+        #: block (the simulation harness's completion hook)
+        self.on_quota: Callable[[StreamBinding], None] | None = None
         self._proc = sim.process(self._run(), name=f"exitgw:{name}")
 
     def begin_block(self, binding: StreamBinding, skip: int = 0) -> None:
@@ -227,6 +233,9 @@ class ExitGateway:
                                     admitted_at=admitted,
                                     block_time=self.sim.now - admitted,
                                     samples=binding.expected_out)
+                if (binding.blocks_done == binding.block_quota
+                        and self.on_quota is not None):
+                    self.on_quota(binding)
                 # the pipeline is empty: allow the next block in
                 self.idle.release(1)
             except Interrupt:
@@ -338,9 +347,13 @@ class EntryGateway:
         """The paper's three admission conditions, all non-blocking.
 
         Failed, degradation-paused or transition-frozen streams are never
-        admissible.
+        admissible, and neither is a stream that has been admitted its
+        ``block_quota`` blocks.
         """
-        if self._frozen or self._dirty or binding.failed or binding.paused_at is not None:
+        if (self._frozen or self._dirty or binding.failed
+                or binding.paused_at is not None
+                or (binding.block_quota is not None
+                    and len(binding.admissions) >= binding.block_quota)):
             return False
         return (
             self.idle.count >= 1

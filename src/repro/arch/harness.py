@@ -16,8 +16,12 @@ consume is already resident in its input C-FIFO
 looks a whole block waits (the paper's admission condition 2).  That is
 the regime the τ̂/ε̂/γ/throughput bounds assume, and no producer is
 simulated: the input FIFOs carry only the read-pointer updates the
-gateway's fetches post.  A consumer on the ``cons`` processor tile drains
-every stream's outputs.
+gateway's fetches post.  The consumer is free in the same sense: each
+output C-FIFO has room for every word its stream can emit, so no consumer
+is simulated either, and a stream is done once its outputs are resident
+in the consumer's memory.  The entry gateway admits exactly ``blocks``
+blocks per stream, and the run ends on one event, fired when every stream
+is done (or failed, or left) and no reconfiguration work is pending.
 
 Each tile mounts a stand-in accelerator that passes every sample through
 unchanged.  A harness run measures timing only: a tile's firing takes the
@@ -53,7 +57,7 @@ from ..sim.metrics import (
     fastpath_summary,
     gateway_utilization,
 )
-from ..sim import Signal, SimulationError, Simulator
+from ..sim import SimulationError, Simulator
 from ..sim.faults import (
     AdmissionController,
     FaultInjector,
@@ -65,7 +69,6 @@ from ..sim.trace import Kind
 from .cfifo import CFifo
 from .gateway import StreamBinding
 from .reconfig import ReconfigurationManager
-from .scheduler import Get, TaskSpec
 from .system import MPSoC, SharedChain
 
 __all__ = ["SimulationRun", "SimulationStalled", "simulate_system"]
@@ -98,9 +101,9 @@ class _PassThrough(StreamKernel):
 
 class SimulationStalled(SimulationError):
     """``simulate_system`` reached its cycle cap (``max_cycles``, or the
-    conservative deadlock cap) before every stream drained or failed.  The
-    message names the stalled gateways and streams; ``run`` is the run as
-    it stood at the cap."""
+    conservative deadlock cap) before every stream completed or failed.
+    The message names the stalled gateways and streams; ``run`` is the run
+    as it stood at the cap."""
 
     def __init__(self, diagnostic: str,
                  run: "SimulationRun | None" = None) -> None:
@@ -260,8 +263,10 @@ def simulate_system(
     """Simulate ``system`` with ``blocks`` backlogged blocks per stream.
 
     Every stream must have a block size assigned (run Algorithm 1 first).
-    Returns once every stream's outputs have been drained (or the stream
-    failed); a run that reaches its cycle cap first raises
+    The entry gateway admits ``blocks`` blocks per stream (the bindings'
+    ``block_quota``).  Returns once every stream has completed them and
+    every output word it emitted is resident at the consumer, or has
+    failed or left; a run that reaches its cycle cap first raises
     :class:`SimulationStalled`, whose message names the stalled gateways
     and streams.
 
@@ -281,14 +286,18 @@ def simulate_system(
     positive ``spares`` count (dormant cold-spare tiles for permanent-
     tile-failure failover) — switches the run into **churn mode**: a
     :class:`~repro.arch.reconfig.ReconfigurationManager` executes the
-    requests as hitless online mode transitions, and a stream counts as
-    done once it has completed ``blocks`` blocks (or left, or failed).
+    requests as hitless online mode transitions, and the run also waits
+    until no request is pending and no transition is in flight.
 
-    Every stream's input C-FIFO holds, from the moment the stream is
-    bound, every word the stream can consume before it counts as done:
-    ``η·blocks`` on a static run, and ``blocks·max(eta_max, η)`` on a churn
-    run, where ``eta_max`` caps online re-solves and a join's requested
-    ``block_size`` may bind a joiner above it.
+    Every stream's C-FIFOs hold, from the moment the stream is bound,
+    everything it reads and emits in its ``blocks`` blocks: the input is
+    preloaded with, and the output has room for, ``η·blocks`` words on a
+    static run and ``blocks·max(eta_max, η)`` on a churn run, where a
+    join's requested ``block_size`` may bind a joiner above ``eta_max``.
+    ``eta_max = 2·(max η·blocks + 8)`` caps online re-solves.  The cap
+    stays because it bounds each churn stream's preload, and so what a
+    run simulates; it is also what refuses most refused joins, so raising
+    it would change which joins a run admits.
     """
     system.require_block_sizes()
     churn = spares > 0 or bool(faults is not None and faults.churn)
@@ -303,34 +312,31 @@ def simulate_system(
         # per-run override of the fused ring fast path (the differential
         # suite and the REPRO_NO_FASTPATH CI leg compare against this)
         soc.ring.fastpath = False
-    # the station the input words came from: they are preloaded, so no
-    # task runs there, but the gateway's read-pointer updates travel to it
+    # the stations the input words come from and the output words go to:
+    # no task runs on either, but the input FIFOs' read-pointer updates
+    # travel to the first and the output words to the second
     producer_station = soc.claim_station()
-    cons = soc.add_processor("cons")
+    consumer_station = soc.claim_station()
     entry_station = 2
     exit_station = entry_station + len(kernels) + 1
+    eta_max = 2 * (max(s.block_size for s in system.streams) * blocks + 8)
 
-    # churn runs re-solve block sizes online, so fifo headroom must cover
-    # grown η values, not just the fixed total
-    cap_words = 4 * (max(s.block_size for s in system.streams) * blocks + 8)
-    eta_max = max(1, cap_words // 2)
-
-    def input_fifo(name: str, words: int) -> CFifo:
-        """A stream's input C-FIFO, holding all ``words`` it will read."""
-        fifo = soc.software_fifo(producer_station, entry_station,
-                                 capacity=words, name=f"{name}.in")
-        fifo.preload(map(float, range(words)))
-        return fifo
+    def stream_fifos(name: str, words: int) -> tuple[CFifo, CFifo]:
+        """A stream's input C-FIFO, holding all ``words`` it will read, and
+        its output C-FIFO, with room for all it will emit (the stand-in
+        accelerator passes every sample through)."""
+        in_fifo = soc.software_fifo(producer_station, entry_station,
+                                    capacity=words, name=f"{name}.in")
+        in_fifo.preload(map(float, range(words)))
+        out_fifo = soc.software_fifo(exit_station, consumer_station,
+                                     capacity=words, name=f"{name}.out")
+        return in_fifo, out_fifo
 
     configs = []
     for spec in system.streams:
         eta = spec.block_size
-        total = eta * blocks
-        in_fifo = input_fifo(spec.name,
-                             blocks * max(eta_max, eta) if churn else total)
-        out_fifo = soc.software_fifo(exit_station, cons,
-                                     capacity=cap_words if churn else total + 8,
-                                     name=f"{spec.name}.out")
+        in_fifo, out_fifo = stream_fifos(
+            spec.name, blocks * max(eta_max, eta) if churn else eta * blocks)
         configs.append({
             "name": spec.name,
             "eta": eta,
@@ -339,7 +345,7 @@ def simulate_system(
             "states": [dict(_CONTEXT) for _ in kernels],
             "reconfigure_cycles": spec.reconfigure,
         })
-    drained = Signal(soc.sim, name="harness.drained")
+    completion = _Completion(soc.sim)
 
     injector = None
     if faults is not None and len(faults):
@@ -362,18 +368,15 @@ def simulate_system(
                 )
                 for s in system.streams
             ])
-        if not churn:
-            # a failed stream will never drain; count it as done so the run
-            # terminates instead of spinning to the cycle cap (churn runs
-            # track failure through the per-stream watchers instead)
-            user_failed_cb = wd.on_stream_failed
+        # a failed stream never completes: count it as done
+        user_failed_cb = wd.on_stream_failed
 
-            def _on_stream_failed(name: str) -> None:
-                drained.release(1)
-                if user_failed_cb is not None:
-                    user_failed_cb(name)
+        def _on_stream_failed(name: str) -> None:
+            completion.mark_done(name)
+            if user_failed_cb is not None:
+                user_failed_cb(name)
 
-            wd.on_stream_failed = _on_stream_failed
+        wd.on_stream_failed = _on_stream_failed
 
     chain = soc.shared_chain(
         "sys", kernels, configs,
@@ -382,14 +385,15 @@ def simulate_system(
         context_mode=context_mode,
         watchdog=wd, admission=adm, fault_injector=injector,
     )
+    chain.exit.on_quota = completion.quota_reached
+    for binding in chain.bindings.values():
+        binding.block_quota = blocks
+        completion.track()
 
-    book = None
     reconfig = None
     if churn:
         for i in range(spares):
             soc.add_spare_tile(f"sys.spare{i}")
-        book = _ChurnBook(soc.sim, drained, blocks)
-        ratio = next(iter(chain.bindings.values())).output_ratio
         failure_allowance = 0
         if wd is not None:
             failure_allowance = (
@@ -399,50 +403,34 @@ def simulate_system(
             )
 
         def _joined_binding(spec: StreamSpec, eta: int) -> StreamBinding:
-            in_fifo = input_fifo(spec.name, blocks * max(eta_max, eta))
-            out_fifo = soc.software_fifo(exit_station, cons,
-                                         capacity=cap_words,
-                                         name=f"{spec.name}.out")
+            in_fifo, out_fifo = stream_fifos(spec.name,
+                                             blocks * max(eta_max, eta))
             if injector is not None and injector.can_fire("cfifo"):
                 in_fifo.fault_injector = injector
                 out_fifo.fault_injector = injector
-            binding = StreamBinding(
+            completion.track()
+            return StreamBinding(
                 name=spec.name, eta=eta, in_fifo=in_fifo, out_fifo=out_fifo,
                 states=[dict(_CONTEXT) for _ in kernels],
-                output_ratio=ratio, reconfigure_cycles=spec.reconfigure,
+                reconfigure_cycles=spec.reconfigure, block_quota=blocks,
             )
-            book.track(binding)
-            return binding
 
         reconfig = ReconfigurationManager(
             soc, chain, system,
             binding_factory=_joined_binding,
-            on_stream_left=lambda b: book.mark_done(b.name),
+            on_stream_left=lambda b: completion.mark_done(b.name),
+            on_idle=completion.check,
             eta_max=eta_max,
             failure_allowance=failure_allowance,
         )
+        completion.reconfig = reconfig
         if faults is not None:
             reconfig.schedule_plan(faults)
         reconfig.start()
-        for cfg in configs:
-            book.track(chain.binding(cfg["name"]))
-    else:
-        def consumer(fifo, total_out):
-            def gen():
-                for _ in range(total_out):
-                    yield Get(fifo)
-                drained.release(1)
-            return gen
-
-        for cfg in configs:
-            total_out = chain.binding(cfg["name"]).expected_out * blocks
-            cons.add_task(TaskSpec(f"drain:{cfg['name']}",
-                                   consumer(cfg["out_fifo"], total_out)))
-        cons.start()
 
     # Conservative cap in case a configuration deadlocks; the normal exit is
-    # the drain of every stream's last output, so the measurement horizon is
-    # not inflated by post-completion polling.
+    # the completion event, so the measurement horizon is not inflated by
+    # post-completion polling.
     max_eta = max(s.block_size for s in system.streams)
     max_r = max(s.reconfigure for s in system.streams)
     per_sample = system.entry_copy + sum(a.rho + 4 for a in system.accelerators) + 30
@@ -464,79 +452,70 @@ def simulate_system(
         cap += 200_000 * (len(reconfig._events) + spares + 1)
     if max_cycles is not None:
         cap = max_cycles
-    if churn:
-        finished = soc.sim.run_while(
-            lambda: not book.complete(reconfig), cap
-        )
-    else:
-        done = soc.sim.process(_wait_for(drained, len(configs)))
-        finished = soc.sim.run_until(done, cap)
+    finished = soc.sim.run_until(completion.stop, cap)
     run = SimulationRun(
         system=system, soc=soc, chain=chain, blocks=blocks,
         poll_interval=poll_interval, horizon=max(1, soc.sim.now),
         injector=injector, watchdog=wd, admission=adm, reconfig=reconfig,
     )
     if not finished:
-        # a stream that neither drained nor failed: returned, its metrics
-        # would read as a clean run
+        # a stream that neither completed nor failed: returned, its
+        # metrics would read as a clean run
         raise SimulationStalled(
             _stall_diagnostic(chain, blocks, soc.sim.now, cap), run)
     return run
 
 
-class _ChurnBook:
-    """Per-stream draining and completion tracking for churn runs.
+class _Completion:
+    """The one event that ends a harness run, static or churn.
 
-    Static runs wait for a fixed output count; under churn it is not known
-    up front (block sizes change online, and a leaving stream never drains
-    its total), so every stream — initial or joined — gets a continuous
-    drainer and a watcher that marks it done once it has completed the
-    target number of blocks, failed, or left.  Its inputs need no feeder:
-    :func:`simulate_system` preloads them when the stream is bound.
+    A stream is done once it has completed its ``block_quota`` blocks and
+    every output word it emitted is resident in its output C-FIFO, or once
+    it failed or left.  The run is complete once every tracked stream is
+    done and the reconfiguration manager, if any, is
+    :attr:`~repro.arch.reconfig.ReconfigurationManager.idle`.  That
+    condition is checked only where one of its inputs changes — the exit
+    gateway's quota hook, the watchdog's failure callback and the
+    manager's leave and idle hooks — and :attr:`stop` ends the first time
+    it holds.
     """
 
-    def __init__(self, sim: Simulator, drained: Signal, blocks: int,
-                 poll: int = 64) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.drained = drained
-        self.blocks = blocks
-        self.poll = max(1, int(poll))
-        self.expected = 0
+        self._complete = sim.event()
+        #: the process the run stops on: it ends when the run is complete
+        self.stop = sim.process(self._until_complete(), name="harness.stop")
+        self.reconfig: ReconfigurationManager | None = None
+        self._tracked = 0
         self._done: set[str] = set()
 
-    def track(self, binding: StreamBinding) -> None:
-        """Drain and watch one stream until it counts as done."""
-        self.expected += 1
-        self.sim.process(self._drain(binding), name=f"drain:{binding.name}")
-        self.sim.process(self._watch(binding), name=f"watch:{binding.name}")
+    def _until_complete(self):
+        yield self._complete
+
+    def track(self) -> None:
+        """Count one more stream the run waits for."""
+        self._tracked += 1
+
+    def quota_reached(self, binding: StreamBinding) -> None:
+        """Exit-gateway hook: the stream's last block left the chain."""
+        self.sim.process(self._arrive(binding), name=f"arrive:{binding.name}")
+
+    def _arrive(self, binding: StreamBinding):
+        fifo = binding.out_fifo
+        yield from fifo.wait_resident(fifo.words_put)
+        self.mark_done(binding.name)
 
     def mark_done(self, name: str) -> None:
         if name not in self._done:
             self._done.add(name)
-            self.drained.release(1)
+            self.check()
 
-    def complete(self, reconfig: ReconfigurationManager) -> bool:
-        """Every tracked stream done and no reconfiguration work pending."""
-        return (len(self._done) >= self.expected
-                and not reconfig._events
-                and not reconfig.pending_remaps
-                and not reconfig.busy)
-
-    def _drain(self, binding: StreamBinding):
-        fifo = binding.out_fifo
-        while binding.name not in self._done:
-            ok, _word = fifo.try_get()
-            if ok:
-                yield self.sim.timeout(1)
-            else:
-                yield self.sim.timeout(self.poll)
-
-    def _watch(self, binding: StreamBinding):
-        while (binding.blocks_done < self.blocks
-               and not binding.failed
-               and binding.name not in self._done):
-            yield self.sim.timeout(self.poll)
-        self.mark_done(binding.name)
+    def check(self) -> None:
+        """End :attr:`stop` if the run is complete."""
+        if (len(self._done) >= self._tracked
+                and not self._complete.triggered
+                and (self.reconfig is None or self.reconfig.idle)):
+            self._complete.succeed()
 
 
 def _stall_diagnostic(chain: SharedChain, blocks: int, now: int,
@@ -546,8 +525,8 @@ def _stall_diagnostic(chain: SharedChain, blocks: int, now: int,
     current = entry._current.name if entry._current is not None else None
     active = exit_gw._active.name if exit_gw._active is not None else None
     lines = [
-        f"simulation stalled at cycle {now}: streams neither drained nor "
-        f"failed within the {cap}-cycle cap",
+        f"simulation stalled at cycle {cap} (last event at cycle {now}): "
+        f"streams neither completed nor failed within the {cap}-cycle cap",
         f"  entry gateway: current stream={current}, "
         f"idle tokens={entry.idle.count}, blocks admitted={entry.blocks_admitted}",
         f"  exit gateway: active stream={active}, "
@@ -558,14 +537,14 @@ def _stall_diagnostic(chain: SharedChain, blocks: int, now: int,
             state = "FAILED"
         elif b.paused_at is not None:
             state = f"paused since cycle {b.paused_at}"
-        elif b.blocks_done < blocks:
+        elif b.blocks_done < blocks or b.out_fifo.resident < b.samples_out:
             state = "STALLED"
         else:
             state = "done"
         lines.append(
             f"  stream {name}: {b.blocks_done}/{blocks} blocks, "
             f"in={b.samples_in} out={b.samples_out} "
-            f"drained={b.out_fifo.words_got}, "
+            f"arrived={b.out_fifo.resident}, "
             f"retries={b.retries}, {state}"
         )
     for ch in chain.channels:
@@ -575,7 +554,3 @@ def _stall_diagnostic(chain: SharedChain, blocks: int, now: int,
                 f"{ch.words_in_flight} in flight"
             )
     return "\n".join(lines)
-
-
-def _wait_for(signal: Signal, units: int):
-    yield signal.acquire(units)

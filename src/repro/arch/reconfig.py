@@ -138,12 +138,15 @@ class ReconfigurationManager:
     system:
         The initial mode's analysis model (block sizes assigned).
     binding_factory:
-        ``f(StreamSpec, eta) -> StreamBinding`` building the fifos,
-        producer and consumer for a joining stream.  Joins are refused
-        without one.
+        ``f(StreamSpec, eta) -> StreamBinding`` building the binding and
+        its fifos for a joining stream.  Joins are refused without one.
     on_stream_left:
         Called with the removed :class:`StreamBinding` after a leave, so
         the harness can settle its completion bookkeeping.
+    on_idle:
+        Called whenever a transition or remap ends with none left in
+        flight, so the harness can check whether its run is complete
+        (see :attr:`idle`).
     eta_max:
         Cap on any re-solved block size (e.g. from C-FIFO headroom).
     reprogram_words:
@@ -166,6 +169,7 @@ class ReconfigurationManager:
         initial_result: BlockSizeResult | None = None,
         binding_factory: Callable[[StreamSpec, int], StreamBinding] | None = None,
         on_stream_left: Callable[[StreamBinding], None] | None = None,
+        on_idle: Callable[[], None] | None = None,
         c1_mode: str = "sum",
         eta_max: int | None = None,
         reprogram_words: int = 4,
@@ -190,6 +194,7 @@ class ReconfigurationManager:
         self.quiesce_poll = max(1, int(quiesce_poll))
         self._binding_factory = binding_factory
         self._on_stream_left = on_stream_left
+        self._on_idle = on_idle
         self._initial_system = system
         if initial_result is None:
             initial_result = BlockSizeResult(
@@ -252,9 +257,9 @@ class ReconfigurationManager:
 
     # -- derived views -----------------------------------------------------
     @property
-    def busy(self) -> bool:
-        """A transition is mid-flight (between freeze and its record)."""
-        return self._busy > 0
+    def idle(self) -> bool:
+        """No request pending, no remap pending, no transition in flight."""
+        return not (self._events or self.pending_remaps or self._busy)
 
     @property
     def accepted(self) -> list[ModeTransition]:
@@ -300,7 +305,7 @@ class ReconfigurationManager:
                 try:
                     yield from self._transition(spec)
                 finally:
-                    self._busy -= 1
+                    self._ended()
                 continue
             if not self._events and not self._spares_left():
                 return
@@ -339,7 +344,13 @@ class ReconfigurationManager:
         try:
             yield from self._execute_remaps(trigger)
         finally:
-            self._busy -= 1
+            self._ended()
+
+    def _ended(self) -> None:
+        """A transition or remap ended; report when none is left in flight."""
+        self._busy -= 1
+        if not self._busy and self._on_idle is not None:
+            self._on_idle()
 
     def _execute_remaps(self, trigger: str):
         while self.pending_remaps:

@@ -541,9 +541,9 @@ class Simulator:
     Clock semantics (uniform, regression-pinned in
     ``tests/unit/test_sim_kernel.py``):
 
-    * ``run()``, ``run(until=event)`` and the bounded drivers
-      :meth:`run_until`/:meth:`run_while` leave the clock on the cycle of
-      the **last dispatched event**.  A bounded driver that gives up
+    * ``run()``, ``run(until=event)`` and the bounded driver
+      :meth:`run_until` leave the clock on the cycle of the **last
+      dispatched event**.  A bounded driver that gives up
       (queue drained, or next live event beyond ``limit``) does *not*
       advance to the limit, so measurement horizons are never inflated by
       idle tails;
@@ -867,48 +867,3 @@ class Simulator:
         driver loop of the architecture harness.
         """
         return self._drive(stop, limit)
-
-    def run_while(self, pending: Callable[[], bool], limit: int) -> bool:
-        """Run while ``pending()`` is true, never past cycle ``limit``.
-
-        The predicate is re-evaluated before every event dispatch.  Returns
-        True once ``pending()`` turned false; False when the queue drained
-        or the next live event lies beyond ``limit`` while still pending
-        (the clock then rests on the last fired event, not on ``limit``).
-        """
-        buckets = self._buckets
-        times = self._times
-        while pending():
-            t = self.peek()
-            if t is None or t > limit:
-                return not pending()
-            _heappop(times)
-            bucket = buckets.pop(t)
-            if t > self.now:
-                self.skipped_cycles += t - self.now - 1
-                self.now = t
-            i = 0
-            self._active = bucket
-            self._active_cycle = t
-            try:
-                while i < len(bucket):
-                    if not pending():
-                        break
-                    event = bucket[i]
-                    i += 1
-                    if event._cancelled:
-                        continue
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(event)
-            finally:
-                self._active = None
-                self._active_cycle = -1
-                if i < len(bucket):
-                    del bucket[:i]
-                    buckets[t] = bucket
-                    _heappush(times, t)
-        return True

@@ -164,6 +164,20 @@ def test_cli_stalled_simulation_exits_4_without_traceback():
     assert proc.stdout == ""
 
 
+def test_cli_stall_names_the_cap_and_the_last_event(capsys):
+    """The stall header's cycle is the cap the run stopped at; the clock
+    of the last fired event is named apart (here the first stream switch
+    outlasts the cap, so nothing fires after cycle 0)."""
+    code = cli.main(["metrics",
+                     str(ROOT / "examples" / "configs" / "small_radios.json"),
+                     "--max-cycles", "100"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_STALLED
+    assert err.splitlines()[0].startswith(
+        "error: simulation stalled at cycle 100 (last event at cycle 0):")
+    assert "stream radio_a: 0/4 blocks, in=0 out=0 arrived=0" in err
+
+
 SMALL_CFG = (
     '{"entry_copy": 6, "exit_copy": 1,'
     ' "accelerators": [{"name": "a", "rho": 1}],'

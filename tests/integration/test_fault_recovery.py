@@ -219,8 +219,8 @@ def test_default_cap_stall_raises_instead_of_reading_clean():
     msg = str(err.value)
     assert "stalled at cycle" in msg
     # both blocks left the exit gateway, but one s0 word never arrived
-    assert "stream s0: 1/1 blocks, in=3 out=3 drained=2" in msg
-    assert "stream s1: 1/1 blocks, in=5 out=5 drained=5" in msg
+    assert "stream s0: 1/1 blocks, in=3 out=3 arrived=2" in msg
+    assert "stream s1: 1/1 blocks, in=5 out=5 arrived=5" in msg
 
 
 def test_max_cycles_generous_cap_is_silent():

@@ -37,12 +37,26 @@ def _system() -> GatewaySystem:
     return system.with_block_sizes(compute_block_sizes(system).block_sizes)
 
 
+def _pal_admissions() -> list[int]:
+    """pal's admission cycles in a fault-free run of :func:`_system`.
+
+    Both streams finish their ``BLOCKS`` blocks by cycle 13,440 there, so
+    a plan timed from these cycles lands on live traffic.
+    """
+    return simulate_system(_system(), blocks=BLOCKS).chain.bindings[
+        "pal"].admissions
+
+
 def _churn_plan() -> FaultPlan:
+    # join at pal's 3rd admission, fail the tile at its 6th and let ntsc
+    # leave at its 9th: the failure strikes under a block of the 3-stream
+    # mode, and ntsc leaves with blocks still to go
+    pal = _pal_admissions()
     return FaultPlan(specs=(
-        FaultSpec(kind="stream_join", at=30_000, target="web",
+        FaultSpec(kind="stream_join", at=pal[2], target="web",
                   params={"throughput": [1, 200], "reconfigure": 410}),
-        FaultSpec(kind="permanent_tile_failure", at=45_000, target="sys.acc0"),
-        FaultSpec(kind="stream_leave", at=70_000, target="ntsc"),
+        FaultSpec(kind="permanent_tile_failure", at=pal[5], target="sys.acc0"),
+        FaultSpec(kind="stream_leave", at=pal[8], target="ntsc"),
     ), seed=3)
 
 
@@ -73,6 +87,8 @@ class TestChurnAcceptance:
             assert t.block_sizes == compute_block_sizes(t.system).block_sizes
 
     def test_spare_failover_remaps_the_dead_tile(self, run):
+        [fired] = run.injector.events
+        assert fired["kind"] == "permanent_tile_failure"
         assert run.chain.remaps == [("sys.acc0", "sys.spare0")]
         [failure] = [t for t in run.reconfig.transitions
                      if t.trigger == "tile_failure"]
@@ -88,6 +104,15 @@ class TestChurnAcceptance:
         assert bindings["web"].blocks_done >= BLOCKS
         assert not bindings["pal"].failed
         assert not bindings["web"].failed
+
+    def test_streams_stop_at_their_block_quota(self, run):
+        """A stream that neither left nor failed is admitted exactly
+        ``BLOCKS`` blocks; the one that left stopped short of them."""
+        bindings = run.chain.bindings
+        for name in ("pal", "web"):
+            b = bindings[name]
+            assert len(b.admissions) == len(b.completions) == BLOCKS, name
+        assert len(bindings["ntsc"].completions) < BLOCKS
 
     def test_eq5_met_in_every_mode_after_each_transition(self, run):
         """Post-transition steady modes conform to the per-mode bounds.
@@ -146,13 +171,16 @@ def test_tile_failure_without_spare_degrades_gracefully():
     """No spare in the pool: the remap is refused, the streams fail-stop
     (the single-tile chain is unrecoverable), and the run still terminates
     with the refusal on record."""
+    pal = _pal_admissions()
     plan = FaultPlan(specs=(
-        FaultSpec(kind="stream_join", at=30_000, target="web",
+        FaultSpec(kind="stream_join", at=pal[2], target="web",
                   params={"throughput": [1, 200], "reconfigure": 410}),
-        FaultSpec(kind="permanent_tile_failure", at=45_000, target="sys.acc0"),
+        FaultSpec(kind="permanent_tile_failure", at=pal[5], target="sys.acc0"),
     ), seed=3)
     run = simulate_system(_system(), blocks=BLOCKS, faults=plan,
                           admission=False, spares=0)
+    [fired] = run.injector.events
+    assert fired["kind"] == "permanent_tile_failure"
     refused = [t for t in run.reconfig.transitions if not t.accepted]
     assert refused and refused[0].trigger == "tile_failure"
     assert refused[0].reason == "no-spare"

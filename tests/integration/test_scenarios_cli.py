@@ -261,3 +261,20 @@ def test_unpinned_static_family_smoke():
         if report.unattributed:
             bad[seed] = [v.to_dict() for v in report.unattributed]
     assert not bad, bad
+
+
+def test_generated_churn_streams_stop_at_their_blocks():
+    """Seeds 0-15 of the generated corpus: no stream of a churn point,
+    initial or joined, is admitted more than the run's ``blocks`` blocks."""
+    churn = 0
+    for seed in range(16):
+        result = generate(seed=seed).build()
+        if result.reconfig is None:
+            continue
+        churn += 1
+        blocks = result.run.blocks
+        over = {name: len(b.admissions)
+                for name, b in result.chain.bindings.items()
+                if len(b.admissions) > blocks}
+        assert not over, (seed, blocks, over)
+    assert churn >= 4

@@ -365,9 +365,9 @@ class Process(Event):
 class Simulator:
     """The event loop: a priority queue of (cycle, sequence, event).
 
-    The loop methods (:meth:`run`, :meth:`run_until`, :meth:`run_while`)
-    pop events inline — same-cycle bursts drain in one tight loop without
-    the per-event ``peek``/``purge``/``step`` call triple — which is worth
+    The loop methods (:meth:`run`, :meth:`run_until`) pop events inline —
+    same-cycle bursts drain in one tight loop without the per-event
+    ``peek``/``purge``/``step`` call triple — which is worth
     double-digit percentages on simulation-bound runs (see
     ``benchmarks/bench_kernel_hotpath.py``).  :meth:`peek`/:meth:`step`
     remain for drivers that need per-event control.
@@ -489,24 +489,6 @@ class Simulator:
                 _heappop(queue)
             if not queue or queue[0][0] > limit:
                 return False
-            when, _seq, event = _heappop(queue)
-            self.now = when
-            event._fire()
-        return True
-
-    def run_while(self, pending: Callable[[], bool], limit: int) -> bool:
-        """Run while ``pending()`` is true, never past cycle ``limit``.
-
-        The predicate is re-evaluated after every fired event.  Returns
-        True once ``pending()`` turned false; False when the queue drained
-        or the next live event lies beyond ``limit`` while still pending.
-        """
-        queue = self._queue
-        while pending():
-            while queue and queue[0][2]._cancelled:
-                _heappop(queue)
-            if not queue or queue[0][0] > limit:
-                return not pending()
             when, _seq, event = _heappop(queue)
             self.now = when
             event._fire()

@@ -83,6 +83,33 @@ def test_blocks_multiplexed_round_robin():
     assert adm0[0] < adm1[0] < adm0[1] < adm1[1]
 
 
+def test_block_quota_caps_admissions_and_fires_the_exit_hook_once():
+    soc, prod, cons, (in0, in1), (out0, out1), chain = build_soc(etas=(4, 4))
+    s0, s1 = chain.binding("s0"), chain.binding("s1")
+    s0.block_quota = 2
+    reached = []
+    chain.exit.on_quota = lambda b: reached.append((b.name, soc.sim.now))
+
+    def producer():
+        for i in range(12):
+            yield Put(in0, float(i))
+            yield Put(in1, float(i))
+
+    def consumer():
+        for _ in range(12):
+            yield Get(out1)
+
+    prod.add_task(TaskSpec("p", producer))
+    cons.add_task(TaskSpec("c", consumer))
+    prod.start(); cons.start()
+    soc.run(until=30000)
+    # s0 stops at its quota with a block's words still waiting
+    assert len(s0.admissions) == s0.blocks_done == 2
+    assert in0.consumer_available == 4
+    assert s1.blocks_done == 3  # no quota: every block it was fed
+    assert reached == [("s0", s0.completions[-1])]
+
+
 def test_block_not_admitted_without_full_block():
     soc, prod, cons, (in0, in1), (out0, out1), chain = build_soc(etas=(4, 4))
 

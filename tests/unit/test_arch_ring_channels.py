@@ -297,6 +297,31 @@ def test_cfifo_preload_is_resident_at_once_without_ring_traffic():
     assert f.producer_space == 5 and f.words_got == 3
 
 
+def test_cfifo_wait_resident_reads_nothing_and_posts_no_read_pointer():
+    sim = Simulator()
+    ring = DualRing(sim, 4)
+    f = CFifo(sim, ring, 0, 2, capacity=3)
+    arrived = []
+
+    def producer():
+        for word in ("a", "b", "c"):
+            yield from f.put(word)
+
+    def waiter():
+        yield from f.wait_resident(3)
+        arrived.append(sim.now)
+
+    sim.process(producer())
+    sim.process(waiter())
+    sim.run()
+    # the waiter resumes on the last write pointer's arrival, the run's
+    # last event
+    assert arrived == [sim.now]
+    assert f.resident == 3 and f.words_got == 0 and f.producer_space == 0
+    # a data and a write-pointer flit per word, and no read pointer
+    assert ring.flits_sent[DualRing.DATA] == 6
+
+
 def test_cfifo_preload_overfill_raises():
     sim = Simulator()
     f = CFifo(sim, DualRing(sim, 4), 0, 1, capacity=3)

@@ -682,3 +682,49 @@ def test_fault_free_harness_run_fires_no_unwatched_event(monkeypatch):
     assert all(m.blocks_done == 2 for m in run.metrics().values())
     assert run.chain.channels[0].words_sent > 0
     assert unwatched == []
+
+
+def test_fault_free_static_run_simulates_no_consumer(monkeypatch):
+    """A static harness run reads no output word: no read pointer is
+    posted on an output C-FIFO, no consumer process is spawned, and the
+    run stops on the cycle its last output word became resident."""
+    from fractions import Fraction
+
+    from repro.arch import CFifo, simulate_system
+    from repro.core import AcceleratorSpec, GatewaySystem, StreamSpec
+
+    arrivals = {}
+    release_avail = CFifo._release_avail
+
+    def recorded(fifo, payload):
+        release_avail(fifo, payload)
+        arrivals[fifo.name] = fifo.sim.now
+
+    spawned = []
+    process = Simulator.process
+
+    def named(sim, gen, name=None):
+        spawned.append(name or "")
+        return process(sim, gen, name=name)
+
+    monkeypatch.setattr(CFifo, "_release_avail", recorded)
+    monkeypatch.setattr(Simulator, "process", named)
+    system = GatewaySystem(
+        accelerators=(AcceleratorSpec("a", 1), AcceleratorSpec("b", 2)),
+        streams=(StreamSpec("s0", Fraction(1, 100000), 10, block_size=3),
+                 StreamSpec("s1", Fraction(1, 100000), 10, block_size=5)),
+        entry_copy=4, exit_copy=1,
+    )
+    run = simulate_system(system, blocks=2)
+    for b in run.chain.bindings.values():
+        out = b.out_fifo
+        assert out.words_put == out.resident == 2 * b.eta
+        assert out.words_got == 0
+        assert out.flits_fast + out.flits_slow == 2 * out.words_put
+    # gateways, tiles and the stop; the only per-stream process waits
+    # once for the stream's outputs
+    assert sorted(spawned) == [
+        "acc:sys.acc0", "acc:sys.acc1", "arrive:s0", "arrive:s1",
+        "entrygw:sys.entry", "exitgw:sys.exit", "harness.stop"]
+    assert set(arrivals) == {"s0.out", "s1.out"}
+    assert run.horizon == max(arrivals.values())

@@ -542,19 +542,6 @@ def test_run_until_leaves_clock_on_last_dispatched_event():
     assert sim.now == 10  # not 1_000
 
 
-def test_run_while_leaves_clock_on_last_dispatched_event():
-    sim = Simulator()
-    done = []
-
-    def one_shot():
-        yield sim.timeout(10)
-        done.append(True)
-
-    sim.process(one_shot())
-    assert sim.run_while(lambda: not done, limit=1_000)
-    assert sim.now == 10
-
-
 def test_run_until_cancelled_target_raises_clear_error():
     """A cancelled target event is reported as such, not as 'ran dry'."""
     sim = Simulator()
