@@ -77,9 +77,7 @@ class Scenario:
     watchdog: WatchdogConfig | None = None
     admission: AdmissionController | bool | None = None
     max_cycles: int | None = None
-    poll_interval: int = 1
     trace: bool = True
-    context_mode: str = "software"
     no_fastpath: bool = False
 
     # -- registry front door ---------------------------------------------
@@ -194,8 +192,6 @@ class Scenario:
         kwargs: dict[str, Any] = {
             "blocks": self.blocks,
             "trace": self.trace,
-            "poll_interval": self.poll_interval,
-            "context_mode": self.context_mode,
             "faults": self.faults,
             "watchdog": self.watchdog,
             "admission": self.admission,

@@ -268,7 +268,6 @@ class EntryGateway:
         bindings: list[StreamBinding],
         config_bus: ConfigBus,
         entry_copy: int = 15,
-        poll_interval: int = 1,
         context_mode: str = "software",
         shadow_switch_cycles: int = 4,
         tracer: Tracer | None = None,
@@ -298,7 +297,6 @@ class EntryGateway:
         self.bindings = list(bindings)
         self.config_bus = config_bus
         self.entry_copy = int(entry_copy)
-        self.poll_interval = max(1, int(poll_interval))
         self.context_mode = context_mode
         self.shadow_switch_cycles = int(shadow_switch_cycles)
         self.tracer = tracer
@@ -483,8 +481,8 @@ class EntryGateway:
                 self._last_progress = self.sim.now
                 break
             if not admitted:
-                self.wait_cycles += self.poll_interval
-                yield self.sim.timeout(self.poll_interval)
+                self.wait_cycles += 1
+                yield self.sim.timeout(1)
                 if self.watchdog is not None:
                     self._poll_maintenance()
 

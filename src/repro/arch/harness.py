@@ -68,7 +68,7 @@ from ..sim.faults import (
 from ..sim.trace import Kind
 from .cfifo import CFifo
 from .gateway import StreamBinding
-from .reconfig import ReconfigurationManager
+from .reconfig import QUIESCE_POLL, ReconfigurationManager
 from .system import MPSoC, SharedChain
 
 __all__ = ["SimulationRun", "SimulationStalled", "simulate_system"]
@@ -120,7 +120,6 @@ class SimulationRun:
     soc: MPSoC
     chain: SharedChain
     blocks: int
-    poll_interval: int
     horizon: int = field(default=0)
     injector: FaultInjector | None = field(default=None)
     watchdog: WatchdogConfig | None = field(default=None)
@@ -152,7 +151,8 @@ class SimulationRun:
         architecture needs.
         """
         model = calibrated_system(self.system) if calibrated else self.system
-        slack = self.poll_interval * len(self.system.streams)
+        # the entry gateway polls once a cycle: one cycle per admission
+        slack = len(self.system.streams)
         return check_conformance(model, self.metrics().values(), wait_slack=slack)
 
     def mode_conformance(self, calibrated: bool = True) -> ModalConformanceReport:
@@ -169,9 +169,7 @@ class SimulationRun:
                 "manager was armed); use conformance() for static runs"
             )
         windows = self.reconfig.mode_windows()
-        slack = (self.poll_interval
-                 * max(len(w.system.streams) for w in windows)
-                 + self.reconfig.quiesce_poll)
+        slack = max(len(w.system.streams) for w in windows) + QUIESCE_POLL
         return check_modal_conformance(
             windows, self.chain.bindings, wait_slack=slack,
             calibrate=calibrated,
@@ -251,8 +249,6 @@ def simulate_system(
     system: GatewaySystem,
     blocks: int = 4,
     trace: bool = True,
-    poll_interval: int = 1,
-    context_mode: str = "software",
     faults: FaultPlan | None = None,
     watchdog: WatchdogConfig | None = None,
     admission: AdmissionController | bool | None = None,
@@ -381,8 +377,7 @@ def simulate_system(
     chain = soc.shared_chain(
         "sys", kernels, configs,
         entry_copy=system.entry_copy, exit_copy=system.exit_copy,
-        ni_capacity=system.ni_capacity, poll_interval=poll_interval,
-        context_mode=context_mode,
+        ni_capacity=system.ni_capacity,
         watchdog=wd, admission=adm, fault_injector=injector,
     )
     chain.exit.on_quota = completion.quota_reached
@@ -455,7 +450,7 @@ def simulate_system(
     finished = soc.sim.run_until(completion.stop, cap)
     run = SimulationRun(
         system=system, soc=soc, chain=chain, blocks=blocks,
-        poll_interval=poll_interval, horizon=max(1, soc.sim.now),
+        horizon=max(1, soc.sim.now),
         injector=injector, watchdog=wd, admission=adm, reconfig=reconfig,
     )
     if not finished:

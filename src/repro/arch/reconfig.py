@@ -9,22 +9,27 @@ protocols of Jung et al. (see PAPERS.md): a :class:`ReconfigurationManager`
 that accepts join/leave requests and permanent-tile-failure notifications
 mid-simulation and executes *hitless* mode transitions —
 
-1. **freeze** — the entry-gateway stops admitting blocks (the in-flight
+1. **re-solve** — run Algorithm 1 over the new stream set
+   (:func:`repro.core.blocksize_ilp.resolve_block_sizes`) at request time;
+   a request it refuses (or one naming a stream that is already bound,
+   not bound, or the last one) ends here, recorded with zero latency,
+   and admission never stops,
+2. **freeze** — the entry-gateway stops admitting blocks (the in-flight
    block, if any, completes normally),
-2. **quiesce** — wait until the pipeline-idle token is parked and the chain
+3. **quiesce** — wait until the pipeline-idle token is parked and the chain
    holds no residue (the only state in which the paper allows any
    reconfiguration),
-3. **re-solve** — run Algorithm 1 over the new stream set
-   (:func:`repro.core.blocksize_ilp.resolve_block_sizes`),
 4. **reprogram** — pay for the gateway rotation table and C-FIFO credit
    updates over the configuration bus (serialised, cycle-counted),
 5. **thaw** — admission resumes under the new mode.
 
 Every transition is recorded as a :class:`ModeTransition` with its measured
-latency against a closed-form budget (one worst-case block round of the
-*outgoing* mode plus the bus reprogramming time plus slack), so a run can
-assert Jung-style bounded transition delays.  Between transitions the run
-is in a steady *mode* whose Eq. 2–5 bounds are checked per
+latency against a closed-form budget
+(:func:`repro.core.conformance.transition_budget`: one worst-case block
+round of the *outgoing* mode plus the bus reprogramming time plus slack,
+the same budget ``repro serve`` quotes), so a run can assert Jung-style
+bounded transition delays.  Between transitions the run is in a steady
+*mode* whose Eq. 2–5 bounds are checked per
 :func:`repro.core.conformance.check_modal_conformance` window.
 
 Permanent tile failures take the same quiesce-then-mutate path but swap
@@ -40,7 +45,6 @@ affected stream degrades through the existing retry/fail-stop path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import ceil
 from typing import Any, Callable
 
 from ..core.blocksize_ilp import (
@@ -49,9 +53,16 @@ from ..core.blocksize_ilp import (
     sharing_load,
     system_fingerprint,
 )
-from ..core.conformance import ModeWindow, calibrated_system
+from ..core.conformance import (
+    CONFIG_BUS_WORD_CYCLES,
+    REPROGRAM_WORDS,
+    TRANSITION_SLACK,
+    ModeWindow,
+    calibrated_system,
+    transition_budget,
+)
 from ..core.params import GatewaySystem, ParameterError, StreamSpec
-from ..core.timing import block_round_length, tau_hat
+from ..core.timing import tau_hat
 from ..sim.faults import CHURN_KINDS, STREAM_JOIN, STREAM_LEAVE, FaultError, FaultPlan, FaultSpec
 from ..sim.trace import Kind
 from .accelerator_tile import AcceleratorTile
@@ -59,6 +70,11 @@ from .gateway import StreamBinding
 from .system import MPSoC, SharedChain
 
 __all__ = ["ModeTransition", "ReconfigurationManager"]
+
+#: cycles between the manager's checks for a due request
+REQUEST_POLL = 32
+#: cycles between the manager's checks for a quiescent chain
+QUIESCE_POLL = 4
 
 
 @dataclass(frozen=True)
@@ -139,7 +155,7 @@ class ReconfigurationManager:
         The initial mode's analysis model (block sizes assigned).
     binding_factory:
         ``f(StreamSpec, eta) -> StreamBinding`` building the binding and
-        its fifos for a joining stream.  Joins are refused without one.
+        its fifos for a joining stream.
     on_stream_left:
         Called with the removed :class:`StreamBinding` after a leave, so
         the harness can settle its completion bookkeeping.
@@ -149,12 +165,6 @@ class ReconfigurationManager:
         (see :attr:`idle`).
     eta_max:
         Cap on any re-solved block size (e.g. from C-FIFO headroom).
-    reprogram_words:
-        Configuration-bus words per stream to reprogram the gateway
-        rotation table and C-FIFO credit counters on a mode change (one
-        chain position's rewiring for a remap).
-    transition_slack:
-        Grace cycles added to every transition budget.
     failure_allowance:
         Extra budget for failure-triggered transitions (watchdog timeout,
         flush settling and backoff all precede the remap).
@@ -166,17 +176,11 @@ class ReconfigurationManager:
         chain: SharedChain,
         system: GatewaySystem,
         *,
-        initial_result: BlockSizeResult | None = None,
-        binding_factory: Callable[[StreamSpec, int], StreamBinding] | None = None,
-        on_stream_left: Callable[[StreamBinding], None] | None = None,
-        on_idle: Callable[[], None] | None = None,
-        c1_mode: str = "sum",
+        binding_factory: Callable[[StreamSpec, int], StreamBinding],
+        on_stream_left: Callable[[StreamBinding], None],
+        on_idle: Callable[[], None],
         eta_max: int | None = None,
-        reprogram_words: int = 4,
-        transition_slack: int = 512,
         failure_allowance: int = 0,
-        poll_interval: int = 32,
-        quiesce_poll: int = 4,
     ) -> None:
         system.require_block_sizes()
         self.sim = soc.sim
@@ -185,27 +189,20 @@ class ReconfigurationManager:
         self.bus = soc.config_bus
         self.system = system
         self.tracer = soc.tracer if soc.tracer.enabled else None
-        self.c1_mode = c1_mode
         self.eta_max = eta_max
-        self.reprogram_words = int(reprogram_words)
-        self.transition_slack = int(transition_slack)
         self.failure_allowance = int(failure_allowance)
-        self.poll_interval = max(1, int(poll_interval))
-        self.quiesce_poll = max(1, int(quiesce_poll))
         self._binding_factory = binding_factory
         self._on_stream_left = on_stream_left
         self._on_idle = on_idle
         self._initial_system = system
-        if initial_result is None:
-            initial_result = BlockSizeResult(
-                block_sizes={s.name: s.block_size for s in system.streams},
-                objective=sum(s.block_size for s in system.streams),
-                feasible=True,
-                backend="given",
-                load=sharing_load(system),
-                fingerprint=system_fingerprint(system, c1_mode=c1_mode),
-            )
-        self._result = initial_result
+        self._result = BlockSizeResult(
+            block_sizes={s.name: s.block_size for s in system.streams},
+            objective=sum(s.block_size for s in system.streams),
+            feasible=True,
+            backend="given",
+            load=sharing_load(system),
+            fingerprint=system_fingerprint(system),
+        )
         #: every transition, accepted and refused, in completion order
         self.transitions: list[ModeTransition] = []
         #: dead tiles awaiting a spare remap (drained by
@@ -309,7 +306,7 @@ class ReconfigurationManager:
                 continue
             if not self._events and not self._spares_left():
                 return
-            delay = self.poll_interval
+            delay = REQUEST_POLL
             if self._events:
                 delay = min(delay, max(1, self._events[0].at - self.sim.now))
             yield self.sim.timeout(delay)
@@ -320,7 +317,7 @@ class ReconfigurationManager:
     def _await_quiescent(self):
         entry = self.chain.entry
         while not entry.quiescent:
-            yield self.sim.timeout(self.quiesce_poll)
+            yield self.sim.timeout(QUIESCE_POLL)
 
     # -- spare failover ----------------------------------------------------
     def _idle_failover(self):
@@ -349,7 +346,7 @@ class ReconfigurationManager:
     def _ended(self) -> None:
         """A transition or remap ended; report when none is left in flight."""
         self._busy -= 1
-        if not self._busy and self._on_idle is not None:
+        if not self._busy:
             self._on_idle()
 
     def _execute_remaps(self, trigger: str):
@@ -357,9 +354,9 @@ class ReconfigurationManager:
             failed = self.pending_remaps.pop(0)
             requested_at = self._failure_times.pop(failed.name, self.sim.now)
             quiesced_at = self.sim.now
-            words = self.reprogram_words
-            budget = (self.failure_allowance + words * self.bus.word_time
-                      + self.transition_slack)
+            words = REPROGRAM_WORDS
+            budget = (self.failure_allowance + words * CONFIG_BUS_WORD_CYCLES
+                      + TRANSITION_SLACK)
             spare = self.soc.take_spare()
             if spare is None:
                 self._record(ModeTransition(
@@ -384,43 +381,39 @@ class ReconfigurationManager:
 
     # -- stream churn ------------------------------------------------------
     def _transition(self, spec: FaultSpec):
-        entry = self.chain.entry
-        requested_at = self.sim.now
-        target = spec.target
+        """Decide one join or leave at request time, then apply it.
 
-        def refuse(reason: str, quiesced_at: int | None = None) -> None:
+        The decision (validation, Algorithm 1, the join's η floor, the
+        budget) reads only the running mode and the request, and the mode
+        changes only here, so it is taken before admission is touched: a
+        refused request costs the running streams nothing.  Only a
+        transition that will be applied freezes the chain and waits for
+        the in-flight block to drain.
+        """
+        entry = self.chain.entry
+        target = spec.target
+        join = spec.kind == STREAM_JOIN
+
+        def refuse(reason: str) -> None:
+            now = self.sim.now
             self._record(ModeTransition(
                 index=len(self.transitions), trigger=spec.kind, detail=target,
-                requested_at=requested_at,
-                quiesced_at=self.sim.now if quiesced_at is None else quiesced_at,
-                completed_at=self.sim.now, budget=0, bus_words=0,
+                requested_at=now, quiesced_at=now, completed_at=now,
+                budget=0, bus_words=0,
                 block_sizes=dict(self._result.block_sizes),
                 accepted=False, reason=reason,
             ))
 
-        # cheap validation before touching admission
-        if spec.kind == STREAM_JOIN:
-            if self._binding_factory is None:
-                refuse("no-binding-factory")
-                return
-            if target in entry._by_name:
-                refuse("already-bound")
-                return
-        else:
-            if target not in entry._by_name:
-                refuse("not-bound")
-                return
-            if len(self.system.streams) == 1:
-                refuse("last-stream")
-                return
-
-        budget = (block_round_length(calibrated_system(self.system))
-                  + self.transition_slack)
-        entry.freeze()
-        yield from self._await_quiescent()
-        quiesced_at = self.sim.now
-
-        if spec.kind == STREAM_JOIN:
+        if join and target in entry._by_name:
+            refuse("already-bound")
+            return
+        if not join and target not in entry._by_name:
+            refuse("not-bound")
+            return
+        if not join and len(self.system.streams) == 1:
+            refuse("last-stream")
+            return
+        if join:
             joining = StreamSpec(target, spec.throughput,
                                  int(spec.params["reconfigure"]))
             streams = (*self.system.streams, joining)
@@ -428,28 +421,27 @@ class ReconfigurationManager:
             streams = tuple(s for s in self.system.streams if s.name != target)
         candidate = replace(self.system, streams=streams)
         try:
-            result = resolve_block_sizes(
-                candidate, previous=self._result,
-                c1_mode=self.c1_mode, eta_max=self.eta_max,
-            )
+            result = resolve_block_sizes(candidate, previous=self._result,
+                                         eta_max=self.eta_max)
         except ParameterError as exc:
-            refuse(f"infeasible: {exc}", quiesced_at=quiesced_at)
-            entry.thaw()
+            refuse(str(exc))
             return
         sizes = dict(result.block_sizes)
-        if spec.kind == STREAM_JOIN and spec.params.get("block_size"):
+        if join and spec.params.get("block_size"):
             # a caller-supplied η is honoured as a floor (a larger block
             # only loosens the joiner's own Eq. 5 constraint)
             sizes[target] = max(sizes[target], int(spec.params["block_size"]))
-        sizes = self._quantize(candidate, sizes)
         new_system = candidate.with_block_sizes(sizes)
+        budget, words = transition_budget(self.system, len(streams))
 
-        words = self.reprogram_words * max(1, len(streams))
-        budget += words * self.bus.word_time
-        if spec.kind == STREAM_LEAVE:
+        requested_at = self.sim.now
+        entry.freeze()
+        yield from self._await_quiescent()
+        quiesced_at = self.sim.now
+        if not join:
             binding = entry.remove_binding(target)
         yield from self.bus.transfer(words, label=f"mode:{len(self.transitions)}")
-        if spec.kind == STREAM_JOIN:
+        if join:
             binding = self._binding_factory(new_system.stream(target),
                                             sizes[target])
             entry.add_binding(binding)
@@ -462,7 +454,7 @@ class ReconfigurationManager:
         self._result = replace(result, block_sizes=dict(sizes))
         self._retune_watchdog(new_system)
         entry.thaw()
-        if spec.kind == STREAM_LEAVE and self._on_stream_left is not None:
+        if not join:
             self._on_stream_left(binding)
         self._record(ModeTransition(
             index=len(self.transitions), trigger=spec.kind, detail=target,
@@ -485,46 +477,6 @@ class ReconfigurationManager:
             return
         cal = calibrated_system(system)
         wd.budgets = {s.name: tau_hat(cal, s.name) for s in system.streams}
-
-    def _quantize(self, system: GatewaySystem, sizes: dict[str, int]) -> dict[str, int]:
-        """Round block sizes up to whole output blocks, Eq. 5 preserved.
-
-        The ILP knows nothing about the chain's output ratio; when the
-        ratio's denominator is ``d > 1`` every η must be a multiple of
-        ``d``.  Rounding one η up grows the round length, so the others are
-        re-checked with the closed-form Eq. 5 requirement until stable.
-        """
-        denom = 1
-        for b in self.chain.bindings.values():
-            denom = max(denom, b.output_ratio.denominator)
-        if denom == 1:
-            return sizes
-
-        def up(x: int) -> int:
-            return -(-x // denom) * denom
-
-        sizes = {k: up(v) for k, v in sizes.items()}
-        c0 = system.c0
-        flush = system.flush_stages
-        n = len(system.streams)
-        r_sum = sum(s.reconfigure for s in system.streams)
-        for _ in range(2 * n + 2):
-            changed = False
-            for s in system.streams:
-                others = sum(v for k, v in sizes.items() if k != s.name)
-                c1 = r_sum if self.c1_mode == "sum" else s.reconfigure
-                den = 1 - c0 * s.throughput
-                if den <= 0:
-                    return sizes
-                need = up(max(1, ceil(
-                    s.throughput * (c1 + c0 * (others + flush * n)) / den
-                )))
-                if sizes[s.name] < need:
-                    sizes[s.name] = need
-                    changed = True
-            if not changed:
-                break
-        return sizes
 
     # -- bookkeeping -------------------------------------------------------
     def _record(self, transition: ModeTransition) -> None:

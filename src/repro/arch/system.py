@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from ..accel.base import StreamKernel
+from ..core.conformance import CONFIG_BUS_WORD_CYCLES
 from ..sim import Signal, SimulationError, Simulator, Tracer
 from .accelerator_tile import AcceleratorTile
 from .cfifo import CFifo
@@ -124,7 +125,6 @@ class MPSoC:
         self,
         n_stations: int,
         hop_latency: int = 1,
-        config_bus_word_time: int = 1,
         trace: bool = False,
         trace_kinds: "set[str] | frozenset[str] | None" = None,
     ) -> None:
@@ -132,7 +132,8 @@ class MPSoC:
         self.tracer = Tracer(enabled=trace, kinds=trace_kinds)
         self.ring = DualRing(self.sim, n_stations, hop_latency=hop_latency,
                              tracer=self.tracer if trace else None)
-        self.config_bus = ConfigBus(self.sim, word_time=config_bus_word_time,
+        # the transition budgets (core.conformance) assume this word time
+        self.config_bus = ConfigBus(self.sim, word_time=CONFIG_BUS_WORD_CYCLES,
                                     tracer=self.tracer if trace else None)
         self._next_station = 0
         self.processors: list[ProcessorTile] = []
@@ -196,7 +197,6 @@ class MPSoC:
         entry_copy: int = 15,
         exit_copy: int = 1,
         ni_capacity: int = 2,
-        poll_interval: int = 1,
         context_mode: str = "software",
         shadow_switch_cycles: int = 4,
         watchdog: Any = None,
@@ -291,8 +291,8 @@ class MPSoC:
                               exit_copy=exit_copy, tracer=tracer)
         entry = EntryGateway(
             self.sim, f"{name}.entry", tiles, channels[0], exit_gw, bindings,
-            self.config_bus, entry_copy=entry_copy, poll_interval=poll_interval,
-            context_mode=context_mode, shadow_switch_cycles=shadow_switch_cycles,
+            self.config_bus, entry_copy=entry_copy, context_mode=context_mode,
+            shadow_switch_cycles=shadow_switch_cycles,
             tracer=tracer, watchdog=watchdog, admission=admission,
             fault_injector=fault_injector, channels=channels,
         )

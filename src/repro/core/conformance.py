@@ -26,6 +26,7 @@ from typing import Any, Iterable
 from ..sim.metrics import StreamMetrics, block_quantities
 from .params import GatewaySystem, ParameterError
 from .timing import (
+    block_round_length,
     epsilon_hat,
     gamma,
     guaranteed_throughput,
@@ -48,6 +49,7 @@ __all__ = [
     "check_conformance",
     "check_modal_conformance",
     "calibrated_system",
+    "transition_budget",
     "attribute_conformance",
     "attribute_modal_conformance",
     "violation_window",
@@ -70,9 +72,14 @@ ENTRY_OVERHEAD_CYCLES = 2
 NI_OVERHEAD_CYCLES = 2
 CFIFO_OVERHEAD_CYCLES = 3
 
-#: Backwards-compatible alias (the bare inject cost without the
-#: worst-case contention cycle).
-RING_INJECT_CYCLES = 1
+#: Configuration-bus words a mode transition pays per stream of the new
+#: mode to reprogram the gateway rotation table and C-FIFO credit counters
+#: (a spare remap pays them once, for one chain position's rewiring).
+REPROGRAM_WORDS = 4
+#: Cycles per word of the configuration bus every simulated MPSoC builds.
+CONFIG_BUS_WORD_CYCLES = 1
+#: Grace cycles added to every transition budget.
+TRANSITION_SLACK = 512
 
 
 def calibrated_system(
@@ -99,6 +106,23 @@ def calibrated_system(
         entry_copy=system.entry_copy + entry_overhead,
         exit_copy=system.exit_copy + cfifo_overhead,
     )
+
+
+def transition_budget(outgoing: GatewaySystem,
+                      streams_after: int) -> tuple[int, int]:
+    """The cycles a join or leave is held to, and the bus words it pays.
+
+    One worst-case block round of the *outgoing* mode (its calibrated
+    Eq. 4 rotation), plus the serialised configuration-bus reprogramming
+    of ``streams_after`` streams, plus :data:`TRANSITION_SLACK`: the
+    Jung-style bounded transition delay.  The reconfiguration manager
+    holds every simulated join and leave to it, and ``repro serve`` quotes
+    and journals it.
+    """
+    words = REPROGRAM_WORDS * max(1, streams_after)
+    budget = (block_round_length(calibrated_system(outgoing))
+              + words * CONFIG_BUS_WORD_CYCLES + TRANSITION_SLACK)
+    return budget, words
 
 
 @dataclass(frozen=True)
@@ -304,10 +328,10 @@ def check_stream(
     configuration error, not a refinement violation, so it raises.
 
     ``wait_slack`` is the scheduling-quantum allowance on the Eq. 3 wait
-    check only: the entry gateway discovers admissibility by polling, so an
-    observed completion-to-admission gap can exceed ``ε̂`` by up to one poll
-    interval per admission in the window (callers typically pass
-    ``poll_interval × |S|``).  The τ̂/γ/throughput checks take no slack.
+    check only: the entry gateway discovers admissibility by polling once
+    a cycle, so an observed completion-to-admission gap can exceed ``ε̂``
+    by up to one cycle per admission in the window (callers typically pass
+    ``|S|``).  The τ̂/γ/throughput checks take no slack.
     """
     spec = system.stream(metrics.name)
     if spec.block_size != metrics.eta:

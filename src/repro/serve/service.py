@@ -5,10 +5,11 @@ schedulable iff Algorithm 1 finds block sizes with ``η_s / γ_s ≥ μ_s`` for
 every stream.  :class:`AdmissionService` turns that one-shot test into a
 long-running allocator in the UltraShare mould: many tenants concurrently
 ask to join and leave streams, the service batches compatible requests
-into single mode transitions (the same freeze→re-solve→reprogram shape
+into single mode transitions (the same re-solve→freeze→reprogram shape
 :class:`repro.arch.reconfig.ReconfigurationManager` executes on the
-cycle-level model), and every answer carries the Eq. 5 verdict plus a
-closed-form transition-budget quote.
+cycle-level model), and every answer carries the Eq. 5 verdict plus the
+closed-form transition budget that manager holds a single join or leave
+to (:func:`repro.core.conformance.transition_budget`).
 
 Failure envelope — the robustness machinery is the point, not an add-on:
 
@@ -62,9 +63,9 @@ from ..core.blocksize_ilp import (
     system_fingerprint,
 )
 from ..core.config_io import system_to_dict
-from ..core.conformance import calibrated_system
+from ..core.conformance import transition_budget
 from ..core.params import GatewaySystem, ParameterError, StreamSpec
-from ..core.timing import block_round_length, gamma
+from ..core.timing import gamma
 from ..exp.cache import SolverCache
 from ..sim.faults import STREAM_JOIN, STREAM_LEAVE, FaultPlan, FaultSpec
 from .breaker import OPEN, CircuitBreaker, SolverError
@@ -203,9 +204,6 @@ class AdmissionService:
         eta_max: int | None = 65536,
         shed_watermark: Fraction = Fraction(9, 10),
         breaker_load_limit: Fraction = Fraction(17, 20),
-        reprogram_words: int = 4,
-        bus_word_time: int = 2,
-        transition_slack: int = 512,
         idempotency_capacity: int = 65536,
         chaos: ServeChaos | None = None,
         clock: Callable[[], float] = time.monotonic,
@@ -222,9 +220,6 @@ class AdmissionService:
         self.eta_max = eta_max
         self.shed_watermark = shed_watermark
         self.breaker_load_limit = breaker_load_limit
-        self.reprogram_words = int(reprogram_words)
-        self.bus_word_time = int(bus_word_time)
-        self.transition_slack = int(transition_slack)
         self.idempotency_capacity = idempotency_capacity
         self.breaker = breaker or CircuitBreaker()
         self.cache = cache or SolverCache(capacity=2048)
@@ -675,7 +670,7 @@ class AdmissionService:
         outgoing = self.system
         new_system = candidate.with_block_sizes(result.block_sizes)
         index = len(self.transitions)
-        budget, words = self._budget_quote(outgoing, len(new_system.streams))
+        budget, words = transition_budget(outgoing, len(new_system.streams))
         applied: list[dict[str, Any]] = []
         for p in group:
             req = p.req
@@ -753,18 +748,6 @@ class AdmissionService:
                 **common,
             )
         return ok_response("leave", **common)
-
-    def _budget_quote(self, outgoing: GatewaySystem,
-                      streams_after: int) -> tuple[int, int]:
-        """Closed-form transition budget: one worst-case block round of the
-        outgoing mode (its calibrated Eq. 4 rotation) plus the serialized
-        config-bus reprogramming time plus slack — the same quote the
-        cycle-level :class:`~repro.arch.reconfig.ReconfigurationManager`
-        holds its measured transitions to."""
-        words = self.reprogram_words * max(1, streams_after)
-        budget = (block_round_length(calibrated_system(outgoing))
-                  + words * self.bus_word_time + self.transition_slack)
-        return budget, words
 
     # -- solving ---------------------------------------------------------
     async def _solve_shared(self, candidate: GatewaySystem) -> tuple:
@@ -867,8 +850,7 @@ class AdmissionService:
             return ok_response("quote", admit=False, reason=code,
                                message=message, stream=req.stream)
         _tag, result, path = verdict
-        budget, _words = self._budget_quote(
-            self.system, len(candidate.streams))
+        budget, _words = transition_budget(self.system, len(candidate.streams))
         assigned = candidate.with_block_sizes(result.block_sizes)
         eta = result.block_sizes[req.stream]
         g = gamma(assigned, req.stream)

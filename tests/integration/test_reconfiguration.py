@@ -235,6 +235,41 @@ def test_infeasible_join_is_refused_and_system_unchanged():
     assert run.attributed_conformance().fully_attributed
 
 
+def test_infeasible_join_mid_block_never_freezes_the_chain():
+    """Algorithm 1 refuses a join at request time, under an in-flight block.
+
+    The request lands one cycle after pal's third admission, while that
+    block is still in the chain.  The refusal is decided before admission
+    is touched, so it takes no cycles, and every stream is admitted
+    exactly as in a run whose join is refused for naming a bound stream.
+    """
+    clean = simulate_system(_system(), blocks=BLOCKS, admission=False,
+                            spares=1)
+    pal = clean.chain.bindings["pal"]
+    at = pal.admissions[2] + 1
+    assert pal.completions[2] > at  # the block is in flight
+
+    def run_join(target, throughput):
+        plan = FaultPlan(specs=(
+            FaultSpec(kind="stream_join", at=at, target=target,
+                      params={"throughput": throughput, "reconfigure": 410}),
+        ))
+        return simulate_system(_system(), blocks=BLOCKS, faults=plan,
+                               admission=False, spares=1)
+
+    infeasible, bound = run_join("hog", [9, 10]), run_join("pal", [1, 200])
+    [t] = infeasible.reconfig.transitions
+    assert not t.accepted
+    assert t.latency == 0 and t.quiesced_at == t.requested_at
+    assert t.within_budget
+    assert t.reason.startswith("infeasible: ")
+    assert t.reason.count("infeasible:") == 1
+    [same] = bound.reconfig.transitions
+    assert same.reason == "already-bound"
+    assert {n: b.admissions for n, b in infeasible.chain.bindings.items()} \
+        == {n: b.admissions for n, b in bound.chain.bindings.items()}
+
+
 def test_join_block_size_floor_above_eta_max_completes():
     """A join's requested η binds the joiner above the re-solve cap.
 

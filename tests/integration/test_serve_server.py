@@ -277,6 +277,9 @@ def test_journal_drives_reconfiguration_manager():
     accepted = [t for t in rm.transitions if t.accepted]
     assert [(t.trigger, t.detail) for t in accepted] == [("stream_join", "web")]
     assert all(t.within_budget for t in accepted)
+    # serve journals the budget the simulator holds the same join to
+    [entry] = journal
+    assert accepted[0].budget == entry["budget"]
     report = result.run.attributed_conformance()
     assert report.fully_attributed
 
