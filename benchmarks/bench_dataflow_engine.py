@@ -9,13 +9,17 @@ reference engine (``tests/refdataflow.py``) in one process and asserts
 
 * the two ``VerificationReport`` objects are **identical** (``==`` and
   ``repr``),
-* CPU time improves by at least :data:`MIN_SPEEDUP` (full mode).
+* CPU time improves by at least :data:`MIN_SPEEDUP` (full mode),
+* the production engine's ``execute()`` runs process fewer than one
+  completion instant per :data:`MIN_FIRINGS_PER_INSTANT` firings: they jump
+  the periods their executions repeat (DESIGN.md §11, "Periodic jumps").
 
 Full mode verifies all four streams, best-of-3 per engine, and persists
-the comparison as ``BENCH_dataflow_engine.json`` next to this file.
-Setting ``DATAFLOW_BENCH_SMOKE=1`` (CI) verifies only the two stage-2
-streams (η = 1267) once per engine with a lenient speedup gate, keeping
-the identity assertion strict.  Run from the repository root:
+the comparison as ``BENCH_dataflow_engine.json`` next to this file, with
+the firings and the instants processed one by one.  Setting
+``DATAFLOW_BENCH_SMOKE=1`` (CI) verifies only the two stage-2 streams
+(η = 1267) once per engine with a lenient speedup gate, keeping the
+identity and instant assertions strict.  Run from the repository root:
 ``PYTHONPATH=src python -m pytest benchmarks/bench_dataflow_engine.py -s``.
 """
 
@@ -42,6 +46,8 @@ SMOKE = os.environ.get("DATAFLOW_BENCH_SMOKE") == "1"
 MIN_SPEEDUP = 1.5 if SMOKE else 3.5
 #: timing runs per engine; the min damps scheduler/GC noise in the ratio
 BEST_OF = 1 if SMOKE else 3
+#: execute() firings per instant processed: below it, periods are not jumped
+MIN_FIRINGS_PER_INSTANT = 100
 ARTIFACT = os.path.join(HERE, "BENCH_dataflow_engine.json")
 #: the paper's block sizes, at the rate margin where Algorithm 1 reproduces them
 PAPER_PAL = "scenario://pal_decoder?eta_stage1=10136&eta_stage2=1267&margin_ppm=1270"
@@ -64,19 +70,30 @@ def verify(system, streams, reference=False):
         return time.process_time() - started, results
 
 
-def count_firings(system, streams):
-    """Firings the production engine runs for ``streams`` (untimed pass)."""
-    engines = []
+def count_work(system, streams):
+    """Firings and instants the production engine processes for ``streams``
+    (untimed pass): ``{"all": ..., "execute": ...}``, each ``(firings,
+    instants)``, over every engine and over the ``execute()`` runs only (the
+    state-space loop steps one instant at a time)."""
+    engines = {"execute": [], "statespace": []}
 
-    class Counted(SelfTimedEngine):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            engines.append(self)
+    def counted(kind):
+        class Counted(SelfTimedEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines[kind].append(self)
+        return Counted
 
-    with mock.patch.object(simulation, "SelfTimedEngine", Counted), \
-            mock.patch.object(statespace, "SelfTimedEngine", Counted):
+    with mock.patch.object(simulation, "SelfTimedEngine", counted("execute")), \
+            mock.patch.object(statespace, "SelfTimedEngine", counted("statespace")):
         verify(system, streams)
-    return sum(sum(e.completions.values()) for e in engines)
+
+    def work(runs):
+        return (sum(sum(e.completions.values()) for e in runs),
+                sum(e.instants for e in runs))
+
+    return {"all": work(engines["execute"] + engines["statespace"]),
+            "execute": work(engines["execute"])}
 
 
 def test_dataflow_engine_verify_pal_vs_reference():
@@ -90,16 +107,24 @@ def test_dataflow_engine_verify_pal_vs_reference():
         ref_s = min(ref_s, verify(system, streams, reference=True)[0])
     assert new == ref, "verification differs from the reference engine"
     assert repr(new) == repr(ref)
-    firings = count_firings(system, streams)
+    work = count_work(system, streams)
+    firings, instants = work["all"]
+    run_firings, run_instants = work["execute"]
 
     speedup = ref_s / new_s
     banner(f"DFENG: verify {len(streams)} PAL stream(s) ({firings:.2e} firings)")
     print(f"reference engine: {ref_s:.3f}s CPU ({firings / ref_s / 1e3:.0f}k firings/s)")
     print(f"tick engine:      {new_s:.3f}s CPU ({firings / new_s / 1e3:.0f}k firings/s)")
+    print(f"instants processed: {instants} ({run_instants} in execute() runs "
+          f"of {run_firings} firings)")
     print(f"speedup {speedup:.2f}x on {os.cpu_count()} CPU(s), reports identical")
     assert speedup >= MIN_SPEEDUP, (
         f"verify CPU time improved only {speedup:.2f}x "
         f"(gate {MIN_SPEEDUP}x, smoke={SMOKE})"
+    )
+    assert run_instants * MIN_FIRINGS_PER_INSTANT < run_firings, (
+        f"execute() processed {run_instants} instants for {run_firings} firings: "
+        "periodic jumps are not happening"
     )
 
     if not SMOKE:
@@ -110,10 +135,14 @@ def test_dataflow_engine_verify_pal_vs_reference():
                 "system": PAPER_PAL,
                 "block_sizes": {s.name: s.block_size for s in system.streams},
                 "firings": firings,
+                "instants": instants,
+                "execute_firings": run_firings,
+                "execute_instants": run_instants,
             },
             "before": {"engine": "frozen reference (tests/refdataflow.py)",
                        "cpu_s": ref_s, "firings_per_s": firings / ref_s},
-            "after": {"engine": "integer-tick dirty-set engine (DESIGN.md §11)",
+            "after": {"engine": "integer-tick dirty-set engine with periodic jumps "
+                                "(DESIGN.md §11)",
                       "cpu_s": new_s, "firings_per_s": firings / new_s},
             "timing": {"clock": "process_time", "best_of": BEST_OF},
             "cpu_count": os.cpu_count(),

@@ -156,7 +156,10 @@ def measure_block_time(
 
     A block spans from the start of ``vG0``'s phase 0 to the end of
     ``vG1``'s last phase (exactly the τ_s of Fig. 6).  Returns one value per
-    completed block.  Only the two gateway actors' firings are recorded.
+    completed block: a block whose last exit phase never completed has no
+    time, so a run that stops short of ``blocks`` returns fewer values, and
+    a caller checking τ̂ must count them.  Only the two gateway actors'
+    firings are recorded.
     """
     res = execute(graph, iterations=blocks, record=(info.entry, info.exit))
     g0 = [f for f in res.firings_of(info.entry) if f.phase == 0]

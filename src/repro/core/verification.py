@@ -79,7 +79,10 @@ def _csdf_refines_sdf(system: GatewaySystem, stream_name: str, blocks: int = 3) 
     Both models run with a fully pre-queued producer and a free consumer so
     that the shared chain is the only constraint; the CSDF exit-gateway's
     sample-by-sample production times are compared against the SDF actor's
-    atomic end-of-firing times, token by token.
+    atomic end-of-firing times, token by token, over exactly ``blocks``
+    blocks: a run that stops short of them fails the check.  Tokens past
+    them (a zero-delay chain can start the next block before the iteration
+    stop) lie outside the compared window.
     """
     s = system.stream(stream_name)
     eta = s.block_size or 1
@@ -100,13 +103,14 @@ def _csdf_refines_sdf(system: GatewaySystem, stream_name: str, blocks: int = 3) 
     fine = execute(csdf, iterations=blocks, record=(info.exit,))
     coarse = execute(sdf, iterations=blocks, record=("vS",))
 
-    fine_tokens = fine.production_times(info.exit)  # one token per vG1 firing
-    coarse_tokens: list[int | Fraction] = []
-    for t in coarse.production_times("vS"):
-        coarse_tokens.extend([t] * eta)  # atomic block production
-    n = min(len(fine_tokens), len(coarse_tokens), blocks * eta)
+    fine_tokens = fine.production_times(info.exit)[:blocks * eta]  # one per vG1 firing
+    productions = coarse.production_times("vS")[:blocks]
+    if len(productions) < blocks:
+        return False
+    # atomic block production; a refinement short of the window fails, and
     # both models run exact (int/Fraction) durations: compare without slack
-    return bool(refines_times(fine_tokens[:n], coarse_tokens[:n]))
+    coarse_tokens = [t for t in productions for _ in range(eta)]
+    return bool(refines_times(fine_tokens, coarse_tokens))
 
 
 def verify_stream(system: GatewaySystem, stream_name: str,
@@ -125,14 +129,15 @@ def verify_stream(system: GatewaySystem, stream_name: str,
         prequeued=2 * (s.block_size or 1),
     )
     taus = measure_block_time(csdf, info, blocks=blocks)
-    measured = max(taus)
+    measured = max(taus, default=0)
     # τ̂ compares against the block time *without* the other-stream wait
     # (ε̂ is accounted separately in Eq. 3); subtract it from the model.
     from .timing import epsilon_hat
 
     eps = epsilon_hat(system, s.name) if len(system.streams) > 1 else 0
     bound = tau_hat(system, s.name)
-    tau_ok = measured - eps <= bound
+    # a block whose exit never completed has no time: the run must measure all
+    tau_ok = len(taus) >= blocks and measured - eps <= bound
 
     return StreamVerification(
         stream=s.name,

@@ -64,7 +64,8 @@ def refines_times(
         j = len(refined)
         return RefinementReport(False, j, j, None, abstract[j])
     for j, (b, b_hat) in enumerate(zip(refined, abstract)):
-        if b > b_hat + tolerance:
+        # an exact check adds no zero: ``Fraction + 0`` builds a Fraction
+        if (b > b_hat + tolerance) if tolerance else b > b_hat:
             return RefinementReport(False, j, j, b, b_hat)
     return RefinementReport(True, len(abstract))
 

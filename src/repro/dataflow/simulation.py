@@ -24,15 +24,20 @@ duration is an int or a Fraction, durations are multiplied by
 :func:`time_scale` and the run is pure int arithmetic, so ``now == clock /
 scale`` exactly.  A graph with any float duration runs the same code with
 scale 1 on the durations as given, i.e. in float time.
+
+An exact :func:`execute` run also jumps over the periods its execution
+repeats (DESIGN.md §11, "Periodic jumps"): once the interval between two
+instants provably recurs, it is replayed many times in one arithmetic step,
+records included, to exactly where stepping would have arrived.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import repeat
-from math import ceil, lcm
+from math import ceil, inf, lcm
 from typing import Collection, Iterable, NamedTuple
 
 from .graph import CSDFGraph, GraphError
@@ -48,6 +53,10 @@ __all__ = [
 ]
 
 _MICRO_GUARD = 1_000_000
+#: later instants with the mark's wake set that are compared with it (see
+#: _run): a period can hold several such instants, as a two-actor ring's
+#: does, and a run that never recurs pays this many comparisons per mark
+_TRIES = 3
 
 
 class DeadlockError(RuntimeError):
@@ -79,7 +88,9 @@ class SelfTimedEngine:
     analyses drive the engine directly through :meth:`advance` and
     :meth:`state_key`.  ``clock`` is the current time in ticks and ``scale``
     the ticks per time unit (1 for float graphs), so ``now`` is
-    ``clock / scale``.  ``record`` is as for :func:`execute`.
+    ``clock / scale``.  ``record`` is as for :func:`execute`.  ``instants``
+    counts the completion instants processed one by one (read-only); the
+    instants a periodic jump replays are not among them.
     """
 
     def __init__(self, graph: CSDFGraph, record: bool | Collection[str] = True) -> None:
@@ -144,7 +155,9 @@ class SelfTimedEngine:
         self._below = -1
         self._records: list[tuple] = []  # (actor index, phase, end tick)
         self._heap: list[tuple] = []  # (end tick, actor index)
+        self._spans: dict[int, list[int] | None] = {}  # see _span
         self.clock = 0
+        self.instants = 0
         self._settle((1 << n) - 1)
 
     # -- time ---------------------------------------------------------------
@@ -239,14 +252,27 @@ class SelfTimedEngine:
         at which the iteration quota is met or ``clock >= limit``.  The
         completion step is :meth:`_complete` inlined: this loop runs once
         per firing.
+
+        Without ``once``, an exact graph also jumps periods: the state after
+        the 1st, 2nd, 4th, 8th, ... instant since the last jump is kept as
+        the mark, and the first :data:`_TRIES` later instants that wake the
+        same actors as the mark's are offered to :meth:`_jump`.  A run with
+        no periodic structure thus takes one snapshot and a few comparisons
+        per doubling of its length.
         """
         heap, phases, tokens, busy, phase, done, target, kept = (
             self._heap, self._phases, self._tokens, self._busy, self._phase,
             self._done, self._target, self._kept,
         )
         records = self._records if self.record else None
+        if not once:
+            # ``woke``: the mark's wake set (-1: compare with nothing);
+            # ``renew``: the instant that takes the next mark (0: none)
+            n = base = self.instants
+            mark, woke, tries, renew = None, -1, 0, n + 1 if self._exact else 0
         while heap:
             if not once and (self._below == 0 or limit is not None and self.clock >= limit):
+                self.instants = n
                 return True
             t = heap[0][0]
             self.clock = t
@@ -268,8 +294,146 @@ class SelfTimedEngine:
                 dirty |= wake
             self._settle(dirty)
             if once:
+                self.instants += 1
                 return True
+            n += 1
+            if dirty == woke:
+                if self._jump(mark, n, limit):
+                    base, woke, renew = n, -1, n + 1
+                    continue
+                tries -= 1
+                if not tries:
+                    woke = -1
+            if n == renew:
+                mark = (t, tokens[:], phase[:], busy[:], done[:],
+                        len(records) if records is not None else 0, n)
+                woke, tries, renew = dirty, _TRIES, 2 * n - base
+        if not once:
+            self.instants = n
         return False
+
+    def _span(self, i: int, p: int):
+        """Phases from ``p`` on, cyclically, that repeat phase ``p`` of actor ``i``.
+
+        Alike phases have equal ticks and the same quanta (interned per
+        actor, so ``is`` compares them).  None when every phase of the actor
+        is alike, single-phase actors included: such an actor repeats
+        without end.  Computed once per actor, on first use.
+        """
+        if i not in self._spans:
+            table = self._phases[i]
+            n = len(table)
+            alike = [a[0] == b[0] and a[1] is b[1] and a[2] is b[2]
+                     for a, b in zip(table, table[1:] + table[:1])]
+            spans = None
+            if not all(alike):
+                spans = [1] * n
+                last = alike.index(False)  # a run ends here
+                for k in range(1, n):  # backwards round the cycle from it
+                    q = (last - k) % n
+                    if alike[q]:
+                        spans[q] = spans[(q + 1) % n] + 1
+            self._spans[i] = spans
+        spans = self._spans[i]
+        return None if spans is None else spans[p]
+
+    def _jump(self, mark: tuple, count: int, limit) -> bool:
+        """Replay the interval since ``mark`` as often as it provably recurs.
+
+        ``mark`` is the state after an earlier instant ``t0`` (``count`` is
+        this instant's number); the interval ``(t0, clock]`` is replayed
+        ``m`` times in one step when the five conditions of DESIGN.md §11
+        hold, ``m`` being the largest count for which they do:
+
+        1. an actor that completed ``f > 0`` firings is idle at both ends or
+           busy with the same remaining ticks, and the phases it passes
+           through over ``m + 1`` intervals all repeat its ``t0`` phase;
+        2. any other actor is busy at both ends with one end tick, which
+           lies past the last replayed instant, or idle at both ends with
+           an input that stays short of its phase's quantum (only the actor
+           consumes from its inputs, so they can only grow);
+        3. no edge a firing actor consumes from drifts, except over a
+           one-instant interval for an actor of positive duration: it
+           starts once in the instant, wherever in the settle, so the
+           count left after the instant must stay non-negative;
+        4. no stop falls inside: the quota is not met, every actor short of
+           its quota stays short, the last replayed instant precedes the
+           horizon;
+        5. ``f`` counts every firing, zero-duration ones included, which
+           complete inside :meth:`_settle` and never reach the heap.
+
+        Returns False, changing nothing, when no replay is exact or ``m``
+        is unbounded (then the run never stops, and steps on as it would).
+        """
+        if self._below == 0:  # the quota was just met: the run stops here
+            return False
+        t0, tokens0, phase0, busy0, done0, nrec, count0 = mark
+        t1 = self.clock
+        period = t1 - t0
+        tokens, phase, busy, done, target, phases = (
+            self._tokens, self._phase, self._busy, self._done, self._target,
+            self._phases,
+        )
+        m = inf if limit is None else (limit - t1 - 1) // period
+        single = count - count0 == 1
+        steps = [now - before for now, before in zip(done, done0)]
+        for i, f in enumerate(steps):
+            end = busy[i]
+            if f:
+                end0 = busy0[i]
+                if (end is None) is not (end0 is None) or (
+                        end is not None and end - t1 != end0 - t0):
+                    return False
+                p = phase0[i]
+                ticks, consumed = phases[i][p][:2]
+                span = self._span(i, p)
+                if span is not None:
+                    m = min(m, (span - 1) // f - 1)
+                if done[i] < target[i]:
+                    m = min(m, (target[i] - done[i] - 1) // f)
+                for e, _q in consumed:
+                    drift = tokens[e] - tokens0[e]
+                    if drift:
+                        if not (single and ticks):
+                            return False
+                        if drift < 0:
+                            m = min(m, tokens[e] // -drift)
+            elif end is not None:
+                if busy0[i] != end:
+                    return False
+                m = min(m, (end - t1 - 1) // period)
+            else:
+                stays = -1
+                for e, q in phases[i][phase[i]][1]:
+                    have = tokens[e]
+                    if have < q:
+                        drift = have - tokens0[e]
+                        if not drift:
+                            stays = inf
+                            break
+                        stays = max(stays, (q - have - 1) // drift)
+                m = min(m, stays)
+        if m == inf or m < 1:
+            return False
+
+        shift = m * period
+        for i, f in enumerate(steps):
+            if f:
+                done[i] += m * f
+                phase[i] = (phase[i] + m * f) % len(phases[i])
+                if busy[i] is not None:
+                    busy[i] += shift
+        for e, (now, before) in enumerate(zip(tokens, tokens0)):
+            tokens[e] = now + m * (now - before)
+        self._heap[:] = [(end, i) for i, end in enumerate(busy) if end is not None]
+        heapify(self._heap)
+        if self.record and nrec < len(self._records):
+            block = self._records[nrec:]
+            sizes = [len(table) for table in phases]
+            self._records.extend([(i, (p + k * steps[i]) % sizes[i], end + k * period)
+                                  for k in range(1, m + 1) for i, p, end in block])
+        self.clock = t1 + shift
+        return True
 
     @property
     def idle(self) -> bool:

@@ -17,6 +17,11 @@ Fraction denominators come from :data:`DENOMINATORS` (LCM 2520 ≤ 10⁶): the
 reference keys states on remaining times rounded to 9 decimals, which can
 merge distinct exact remainders only below 10⁻⁹ apart; the new engine keys
 exact graphs on exact ticks.
+
+The random graphs have at most 3 phases per actor.  The periodic jumps of
+``execute`` (DESIGN.md §11) replay long runs of identical phases and
+one-tick bursts, so :func:`gateway_model` also draws the paper's Fig. 5 and
+Fig. 7 models of random gateway systems, whose η-phase gateways have both.
 """
 
 from contextlib import ExitStack
@@ -29,7 +34,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Scenario
-from repro.core import csdf_builder, sdf_abstraction, verification
+from repro.core import (
+    AcceleratorSpec,
+    GatewaySystem,
+    StreamSpec,
+    build_stream_csdf,
+    build_stream_sdf,
+    csdf_builder,
+    sdf_abstraction,
+    verification,
+)
 from repro.dataflow import (
     CSDFGraph,
     DeadlockError,
@@ -102,6 +116,49 @@ def consistent_graph(draw):
     return g
 
 
+#: end-task periods: zero-duration, bursting one tick apart, the default
+#: (1/μ, a Fraction), or drawn
+_period = st.one_of(
+    st.sampled_from((0, Fraction(1, 1000), None)),
+    st.builds(Fraction, st.integers(min_value=1, max_value=60), st.sampled_from((1, 3, 7))),
+)
+
+
+@st.composite
+def gateway_model(draw):
+    """The Fig. 5 CSDF or Fig. 7 SDF model of stream ``s`` of a random system.
+
+    η up to 40 gives the gateway actors long runs of identical phases; zero
+    copy times, accelerators and end-task periods put zero-duration firings
+    inside them; an end task at 1/1000 cycle bursts one tick apart; other
+    streams fold their τ̂ into ``vG0``'s first phase.  Buffer sizes and
+    prequeued tokens are drawn, so a producer may run ahead, block or wait.
+    """
+    eta = draw(st.integers(min_value=1, max_value=40), label="eta")
+    small = st.integers(min_value=0, max_value=4)
+    streams = [StreamSpec(
+        "s", draw(st.builds(Fraction, st.integers(1, 5), st.integers(5, 200))),
+        draw(st.integers(min_value=0, max_value=40)), block_size=eta)]
+    for k in range(draw(st.integers(min_value=0, max_value=2))):
+        streams.append(StreamSpec(f"o{k}", Fraction(1, 1000), draw(small),
+                                  block_size=draw(st.integers(1, 4))))
+    system = GatewaySystem(
+        accelerators=[AcceleratorSpec(f"a{k}", draw(small))
+                      for k in range(draw(st.integers(min_value=1, max_value=3)))],
+        streams=streams,
+        entry_copy=draw(st.sampled_from((0, 1, 15)) | small),
+        exit_copy=draw(small),
+        ni_capacity=draw(st.integers(min_value=1, max_value=3)),
+    )
+    buffers = st.integers(min_value=eta, max_value=4 * eta)
+    kwargs = dict(producer_period=draw(_period), consumer_period=draw(_period),
+                  alpha0=draw(buffers), alpha3=draw(buffers))
+    if draw(st.booleans(), label="csdf"):
+        prequeued = draw(st.integers(min_value=0, max_value=kwargs["alpha0"]))
+        return build_stream_csdf(system, "s", prequeued=prequeued, **kwargs)[0]
+    return build_stream_sdf(system, "s", **kwargs)
+
+
 def _livelock():
     """Zero-duration cycle holding tokens: the guard must trip in both."""
     g = CSDFGraph("livelock")
@@ -142,6 +199,54 @@ def _mixed_tie():
     g.add_edge("a1", "a2", production=3, consumption=[2, 0], name="e1")
     g.add_edge("a2", "a3", production=[1, 0], consumption=3, name="e2")
     g.add_edge("a3", "a0", production=1, consumption=[1, 0, 0], tokens=1, name="e3")
+    return g
+
+
+def _ring(durations):
+    """Two actors passing one token: a period of two instants, both of
+    which wake the pair.  A jump over it must stop short of the quota and,
+    with ``a0``'s phases, short of its last phase, which takes longer."""
+    g = CSDFGraph("ring")
+    g.add_actor("a0", duration=durations, phases=len(durations))
+    g.add_actor("a1", 1)
+    g.add_edge("a0", "a1", name="e0")
+    g.add_edge("a1", "a0", tokens=1, name="e1")
+    return g
+
+
+def _dip():
+    """``a`` takes 2 of ``e``'s tokens a tick, ``p1`` returns 3 every 2
+    ticks: ``e`` drifts down by one per two-instant period, and is lowest
+    between the instants that end periods.  Drift over more than one
+    instant is never jumped: the count at the period's end does not bound
+    the count at every check."""
+    g = CSDFGraph("dip")
+    g.add_actor("a", 1)
+    g.add_actor("p1", 2)
+    g.add_actor("p2", 1)
+    g.add_edge("p1", "p1", tokens=1, name="s1")
+    g.add_edge("p2", "p2", tokens=1, name="s2")
+    g.add_edge("p1", "a", production=3, consumption=2, tokens=40, name="e")
+    g.add_edge("p2", "a", name="g")
+    return g
+
+
+def _zero_drift():
+    """A one-tick burst whose zero-duration firings drain a stock.
+
+    Each tick ``c`` fires twice from ``pc`` and ``p`` returns one token
+    after it, so ``pc`` drifts down by one a tick.  At t=50 the stock is
+    short: ``c`` fires once, waits for ``p``'s token and fires again in the
+    next pass, and the records read b, c, p, c instead of b, c, c, p.  A
+    burst may drift only on inputs of actors that start once in it."""
+    g = CSDFGraph("zero-drift")
+    g.add_actor("b", 1)
+    g.add_actor("c", 0)
+    g.add_actor("p", 0)
+    g.add_edge("b", "b", tokens=1, name="s")
+    g.add_edge("b", "p", name="bp")
+    g.add_edge("b", "c", production=2, name="bc")
+    g.add_edge("p", "c", tokens=50, name="pc")
     return g
 
 
@@ -199,6 +304,10 @@ _horizon = st.one_of(
 @example(_livelock(), 2, None, True, True)
 @example(_fan_out(), 2, None, True, True)
 @example(_mixed_tie(), None, None, True, False)
+@example(_ring([1]), 50, 1000, True, True)
+@example(_ring([1, 1, 1, 1, 1, 7]), 3, 1000, True, True)
+@example(_zero_drift(), None, 60, True, True)
+@example(_dip(), None, 100, True, True)
 @settings(max_examples=400, deadline=None)
 def test_execute_matches_reference(graph, iterations, horizon, record, allow_deadlock):
     if iterations is None and horizon is None:
@@ -282,3 +391,60 @@ def test_pal_stage2_verify_graphs_match_reference():
     assert calls == ["sdf[ch1.s2]", ("csdf[ch1.s2]", ["vG0", "vG1"]),
                      ("csdf[ch1.s2]", ["vG1"]), ("sdf[ch1.s2]", ["vS"])]
     assert result.ok and result.eta == 1267
+
+
+_model_horizon = st.one_of(
+    st.none(),
+    st.integers(min_value=0, max_value=600),
+    st.builds(Fraction, st.integers(min_value=0, max_value=6000),
+              st.sampled_from((7, 1000))),
+    st.floats(min_value=0, max_value=600),
+)
+
+
+@given(
+    gateway_model(),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+    _model_horizon,
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_gateway_models_match_reference(graph, iterations, horizon, data):
+    """Fig. 5 / Fig. 7 models: ``execute`` jumps periods exactly, under
+    iteration and horizon stops, with records on, off and scoped."""
+    if iterations is None and horizon is None:
+        iterations = 2
+    actors = sorted(graph.actors)
+    record = data.draw(st.booleans() | st.sets(st.sampled_from(actors)), label="record")
+    kwargs = dict(iterations=iterations, horizon=horizon)
+    with _guarded():
+        new = _outcome(execute, graph, record=record, **kwargs)
+        # a scoped run is compared with the reference's full records
+        ref = _outcome(refdataflow.execute, graph, record=record is not False, **kwargs)
+    assert _observe(new, graph, record) == _observe(ref, graph, record)
+
+
+def test_pal_stage2_csdf_jumps_its_periods():
+    """A PAL stage-2 Fig. 5 model (η = 1267), three blocks: the engine
+    processes far fewer instants than it completes firings, and its records
+    equal the reference's firing for firing."""
+    system = Scenario.from_registry(
+        "pal_decoder", eta_stage1=10136, eta_stage2=1267, margin_ppm=1270).system
+    fast = Fraction(1, 1000)
+    graph, _info = build_stream_csdf(system, "ch1.s2", producer_period=fast,
+                                     consumer_period=fast, alpha0=4 * 1267,
+                                     alpha3=4 * 1267, prequeued=4 * 1267)
+    engines = []
+
+    class Counted(simulation.SelfTimedEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    with mock.patch.object(simulation, "SelfTimedEngine", Counted):
+        new = execute(graph, iterations=3)
+    (engine,) = engines
+    firings = sum(new.completions.values())
+    assert firings == len(new.firings) > 20_000
+    assert engine.instants * 100 < firings
+    assert _observe(new, graph) == _observe(refdataflow.execute(graph, iterations=3), graph)

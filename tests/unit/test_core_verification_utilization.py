@@ -1,6 +1,7 @@
 """Unit tests for the verification battery and utilization accounting."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -14,8 +15,11 @@ from repro.core import (
     analyze_utilization,
     block_round_length,
     compute_block_sizes,
+    csdf_builder,
+    verification,
     verify_system,
 )
+from repro.dataflow import ExecutionResult, execute
 
 
 def system_of(mus, R=20, eps=5, rho=(1,), delta=1, etas=None):
@@ -60,6 +64,39 @@ def test_verify_system_flags_undersized_blocks():
     assert not report.ok
     assert not report.streams[0].eq5_ok
     assert "FAIL" in report.summary()
+
+
+def _losing(actor, count):
+    """``execute`` whose results lost ``actor``'s last ``count`` firings."""
+    def run(graph, **kwargs):
+        res = execute(graph, **kwargs)
+        if actor in graph.actors:
+            kept = res.firings_of(actor)[:-count]
+            res.firings_of = lambda a: (
+                kept if a == actor else ExecutionResult.firings_of(res, a))
+            res.production_times = lambda a: [f.end for f in res.firings_of(a)]
+        return res
+    return run
+
+
+@pytest.mark.parametrize("count", [1, 4], ids=["last-token", "last-block"])
+def test_refinement_fails_when_the_csdf_run_stops_short(count):
+    # CSDF ⊑ SDF compares exactly blocks·η exit tokens: a run short of
+    # them has tokens the abstraction promises and the refinement never made
+    system = system_of([Fraction(1, 60)], etas=[4])
+    assert verify_system(system).ok
+    with mock.patch.object(verification, "execute", _losing("vG1", count)):
+        (stream,) = verify_system(system).streams
+    assert not stream.refinement_ok and stream.tau_ok
+
+
+def test_tau_check_fails_when_a_block_never_completes():
+    # τ̂ must bound every measured block: a block whose exit never completed
+    # is not measured, so the check fails instead of passing on fewer
+    system = system_of([Fraction(1, 60)], etas=[4])
+    with mock.patch.object(csdf_builder, "execute", _losing("vG1", 1)):
+        (stream,) = verify_system(system).streams
+    assert not stream.tau_ok and stream.refinement_ok
 
 
 def test_verify_system_requires_block_sizes():
