@@ -159,9 +159,9 @@ def measure_block_time(
     completed block: a block whose last exit phase never completed has no
     time, so a run that stops short of ``blocks`` returns fewer values, and
     a caller checking τ̂ must count them.  Only the two gateway actors'
-    firings are recorded.
+    firings are recorded, and only the phases read become firings.
     """
     res = execute(graph, iterations=blocks, record=(info.entry, info.exit))
-    g0 = [f for f in res.firings_of(info.entry) if f.phase == 0]
-    g1 = [f for f in res.firings_of(info.exit) if f.phase == info.eta - 1]
-    return [end.end - start.start for start, end in zip(g0, g1)]
+    starts = res.firings_of(info.entry, phase=0)
+    ends = res.firings_of(info.exit, phase=info.eta - 1)
+    return [end.end - start.start for start, end in zip(starts, ends)]

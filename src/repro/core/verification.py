@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..dataflow import execute, refines_times
+from ..dataflow import execute
 from .csdf_builder import build_stream_csdf, measure_block_time
 from .params import GatewaySystem
 from .sdf_abstraction import build_stream_sdf, verify_with_sdf_model
@@ -103,14 +103,14 @@ def _csdf_refines_sdf(system: GatewaySystem, stream_name: str, blocks: int = 3) 
     fine = execute(csdf, iterations=blocks, record=(info.exit,))
     coarse = execute(sdf, iterations=blocks, record=("vS",))
 
-    fine_tokens = fine.production_times(info.exit)[:blocks * eta]  # one per vG1 firing
-    productions = coarse.production_times("vS")[:blocks]
-    if len(productions) < blocks:
-        return False
-    # atomic block production; a refinement short of the window fails, and
-    # both models run exact (int/Fraction) durations: compare without slack
-    coarse_tokens = [t for t in productions for _ in range(eta)]
-    return bool(refines_times(fine_tokens, coarse_tokens))
+    tokens = fine.production_ticks(info.exit)  # one per vG1 firing
+    productions = coarse.production_ticks("vS")[:blocks]
+    if len(productions) < blocks or len(tokens) < blocks * eta:
+        return False  # a refinement short of the window fails
+    # vS produces each block atomically: every token of block b comes no
+    # later than its production, compared exactly across the two tick scales
+    return all(max(tokens[b * eta:(b + 1) * eta]) * coarse.scale <= end * fine.scale
+               for b, end in enumerate(productions))
 
 
 def verify_stream(system: GatewaySystem, stream_name: str,

@@ -25,14 +25,16 @@ duration is an int or a Fraction, durations are multiplied by
 scale`` exactly.  A graph with any float duration runs the same code with
 scale 1 on the durations as given, i.e. in float time.
 
-An exact :func:`execute` run also jumps over the periods its execution
-repeats (DESIGN.md §11, "Periodic jumps"): once the interval between two
-instants provably recurs, it is replayed many times in one arithmetic step,
-records included, to exactly where stepping would have arrived.
+An exact run (:func:`execute`, and the state-space loop) also jumps over
+the periods its execution repeats (DESIGN.md §11, "Periodic jumps"): once
+the interval between two instants provably recurs, it is replayed many
+times in one arithmetic step, records included, to exactly where stepping
+would have arrived.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -54,7 +56,7 @@ __all__ = [
 
 _MICRO_GUARD = 1_000_000
 #: later instants with the mark's wake set that are compared with it (see
-#: _run): a period can hold several such instants, as a two-actor ring's
+#: walk): a period can hold several such instants, as a two-actor ring's
 #: does, and a run that never recurs pays this many comparisons per mark
 _TRIES = 3
 
@@ -85,12 +87,14 @@ class SelfTimedEngine:
     """Stepwise self-timed executor; one instance per run.
 
     The public entry point for plain runs is :func:`execute`; the state-space
-    analyses drive the engine directly through :meth:`advance` and
-    :meth:`state_key`.  ``clock`` is the current time in ticks and ``scale``
+    analysis drives the engine directly through :meth:`walk` and
+    :meth:`state_key`, and :meth:`advance` steps one instant without
+    jumping.  ``clock`` is the current time in ticks and ``scale``
     the ticks per time unit (1 for float graphs), so ``now`` is
     ``clock / scale``.  ``record`` is as for :func:`execute`.  ``instants``
-    counts the completion instants processed one by one (read-only); the
-    instants a periodic jump replays are not among them.
+    counts the completion instants processed one by one, the re-runs of
+    :meth:`_probe` included (read-only); the instants a periodic jump
+    replays are not among them.
     """
 
     def __init__(self, graph: CSDFGraph, record: bool | Collection[str] = True) -> None:
@@ -156,6 +160,7 @@ class SelfTimedEngine:
         self._records: list[tuple] = []  # (actor index, phase, end tick)
         self._heap: list[tuple] = []  # (end tick, actor index)
         self._spans: dict[int, list[int] | None] = {}  # see _span
+        self._trace: list | None = None  # see _settle and _probe
         self.clock = 0
         self.instants = 0
         self._settle((1 << n) - 1)
@@ -198,10 +203,12 @@ class SelfTimedEngine:
         set: completed, or fed tokens) are checked, since no other actor can
         have become enabled.  A zero-duration firing dirties later actors
         for the current pass and earlier ones for the next, as the rescan
-        would reach them.
+        would reach them.  While :meth:`_probe` traces (``_trace`` a
+        list), each comparison of a count with its quantum is appended as
+        ``(edge, count - quantum)``.
         """
-        phases, phase, tokens, busy, heap = (
-            self._phases, self._phase, self._tokens, self._busy, self._heap,
+        phases, phase, tokens, busy, heap, trace = (
+            self._phases, self._phase, self._tokens, self._busy, self._heap, self._trace,
         )
         clock = self.clock
         guard = 0
@@ -215,8 +222,12 @@ class SelfTimedEngine:
                     ticks, consumed, _produced, _wake, _nxt = phases[i][phase[i]]
                     for e, q in consumed:
                         if tokens[e] < q:
+                            if trace is not None:
+                                trace.append((e, tokens[e] - q))
                             break
                     else:
+                        if trace is not None:
+                            trace.extend((e, tokens[e] - q) for e, q in consumed)
                         guard += 1
                         if guard > _MICRO_GUARD:
                             raise GraphError(
@@ -237,48 +248,56 @@ class SelfTimedEngine:
                     break  # not enabled
 
     def advance(self) -> bool:
-        """Advance to the next completion instant.
+        """Advance to the next completion instant; never jumps.
 
         Completes **all** firings ending at that instant, then starts newly
         enabled actors.  Returns False when nothing is in flight (the graph
         is deadlocked or has simply run dry).
         """
-        return self._run(None, once=True)
+        heap = self._heap
+        if not heap:
+            return False
+        t = self.clock = heap[0][0]
+        dirty = 0
+        while heap and heap[0][0] == t:
+            end, i = heappop(heap)
+            dirty |= self._complete(i, end)
+        self._settle(dirty)
+        self.instants += 1
+        return True
 
-    def _run(self, limit, once: bool = False) -> bool:
-        """Process completion instants; False once nothing is in flight.
+    def walk(self, limit=None):
+        """Process completion instants until a stop; a generator.
 
-        Stops after one instant when ``once``; otherwise before any instant
-        at which the iteration quota is met or ``clock >= limit``.  The
-        completion step is :meth:`_complete` inlined: this loop runs once
-        per firing.
+        Stops before any instant at which the iteration quota is met or
+        ``clock >= limit``, and when nothing is in flight.  Yields None after
+        each instant processed one by one (after its settle, before a jump
+        is tried), and ``(instants, replays)`` after each periodic jump, the
+        engine then standing where stepping would have arrived.
 
-        Without ``once``, an exact graph also jumps periods: the state after
-        the 1st, 2nd, 4th, 8th, ... instant since the last jump is kept as
-        the mark, and the first :data:`_TRIES` later instants that wake the
-        same actors as the mark's are offered to :meth:`_jump`.  A run with
-        no periodic structure thus takes one snapshot and a few comparisons
-        per doubling of its length.
+        An exact graph jumps periods: the state after the 1st, 2nd, 4th,
+        8th, ... instant since the last jump is kept as the mark, and the
+        first :data:`_TRIES` later instants that wake the same actors as
+        the mark's are offered to :meth:`_jump`.  A run with no periodic
+        structure thus takes one snapshot and a few comparisons per
+        doubling of its length.
         """
         heap, phases, tokens, busy, phase, done, target, kept = (
             self._heap, self._phases, self._tokens, self._busy, self._phase,
             self._done, self._target, self._kept,
         )
         records = self._records if self.record else None
-        if not once:
-            # ``woke``: the mark's wake set (-1: compare with nothing);
-            # ``renew``: the instant that takes the next mark (0: none)
-            n = base = self.instants
-            mark, woke, tries, renew = None, -1, 0, n + 1 if self._exact else 0
-        while heap:
-            if not once and (self._below == 0 or limit is not None and self.clock >= limit):
-                self.instants = n
-                return True
-            t = heap[0][0]
-            self.clock = t
+        # ``n``: instants stepped by this walk; ``woke``: the mark's wake set
+        # (-1: compare with nothing); ``renew``: the instant that takes the
+        # next mark (0: none)
+        n = base = 0
+        mark, woke, tries, renew = None, -1, 0, 1 if self._exact else 0
+        while heap and self._below and (limit is None or self.clock < limit):
+            t = self.clock = heap[0][0]
             dirty = 0
             while heap and heap[0][0] == t:
-                # a float graph can tie a Fraction end with a float one: each
+                # :meth:`_complete` inlined: this loop runs once per firing.
+                # A float graph can tie a Fraction end with a float one: each
                 # firing keeps its own end value, as the reference engine does
                 end, i = heappop(heap)
                 p = phase[i]
@@ -293,24 +312,22 @@ class SelfTimedEngine:
                     records.append((i, p, end))
                 dirty |= wake
             self._settle(dirty)
-            if once:
-                self.instants += 1
-                return True
+            self.instants += 1
             n += 1
+            yield None
             if dirty == woke:
-                if self._jump(mark, n, limit):
+                jump = self._jump(mark, n, limit)
+                if jump:
+                    yield jump
                     base, woke, renew = n, -1, n + 1
                     continue
                 tries -= 1
                 if not tries:
                     woke = -1
             if n == renew:
-                mark = (t, tokens[:], phase[:], busy[:], done[:],
-                        len(records) if records is not None else 0, n)
+                mark = (self.clock, self._tokens[:], self._phase[:], self._busy[:],
+                        self._done[:], len(self._records), n)
                 woke, tries, renew = dirty, _TRIES, 2 * n - base
-        if not once:
-            self.instants = n
-        return False
 
     def _span(self, i: int, p: int):
         """Phases from ``p`` on, cyclically, that repeat phase ``p`` of actor ``i``.
@@ -337,7 +354,7 @@ class SelfTimedEngine:
         spans = self._spans[i]
         return None if spans is None else spans[p]
 
-    def _jump(self, mark: tuple, count: int, limit) -> bool:
+    def _jump(self, mark: tuple, count: int, limit) -> tuple[int, int] | None:
         """Replay the interval since ``mark`` as often as it provably recurs.
 
         ``mark`` is the state after an earlier instant ``t0`` (``count`` is
@@ -348,25 +365,24 @@ class SelfTimedEngine:
         1. an actor that completed ``f > 0`` firings is idle at both ends or
            busy with the same remaining ticks, and the phases it passes
            through over ``m + 1`` intervals all repeat its ``t0`` phase;
-        2. any other actor is busy at both ends with one end tick, which
-           lies past the last replayed instant, or idle at both ends with
-           an input that stays short of its phase's quantum (only the actor
-           consumes from its inputs, so they can only grow);
-        3. no edge a firing actor consumes from drifts, except over a
-           one-instant interval for an actor of positive duration: it
-           starts once in the instant, wherever in the settle, so the
-           count left after the instant must stay non-negative;
+        2. any other busy actor is busy at both ends with one end tick,
+           which lies past the last replayed instant;
+        3. every comparison of a token count with a quantum that the
+           interval makes keeps its outcome: a count moves by ``k·Δ`` in
+           replay ``k``, so when an edge drifts :meth:`_probe` re-runs the
+           interval and bounds ``m`` by each comparison's margin;
         4. no stop falls inside: the quota is not met, every actor short of
            its quota stays short, the last replayed instant precedes the
            horizon;
         5. ``f`` counts every firing, zero-duration ones included, which
            complete inside :meth:`_settle` and never reach the heap.
 
-        Returns False, changing nothing, when no replay is exact or ``m``
-        is unbounded (then the run never stops, and steps on as it would).
+        Returns ``(instants in the interval, m)``, or None, changing
+        nothing, when no replay is exact or ``m`` is unbounded (then the run
+        never stops, and steps on as it would).
         """
         if self._below == 0:  # the quota was just met: the run stops here
-            return False
+            return None
         t0, tokens0, phase0, busy0, done0, nrec, count0 = mark
         t1 = self.clock
         period = t1 - t0
@@ -375,7 +391,6 @@ class SelfTimedEngine:
             self._phases,
         )
         m = inf if limit is None else (limit - t1 - 1) // period
-        single = count - count0 == 1
         steps = [now - before for now, before in zip(done, done0)]
         for i, f in enumerate(steps):
             end = busy[i]
@@ -383,38 +398,21 @@ class SelfTimedEngine:
                 end0 = busy0[i]
                 if (end is None) is not (end0 is None) or (
                         end is not None and end - t1 != end0 - t0):
-                    return False
-                p = phase0[i]
-                ticks, consumed = phases[i][p][:2]
-                span = self._span(i, p)
+                    return None
+                span = self._span(i, phase0[i])
                 if span is not None:
                     m = min(m, (span - 1) // f - 1)
                 if done[i] < target[i]:
                     m = min(m, (target[i] - done[i] - 1) // f)
-                for e, _q in consumed:
-                    drift = tokens[e] - tokens0[e]
-                    if drift:
-                        if not (single and ticks):
-                            return False
-                        if drift < 0:
-                            m = min(m, tokens[e] // -drift)
             elif end is not None:
                 if busy0[i] != end:
-                    return False
+                    return None
                 m = min(m, (end - t1 - 1) // period)
-            else:
-                stays = -1
-                for e, q in phases[i][phase[i]][1]:
-                    have = tokens[e]
-                    if have < q:
-                        drift = have - tokens0[e]
-                        if not drift:
-                            stays = inf
-                            break
-                        stays = max(stays, (q - have - 1) // drift)
-                m = min(m, stays)
+        drift = [now - before for now, before in zip(tokens, tokens0)]
+        if m >= 1 and any(drift):
+            m = min(m, self._probe(mark, count - count0, drift))
         if m == inf or m < 1:
-            return False
+            return None
 
         shift = m * period
         for i, f in enumerate(steps):
@@ -423,8 +421,8 @@ class SelfTimedEngine:
                 phase[i] = (phase[i] + m * f) % len(phases[i])
                 if busy[i] is not None:
                     busy[i] += shift
-        for e, (now, before) in enumerate(zip(tokens, tokens0)):
-            tokens[e] = now + m * (now - before)
+        for e, d in enumerate(drift):
+            tokens[e] += m * d
         self._heap[:] = [(end, i) for i, end in enumerate(busy) if end is not None]
         heapify(self._heap)
         if self.record and nrec < len(self._records):
@@ -433,7 +431,40 @@ class SelfTimedEngine:
             self._records.extend([(i, (p + k * steps[i]) % sizes[i], end + k * period)
                                   for k in range(1, m + 1) for i, p, end in block])
         self.clock = t1 + shift
-        return True
+        return count - count0, m
+
+    def _probe(self, mark: tuple, instants: int, drift: list[int]):
+        """Replays over which each comparison of the interval keeps its outcome.
+
+        Re-runs the ``instants`` instants since ``mark`` on a copy of the
+        engine, tracing every comparison of a count with a quantum as
+        ``count - quantum``.  Replay ``k`` makes the same comparison with
+        the count moved by ``k·Δ`` of its edge, so one that held (margin
+        ``≥ 0``) on an edge drifting down holds for ``margin // -Δ``
+        replays, and one that failed on an edge drifting up fails for
+        ``(-margin - 1) // Δ``; counts that do not drift compare alike in
+        every replay.  The outcome is linear in the replay, so it is the
+        same at every replay up to the bound.
+        """
+        t0, tokens0, phase0, busy0, done0 = mark[:5]
+        probe = copy(self)
+        probe.clock, probe._tokens, probe._phase, probe._busy, probe._done = (
+            t0, tokens0[:], phase0[:], busy0[:], done0[:])
+        probe._heap = [(end, i) for i, end in enumerate(busy0) if end is not None]
+        heapify(probe._heap)
+        probe._kept = [False] * len(busy0)
+        probe._trace = trace = []
+        for _ in range(instants):
+            probe.advance()
+        self.instants += instants
+        m = inf
+        for e, margin in trace:
+            d = drift[e]
+            if d < 0 <= margin:
+                m = min(m, margin // -d)
+            elif margin < 0 < d:
+                m = min(m, (-margin - 1) // d)
+        return m
 
     @property
     def idle(self) -> bool:
@@ -469,23 +500,26 @@ class SelfTimedEngine:
             raise GraphError(f"actor {actor!r} was not recorded in this run")
         return k
 
-    def _firings(self, actor: str | None = None) -> list[Firing]:
-        """Recorded firings (of one actor, or all) in public time."""
+    def _firings(self, actor: str | None = None, phase: int | None = None) -> list[Firing]:
+        """Recorded firings (of one actor, or all; of one phase) in public time.
+
+        Records are filtered in tick form: a Firing is built only for the
+        firings returned.
+        """
         names, phases, time = self._actor_order, self._phases, self._time
         records = self._records
         if actor is not None:
             k = self._recorded_index(actor)
-            records = [r for r in records if r[0] == k]
+            records = [r for r in records if r[0] == k and (phase is None or r[1] == phase)]
         return [
             Firing(names[i], p, time(end - phases[i][p][0]), time(end))
             for i, p, end in records
         ]
 
     def _ends(self, actor: str) -> list:
-        """End times of ``actor``'s recorded firings in public time."""
+        """End ticks of ``actor``'s recorded firings."""
         k = self._recorded_index(actor)
-        time = self._time
-        return [time(end) for i, _p, end in self._records if i == k]
+        return [end for i, _p, end in self._records if i == k]
 
 
 class ExecutionResult:
@@ -493,7 +527,7 @@ class ExecutionResult:
 
     Firing records stay in the engine's compact tick form until read; whole
     times come back as ``int``, others as ``Fraction`` (floats for graphs
-    with float durations).
+    with float durations).  ``scale`` is the run's ticks per time unit.
     """
 
     def __init__(self, engine: SelfTimedEngine, deadlocked: bool,
@@ -503,6 +537,7 @@ class ExecutionResult:
         self.deadlocked = deadlocked
         self.iterations_completed = iterations_completed
         self.tokens: dict[str, int] = dict(zip(engine._edge_order, engine._tokens))
+        self.scale = engine.scale
         self._engine = engine
 
     @cached_property
@@ -510,12 +545,17 @@ class ExecutionResult:
         """Every recorded firing, in completion order."""
         return self._engine._firings()
 
-    def firings_of(self, actor: str) -> list[Firing]:
-        """Completed firings of one actor, ordered by start time."""
-        return self._engine._firings(actor)
+    def firings_of(self, actor: str, phase: int | None = None) -> list[Firing]:
+        """Completed firings of one actor (of one phase), ordered by start time."""
+        return self._engine._firings(actor, phase)
 
     def production_times(self, actor: str) -> list[float]:
         """End times of an actor's firings — token production instants."""
+        time = self._engine._time
+        return [time(end) for end in self._engine._ends(actor)]
+
+    def production_ticks(self, actor: str) -> list:
+        """:meth:`production_times` in ticks: each is ``scale`` times the time."""
         return self._engine._ends(actor)
 
 
@@ -562,7 +602,8 @@ def execute(
         # now >= horizon  <=>  clock >= horizon * scale, exactly
         limit = ceil(Fraction(horizon) * engine.scale) if engine._exact else horizon
 
-    engine._run(limit)
+    for _ in engine.walk(limit):
+        pass
     # ran dry short of the quota, before the horizon
     deadlocked = engine.idle and iterations is not None and engine._below > 0 and (
         limit is None or engine.clock < limit

@@ -19,9 +19,10 @@ merge distinct exact remainders only below 10⁻⁹ apart; the new engine keys
 exact graphs on exact ticks.
 
 The random graphs have at most 3 phases per actor.  The periodic jumps of
-``execute`` (DESIGN.md §11) replay long runs of identical phases and
-one-tick bursts, so :func:`gateway_model` also draws the paper's Fig. 5 and
-Fig. 7 models of random gateway systems, whose η-phase gateways have both.
+``execute`` and of the state-space loop (DESIGN.md §11) replay long runs of
+identical phases, one-tick bursts and interleaved producer/consumer
+instants, so :func:`gateway_model` also draws the paper's Fig. 5 and Fig. 7
+models of random gateway systems, which have all three.
 """
 
 from contextlib import ExitStack
@@ -50,6 +51,7 @@ from repro.dataflow import (
     GraphError,
     execute,
     simulation,
+    statespace,
     steady_state_throughput,
 )
 from tests import refdataflow
@@ -250,6 +252,49 @@ def _zero_drift():
     return g
 
 
+def _fill(block, duration, space):
+    """``p`` fills a buffer one token a tick; ``c`` takes ``block`` at once.
+
+    ``p``'s one-tick bursts lower ``space`` and raise ``e``, so a jump over
+    them must stop where ``c`` becomes enabled (a failed comparison on a
+    count drifting up) or where ``p`` runs out of space (a held comparison
+    on a count drifting down).  In the small instances used here the bound
+    is 0 replays, so a bound one replay looser jumps where no jump is
+    exact."""
+    g = CSDFGraph(f"fill[{block},{duration},{space}]")
+    g.add_actor("p", 1)
+    g.add_actor("c", duration)
+    g.add_edge("p", "c", consumption=block, name="e")
+    g.add_edge("c", "p", production=block, tokens=space, name="space")
+    return g
+
+
+def _bursting_fig7():
+    """A Fig. 7 model whose ``vP`` bursts 1/1000 cycle apart into ``vS``
+    (η = 9, γ̂ = 11) and whose ``vC`` drains at once.  The loop's verdict
+    comes where a jump lands after its 9th stepped instant; stopped at that
+    instant (``max_steps`` 9) it has covered 16 steps, past the recurrence
+    that stepping finds at step 13, and only a replayed state equal to its
+    last one shows it."""
+    system = GatewaySystem(accelerators=[AcceleratorSpec("a0", 0)],
+                           streams=[StreamSpec("s", Fraction(1, 5), 0, block_size=9)],
+                           entry_copy=0, exit_copy=1)
+    return build_stream_sdf(system, "s", producer_period=Fraction(1, 1000),
+                            consumer_period=0, alpha0=12, alpha3=9)
+
+
+def _slow_producer_fig5():
+    """A Fig. 5 model (η = 6, ε = 15) with 8 tokens prequeued and a
+    producer at 31/3 cycles per token.  Stopped one stepped instant short
+    of the loop's verdict, the state the loop stands in equals one in the
+    last replay of an earlier jump."""
+    system = GatewaySystem(accelerators=[AcceleratorSpec("a0", 0)],
+                           streams=[StreamSpec("s", Fraction(1, 5), 0, block_size=6)],
+                           entry_copy=15, exit_copy=1)
+    return build_stream_csdf(system, "s", producer_period=Fraction(31, 3),
+                             consumer_period=0, alpha0=9, alpha3=6, prequeued=8)[0]
+
+
 def _exact(graph):
     return not any(isinstance(d, float) for a in graph for d in a.duration)
 
@@ -342,16 +387,79 @@ def test_execute_scoped_records_match_reference(graph, data):
                 new.firings_of(actor)
 
 
-@given(consistent_graph(), st.integers(min_value=0, max_value=3))
-@example(_livelock(), 0)
+#: a step limit past every recurrence, deadlock and livelock of the drawn graphs
+REACH = 100_000
+
+
+def _reference_throughput(graph, **kwargs):
+    """The reference's outcome and the instants it stepped to reach it."""
+    stepped = []
+    advance = refdataflow.SelfTimedEngine.advance
+
+    def counted(engine):
+        stepped.append(None)
+        return advance(engine)
+
+    with mock.patch.object(refdataflow.SelfTimedEngine, "advance", counted):
+        outcome = _outcome(refdataflow.steady_state_throughput, graph, **kwargs)
+    return outcome, len(stepped)
+
+
+def _jumping(graph, **kwargs):
+    """The new loop's outcome, the instants it stepped and the steps it covered."""
+    stepped, covered = [], []
+
+    class Counted(simulation.SelfTimedEngine):
+        def walk(self, limit=None):
+            for jump in super().walk(limit):
+                stepped.append(jump is None)
+                covered.append(1 if jump is None else jump[0] * jump[1])
+                yield jump
+
+    with mock.patch.object(statespace, "SelfTimedEngine", Counted):
+        outcome = _outcome(steady_state_throughput, graph, **kwargs)
+    return outcome, sum(stepped), sum(covered)
+
+
+@given(
+    consistent_graph() | gateway_model(),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(("stepping", "jumping")),
+    st.integers(min_value=-3, max_value=2) | st.just("half"),
+)
+@example(_livelock(), 0, "stepping", 0)
+@example(_fill(2, 3, 4), 0, "stepping", 0)
+@example(_fill(3, 1, 4), 0, "stepping", 0)
+@example(_bursting_fig7(), 0, "jumping", 0)
+@example(_slow_producer_fig5(), 0, "jumping", -1)
 @settings(max_examples=300, deadline=None)
-def test_steady_state_throughput_matches_reference(graph, which):
+def test_steady_state_throughput_matches_reference(graph, which, side, cut):
+    """The whole outcome, with ``max_steps`` around the instant at which
+    a run settles the graph (recurrence, deadlock or livelock), stepping
+    every instant or jumping, or at half of it.
+
+    ``max_steps`` bounds the instants the new loop steps; its jumps replay
+    instants without stepping them, so where the reference runs out of
+    steps the new loop may still reach the outcome, which is then compared
+    with the reference's at a limit past it.  The new loop gives up only
+    while the steps it covered fall short of the reference's: just short
+    of its own verdict, a recurrence may already lie in the instants it
+    replayed."""
     actors = sorted(graph.actors)
     actor = actors[which % len(actors)]
     with _guarded():
-        new = _outcome(steady_state_throughput, graph, actor=actor, max_steps=1000)
+        reached, steps = _reference_throughput(graph, actor=actor, max_steps=REACH)
+        _settled, stepped, _covered = _jumping(graph, actor=actor, max_steps=REACH)
+        base = steps if side == "stepping" else stepped
+        limit = max(1, base // 2 if cut == "half" else base + cut)
+        new, _stepped, covered = _jumping(graph, actor=actor, max_steps=limit)
         ref = _outcome(refdataflow.steady_state_throughput, graph, actor=actor,
-                       max_steps=1000)
+                       max_steps=limit)
+    assert steps < REACH
+    if isinstance(new, tuple) and new[1].startswith("no steady state"):
+        assert covered < steps
+    if new != ref and isinstance(ref, tuple) and ref[1].startswith("no steady state"):
+        ref = reached
     assert new == ref
 
 
@@ -446,5 +554,42 @@ def test_pal_stage2_csdf_jumps_its_periods():
     (engine,) = engines
     firings = sum(new.completions.values())
     assert firings == len(new.firings) > 20_000
+    assert engine.instants * 100 < firings
+    assert _observe(new, graph) == _observe(refdataflow.execute(graph, iterations=3), graph)
+
+
+def test_pal_sdf_statespace_jumps_its_periods():
+    """PAL's four Fig. 7 models at rate μ: the state-space loop returns the
+    reference's ``ThroughputResult`` while stepping fewer than 1% of the
+    reference's steps, and ``execute()`` on ch1.s1's model processes fewer
+    than one instant per 100 firings, with the reference's records."""
+    system = Scenario.from_registry(
+        "pal_decoder", eta_stage1=10136, eta_stage2=1267, margin_ppm=1270).system
+    engines = []
+
+    class Counted(simulation.SelfTimedEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    reference_steps = 0
+    for stream in system.streams:
+        graph = build_stream_sdf(system, stream.name)
+        with mock.patch.object(statespace, "SelfTimedEngine", Counted):
+            new = steady_state_throughput(graph, actor="vC")
+        ref, steps = _reference_throughput(graph, actor="vC")
+        assert new == ref
+        assert new.transient_steps == 2 * stream.block_size  # 20,272 and 2,534
+        reference_steps += steps
+    assert reference_steps == 91_224
+    assert sum(engine.instants for engine in engines) * 100 < reference_steps
+
+    graph = build_stream_sdf(system, "ch1.s1")
+    engines.clear()
+    with mock.patch.object(simulation, "SelfTimedEngine", Counted):
+        new = execute(graph, iterations=3)
+    (engine,) = engines
+    firings = sum(new.completions.values())
+    assert firings == len(new.firings) == 81_091
     assert engine.instants * 100 < firings
     assert _observe(new, graph) == _observe(refdataflow.execute(graph, iterations=3), graph)

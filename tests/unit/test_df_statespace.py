@@ -4,6 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from repro.core import (
+    AcceleratorSpec,
+    GatewaySystem,
+    StreamSpec,
+    build_stream_sdf,
+    compute_block_sizes,
+    verify_with_sdf_model,
+)
 from repro.dataflow import (
     CSDFGraph,
     GraphError,
@@ -77,6 +85,27 @@ def test_unbounded_graph_aborts():
     g.add_edge("A", "B")  # tokens pile up forever
     with pytest.raises(GraphError):
         steady_state_throughput(g, actor="A", max_steps=500)
+
+
+def test_recurrence_past_a_million_steps_gets_a_verdict():
+    """Two streams at load 0.99997 (ε = 15, one ρ = 1 accelerator, R = 100,
+    3,333,233 samples/s each at 100 MHz): Algorithm 1 gives η = 287,921, and
+    the Fig. 7 model, bounded by its α0/α3 back-edges, first recurs 4η steps
+    in, past the default ``max_steps`` of 10**6.  ``max_steps`` bounds the
+    instants stepped, not the ones jumps replay, so Eq. 5 gets its verdict."""
+    mu = Fraction(3_333_233, 100_000_000)
+    system = GatewaySystem(
+        accelerators=(AcceleratorSpec("acc", 1),),
+        streams=tuple(StreamSpec(name, mu, 100) for name in ("x", "y")),
+        entry_copy=15,
+        exit_copy=1,
+    )
+    sized = system.with_block_sizes(compute_block_sizes(system).block_sizes)
+    assert sized.stream("x").block_size == 287_921
+    r = steady_state_throughput(build_stream_sdf(sized, "x"), actor="vC")
+    assert r.firing_rate == mu
+    assert (r.transient_steps, r.firings_per_period) == (575_842, 287_921)
+    assert verify_with_sdf_model(sized, "x") == (True, mu)
 
 
 def test_period_and_count_consistent():
