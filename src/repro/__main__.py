@@ -298,12 +298,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     import json
 
     result = _prepared_scenario(args).build()
-    if result.reconfig is not None:
-        # churn run: the static model's block sizes are stale after the
-        # online re-solves — check each steady mode against its own model
-        report = result.mode_conformance(calibrated=not args.uncalibrated).merged()
-    else:
-        report = result.conformance(calibrated=not args.uncalibrated)
+    report = result.conformance(calibrated=not args.uncalibrated)
     if args.json:
         print(json.dumps(
             result.report("conformance", calibrated=not args.uncalibrated),

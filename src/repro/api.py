@@ -306,7 +306,7 @@ class RunResult:
         if kind == "conformance":
             return make_report("conformance", {
                 "horizon": self.horizon,
-                **self._conformance_body(calibrated),
+                **self.conformance(calibrated=calibrated).to_dict(),
             })
         if kind == "faults":
             return make_report("faults", {
@@ -321,7 +321,7 @@ class RunResult:
                 "'run', 'metrics', 'conformance', 'faults', 'reconfig'"
             )
         body = self._metrics_body()
-        body["conformance"] = self._conformance_body(calibrated)
+        body["conformance"] = self.conformance(calibrated=calibrated).to_dict()
         if self.solver is not None:
             body["solver"] = {
                 "backend": self.solver.backend,
@@ -336,19 +336,6 @@ class RunResult:
             ]
             body["remaps"] = [list(r) for r in self.chain.remaps]
         return make_report("run", body)
-
-    def _conformance_body(self, calibrated: bool) -> dict[str, Any]:
-        """Conformance section for the ``"run"``/``"conformance"`` reports.
-
-        Static runs check against the solved model directly.  Churn runs
-        must use the per-mode merged view: after an online re-solve the
-        static model's block sizes are stale, and checking the final
-        metrics against them is meaningless (and raises on any stream
-        whose η changed mid-run).  Both views share the same keys.
-        """
-        if self.reconfig is not None:
-            return self.mode_conformance(calibrated=calibrated).merged().to_dict()
-        return self.conformance(calibrated=calibrated).to_dict()
 
     def _metrics_body(self) -> dict[str, Any]:
         return {

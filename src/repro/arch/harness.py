@@ -149,7 +149,13 @@ class SimulationRun:
         against the bare model parameters, which the simulated overheads
         legitimately exceed — useful for seeing how much calibration the
         architecture needs.
+
+        On a churn run the initial model's block sizes go stale at the
+        first online re-solve, so the report is :meth:`mode_conformance`
+        merged: each steady mode checked against its own model.
         """
+        if self.reconfig is not None:
+            return self.mode_conformance(calibrated=calibrated).merged()
         model = calibrated_system(self.system) if calibrated else self.system
         # the entry gateway polls once a cycle: one cycle per admission
         slack = len(self.system.streams)

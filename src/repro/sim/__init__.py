@@ -10,9 +10,7 @@ from .faults import (
     WatchdogConfig,
 )
 from .kernel import (
-    AllOf,
     AnyOf,
-    Callback,
     Event,
     Interrupt,
     Process,
@@ -33,9 +31,7 @@ from .trace import GanttRow, Kind, TraceRecord, Tracer
 
 __all__ = [
     "AdmissionController",
-    "AllOf",
     "AnyOf",
-    "Callback",
     "Event",
     "FaultError",
     "FaultInjector",

@@ -38,12 +38,10 @@ from typing import Any
 __all__ = [
     "Event",
     "Timeout",
-    "Callback",
     "Process",
     "Simulator",
     "Interrupt",
     "SimulationError",
-    "AllOf",
     "AnyOf",
 ]
 
@@ -225,117 +223,6 @@ def _ready(sim: "Simulator", value: Any = None) -> Event:
         else:
             bucket.append(ev)
     return ev
-
-
-class Callback(Event):
-    """A bare function invocation at an absolute cycle.
-
-    The lightweight half of a *precompiled event chain* (see
-    :meth:`Simulator.schedule_at`): where a generator process costs a
-    :class:`Process` object plus one resume per ``yield``, a Callback is a
-    single event whose only callback is ``fn`` itself.  It follows the full
-    event contract — it lives in the calendar buckets, fires in FIFO order
-    within its cycle, can be :meth:`~Event.cancel`-led lazily, survives
-    ``run(until=cycle)`` clamping past idle tails, and extra watchers may
-    ``add_callback`` (they run after ``fn``).
-
-    With ``defer=True`` the callback fires *late* within its cycle: when
-    dispatch reaches it, it re-appends a tail event to the end of the
-    cycle's live firing list and runs ``fn`` there, i.e. after every event
-    that was scheduled for the cycle before the cycle began — the
-    within-cycle position a generator resume would occupy after being
-    appended behind continuously re-scheduled pollers.  (The ring's
-    compiled transit ultimately went further — ``_FastFlit`` subclasses
-    :class:`Event` directly and re-arms itself, avoiding even the
-    one-Callback-per-step allocation — but Callback remains the
-    general-purpose chain primitive and is pinned by the kernel tests.)
-    """
-
-    __slots__ = ("fn", "defer")
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        cycle: int,
-        fn: Callable[[], None],
-        defer: bool = False,
-    ) -> None:
-        cycle = int(cycle)
-        if cycle < sim.now:
-            raise SimulationError(
-                f"cannot schedule a callback in the past "
-                f"(cycle {cycle} < now {sim.now})"
-            )
-        # flat one-pass init, same as Timeout: this is a hot-path allocation
-        self.sim = sim
-        self.callbacks = [self._invoke]
-        self._value = None
-        self._ok = True
-        self._triggered = True
-        self._processed = False
-        self._cancelled = False
-        self.fn = fn
-        self.defer = defer
-        if cycle == sim._active_cycle:
-            sim._active.append(self)
-        else:
-            bucket = sim._buckets.get(cycle)
-            if bucket is None:
-                sim._buckets[cycle] = [self]
-                _heappush(sim._times, cycle)
-            else:
-                bucket.append(self)
-
-    def _invoke(self, _event: "Event") -> None:
-        if self.defer and self.sim._active is not None:
-            # Re-enter the live bucket at the tail: build the tail event with
-            # the same flat init (the head's callbacks list is already
-            # consumed by the dispatch loop, so it cannot be requeued).
-            tail = Callback.__new__(Callback)
-            tail.sim = self.sim
-            tail.callbacks = [tail._invoke]
-            tail._value = None
-            tail._ok = True
-            tail._triggered = True
-            tail._processed = False
-            tail._cancelled = self._cancelled
-            tail.fn = self.fn
-            tail.defer = False
-            self.sim._active.append(tail)
-            return
-        self.fn()
-
-
-class AllOf(Event):
-    """Fires when all constituent events have fired.
-
-    Value is the list of the constituent values in input order.
-    """
-
-    __slots__ = ("_events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: list[Event]) -> None:
-        super().__init__(sim)
-        self._events = list(events)
-        self._remaining = 0
-        for ev in self._events:
-            if ev.processed:
-                if not ev.ok and not self._triggered:
-                    self.fail(ev.value)
-            else:
-                self._remaining += 1
-                ev.add_callback(self._on_child)
-        if self._remaining == 0 and not self._triggered:
-            self.succeed([ev.value for ev in self._events])
-
-    def _on_child(self, ev: Event) -> None:
-        if not ev.ok:
-            if not self._triggered:
-                self.fail(ev.value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0 and not self._triggered:
-            self.succeed([e.value for e in self._events])
 
 
 class AnyOf(Event):
@@ -538,6 +425,13 @@ class Simulator:
     cycle; idle spans are counted in :attr:`skipped_cycles` and never
     stepped or simulated.
 
+    One dispatch loop, :meth:`_drive`, serves every driver, and the
+    drivers differ only in when it stops.  Each stops when the queue
+    drains; ``run(until=cycle)`` and :meth:`run_until` also stop before
+    the first event past their bound, and ``run(until=event)`` and
+    :meth:`run_until` once their event has fired.  :meth:`step` fires a
+    single event the way the loop does.
+
     Clock semantics (uniform, regression-pinned in
     ``tests/unit/test_sim_kernel.py``):
 
@@ -582,30 +476,9 @@ class Simulator:
         """An event firing ``delay`` cycles from now."""
         return Timeout(self, int(delay), value)
 
-    def schedule_at(
-        self, cycle: int, fn: Callable[[], None], defer: bool = False
-    ) -> Callback:
-        """Run ``fn()`` at absolute ``cycle``; returns the cancellable event.
-
-        This is the precompiled-event-chain primitive: work whose timing
-        is known in closed form at injection schedules its side effects
-        as plain callbacks instead of driving a generator through every
-        step.  The
-        returned :class:`Callback` obeys the normal event contract
-        (deterministic FIFO order within the cycle, lazy ``cancel()``,
-        unaffected by ``run(until=...)`` horizon clamping short of its
-        cycle).  ``defer=True`` pushes ``fn`` to the tail of its cycle's
-        firing list, reproducing the within-cycle position of a generator
-        resume (see :class:`Callback`).
-        """
-        return Callback(self, cycle, fn, defer)
-
     def process(self, gen: Generator[Event, Any, Any], name: str | None = None) -> Process:
         """Register and start a generator as a simulated process."""
         return Process(self, gen, name)
-
-    def all_of(self, events: list[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def any_of(self, events: list[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -662,9 +535,10 @@ class Simulator:
     def step(self) -> None:
         """Fire the single next live event.
 
-        The event fires inside its cycle's live bucket, as under the run
-        drivers: zero-delay schedules, and the compiled ring transits that
-        append to the live bucket directly, queue behind it in that cycle.
+        The event fires inside its cycle's live bucket, as under the
+        dispatch loop: zero-delay schedules, and the compiled ring transits
+        that append to the live bucket directly, queue behind it in that
+        cycle.
         """
         t = self.peek()
         if t is None:
@@ -696,119 +570,32 @@ class Simulator:
         clock rests on the last dispatched event).
         """
         if isinstance(until, Event):
-            stop = until
-            while not stop._processed:
-                if not self._drive(stop, None):
-                    if stop._cancelled:
-                        raise SimulationError(
-                            f"target event was cancelled (clock at cycle "
-                            f"{self.now}); it can never fire"
-                        )
+            if not self._drive(until, None):
+                if until._cancelled:
                     raise SimulationError(
-                        f"simulation ran dry at cycle {self.now} "
-                        "before target event fired"
+                        f"target event was cancelled (clock at cycle "
+                        f"{self.now}); it can never fire"
                     )
-            if not stop._ok:
-                raise stop._value
-            return stop._value
+                raise SimulationError(
+                    f"simulation ran dry at cycle {self.now} "
+                    "before target event fired"
+                )
+            if not until._ok:
+                raise until._value
+            return until._value
+        horizon = None
         if until is not None:
             horizon = int(until)
             if horizon < self.now:
                 raise SimulationError("cannot run backwards in time")
-            self._run_to(horizon)
-            return None
-        self._run_all()
-        return None
-
-    def _run_all(self) -> None:
-        """Drain the queue completely; clock rests on the last dispatch."""
-        buckets = self._buckets
-        times = self._times
-        while times:
-            t = _heappop(times)
-            bucket = buckets.pop(t, None)
-            if bucket is None:
-                continue
-            i = 0
-            n = len(bucket)
-            while i < n and bucket[i]._cancelled:
-                i += 1
-            if i == n:
-                continue
-            if t > self.now:
-                self.skipped_cycles += t - self.now - 1
-                self.now = t
-            self._active = bucket
-            self._active_cycle = t
-            try:
-                while i < len(bucket):
-                    event = bucket[i]
-                    i += 1
-                    if event._cancelled:
-                        continue
-                    # inlined Event._fire: the Timeout-expiry hot path
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(event)
-            finally:
-                self._active = None
-                self._active_cycle = -1
-                if i < len(bucket):
-                    # aborted mid-bucket (process exception): keep the tail
-                    # scheduled, exactly like the heap kernel did
-                    del bucket[:i]
-                    buckets[t] = bucket
-                    _heappush(times, t)
-
-    def _run_to(self, horizon: int) -> None:
-        """Fire everything at cycles <= horizon; clock ends on horizon."""
-        buckets = self._buckets
-        times = self._times
-        while times:
-            t = times[0]
-            if t > horizon:
-                break
-            _heappop(times)
-            bucket = buckets.pop(t, None)
-            if bucket is None:
-                continue
-            i = 0
-            n = len(bucket)
-            while i < n and bucket[i]._cancelled:
-                i += 1
-            if i == n:
-                continue
-            if t > self.now:
-                self.skipped_cycles += t - self.now - 1
-                self.now = t
-            self._active = bucket
-            self._active_cycle = t
-            try:
-                while i < len(bucket):
-                    event = bucket[i]
-                    i += 1
-                    if event._cancelled:
-                        continue
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(event)
-            finally:
-                self._active = None
-                self._active_cycle = -1
-                if i < len(bucket):
-                    del bucket[:i]
-                    buckets[t] = bucket
-                    _heappush(times, t)
-        if horizon > self.now:
+        # a stop event nobody can trigger: dispatch until the queue drains
+        # or its next live event lies past the horizon
+        self._drive(Event(self), horizon)
+        if horizon is not None and horizon > self.now:
             # temporal decoupling: the idle tail is skipped, not simulated
             self.skipped_cycles += horizon - self.now
             self.now = horizon
+        return None
 
     def _drive(self, stop: Event, limit: int | None) -> bool:
         """Fire events in order until ``stop`` has been processed.

@@ -228,6 +228,14 @@ def test_report_churn_uses_modal_conformance():
     assert conf["streams"] == merged["streams"]
 
 
+def test_churn_conformance_is_the_merged_modal_report():
+    # base0 runs at η=3 after a re-solve where the initial model says 8:
+    # conformance() checks each steady mode against its own model
+    result = Scenario.from_registry("multi_mode").build()
+    assert result.reconfig is not None
+    assert result.conformance() == result.mode_conformance().merged()
+
+
 def test_from_registry_rejects_unknown(small_system):
     from repro.app.scenarios import ScenarioError
 

@@ -5,40 +5,6 @@ from repro.dataflow import SDFGraph, steady_state_throughput
 from repro.sim import Simulator
 
 
-def test_all_of_propagates_failure():
-    sim = Simulator()
-    good = sim.timeout(5)
-    bad = sim.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield sim.all_of([good, bad])
-        except ValueError as err:
-            caught.append(str(err))
-
-    sim.process(waiter())
-    bad.fail(ValueError("child failed"))
-    sim.run()
-    assert caught == ["child failed"]
-
-
-def test_all_of_with_already_processed_children():
-    sim = Simulator()
-    done = sim.timeout(0)
-    sim.run()
-    assert done.processed
-    got = []
-
-    def waiter():
-        values = yield sim.all_of([done, sim.timeout(3, "late")])
-        got.append(values)
-
-    sim.process(waiter())
-    sim.run()
-    assert got == [[None, "late"]]
-
-
 def test_any_of_propagates_first_failure():
     sim = Simulator()
     slow = sim.timeout(100)

@@ -1,7 +1,7 @@
 """Unit tests for the fused ring fast path (DESIGN.md §7).
 
-Covers the `schedule_at` / `Callback` kernel primitive, the fast-path
-eligibility rule (every fault-free flit is compiled, congested or not; an
+Covers in-flight flits across horizon clamps, the fast-path eligibility
+rule (every fault-free flit is compiled, congested or not; an
 armed fault or the kill switch selects the generator path), the
 validation-before-counters contract of `DualRing.post`, the dropped-flit
 audit regression, chain fusion (`post_chain` and the fused C-FIFO put) and
@@ -15,7 +15,6 @@ from repro.sim import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    SimulationError,
     Simulator,
     Tracer,
 )
@@ -30,93 +29,7 @@ def _fastpath_env_default(monkeypatch):
     monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
 
 
-# ------------------------------------------------------- schedule_at/Callback
-def test_schedule_at_fires_at_cycle():
-    sim = Simulator()
-    fired = []
-    sim.schedule_at(7, lambda: fired.append(sim.now))
-    sim.run()
-    assert fired == [7]
-
-
-def test_schedule_at_same_cycle_runs_later_this_cycle():
-    sim = Simulator()
-    fired = []
-
-    def proc():
-        yield sim.timeout(3)
-        sim.schedule_at(sim.now, lambda: fired.append(sim.now))
-        yield sim.timeout(2)
-
-    sim.process(proc())
-    sim.run()
-    assert fired == [3]
-
-
-def test_schedule_at_rejects_past_cycle():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(5)
-        sim.schedule_at(2, lambda: None)
-
-    sim.process(proc())
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-def test_schedule_at_cancel_is_lazy_and_effective():
-    sim = Simulator()
-    fired = []
-    cb = sim.schedule_at(4, lambda: fired.append("nope"))
-    cb.cancel()
-    sim.schedule_at(6, lambda: fired.append("yes"))
-    sim.run()
-    assert fired == ["yes"]
-    assert cb.cancelled and not cb.processed
-
-
-def test_callback_extra_watchers_run_after_fn():
-    sim = Simulator()
-    order = []
-    cb = sim.schedule_at(3, lambda: order.append("fn"))
-    cb.add_callback(lambda _ev: order.append("watcher"))
-    sim.run()
-    assert order == ["fn", "watcher"]
-
-
-def test_callback_survives_run_until_clamping():
-    """Checkpoint/restore: a pending callback outlives horizon clamping."""
-    sim = Simulator()
-    fired = []
-    sim.schedule_at(100, lambda: fired.append(sim.now))
-    sim.run(until=50)  # idle span: clock clamps to the horizon
-    assert sim.now == 50 and fired == []
-    sim.run(until=150)
-    assert fired == [100]
-
-
-def test_deferred_callback_runs_after_prescheduled_events():
-    """defer=True lands behind events scheduled for the cycle beforehand,
-    exactly where a generator resuming on its last hop timeout would sit."""
-    sim = Simulator()
-    order = []
-
-    def poller():
-        for _ in range(5):
-            order.append(("poll", sim.now))
-            yield sim.timeout(1)
-
-    sim.process(poller())
-    sim.schedule_at(3, lambda: order.append(("deferred", sim.now)), defer=True)
-    sim.schedule_at(3, lambda: order.append(("plain", sim.now)))
-    sim.run()
-    at3 = [tag for tag, t in order if t == 3]
-    # plain callback fires at its bucket position (before the poll scheduled
-    # at cycle 2); the deferred one re-enters at the tail of cycle 3
-    assert at3 == ["plain", "poll", "deferred"]
-
-
+# ------------------------------------------------------------ horizon clamp
 def test_fastpath_flit_in_flight_survives_horizon_clamp():
     """A fused flit's pending hop callbacks survive run(until=...)."""
     sim = Simulator()
@@ -150,6 +63,13 @@ def _record_instants(sim, out, tag, accepted, delivered):
     delivered.add_callback(lambda _ev: out.__setitem__(f"{tag}_delivered", sim.now))
 
 
+def _post_on_start(sim, ring, out, tag, src, dst):
+    """Process body that posts one flit when the process starts, i.e. at its
+    start event's position in the cycle it was created in, and logs it."""
+    _record_instants(sim, out, tag, *ring.post(src, dst, tag))
+    yield from ()
+
+
 def test_fastpath_compiles_post_onto_occupied_link():
     """A flit posted while another flit holds its first link is compiled
     too: it parks in the link's grant FIFO (one demotion) and is accepted
@@ -161,8 +81,7 @@ def test_fastpath_compiles_post_onto_occupied_link():
         out = {}
         # "a" acquires link 0 within cycle 0; "b" is posted behind it
         _record_instants(sim, out, "a", *ring.post(0, 1, "a"))
-        sim.schedule_at(0, lambda: _record_instants(
-            sim, out, "b", *ring.post(0, 1, "b")))
+        sim.process(_post_on_start(sim, ring, out, "b", 0, 1))
         sim.run()
         return ring, out
 
@@ -186,10 +105,10 @@ def test_fastpath_compiles_congested_and_disjoint_posts():
         ring.fastpath = fastpath
         out = {}
         _record_instants(sim, out, "a", *ring.post(0, 1, "a"))
-        sim.schedule_at(0, lambda: _record_instants(  # link 0 held by "a"
-            sim, out, "b", *ring.post(0, 1, "b")))
-        sim.schedule_at(0, lambda: _record_instants(  # disjoint route
-            sim, out, "c", *ring.post(4, 5, "c")))
+        # link 0 held by "a"
+        sim.process(_post_on_start(sim, ring, out, "b", 0, 1))
+        # disjoint route
+        sim.process(_post_on_start(sim, ring, out, "c", 4, 5))
         sim.run()
         return ring, out
 

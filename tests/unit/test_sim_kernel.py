@@ -232,19 +232,6 @@ def test_stale_wakeup_after_interrupt_ignored():
     assert log == [510]
 
 
-def test_all_of_collects_values():
-    sim = Simulator()
-    got = []
-
-    def proc():
-        values = yield sim.all_of([sim.timeout(3, "a"), sim.timeout(7, "b")])
-        got.append((sim.now, values))
-
-    sim.process(proc())
-    sim.run()
-    assert got == [(7, ["a", "b"])]
-
-
 def test_any_of_returns_first():
     sim = Simulator()
     got = []
@@ -308,13 +295,11 @@ def test_step_empty_queue_raises():
 
 def test_step_dispatches_in_run_order():
     """step() fires each event inside its cycle's live bucket, so stepping
-    dispatches in exactly the order run() does, deferred callbacks and
-    same-cycle reschedules included."""
+    dispatches in exactly the order run() does, same-cycle reschedules
+    included."""
     def trace(drive):
         sim = Simulator()
         order = []
-        sim.schedule_at(3, lambda: order.append(("deferred", sim.now)),
-                        defer=True)
 
         def proc(tag):
             yield sim.timeout(3)
@@ -371,51 +356,6 @@ def test_interrupt_same_cycle_as_wakeup_no_double_resume():
     cell["victim"] = sim.process(victim())
     sim.run()
     assert log == [("interrupted", 5, "preempt"), ("after", 8)]
-
-
-def test_all_of_propagates_already_processed_failure():
-    """AllOf over an event that already failed *and* was processed.
-
-    Such events were silently skipped, so the AllOf succeeded as if the
-    failure never happened; it must fail with the original exception.
-    """
-    sim = Simulator()
-    failed = sim.event()
-    failed.fail(RuntimeError("early failure"))
-    swallow = sim.event()
-    failed.add_callback(lambda _e: swallow.succeed())
-    sim.run(until=swallow)  # drive `failed` to processed
-    assert failed.processed and not failed.ok
-
-    caught = []
-
-    def proc():
-        try:
-            yield sim.all_of([failed, sim.timeout(3)])
-        except RuntimeError as err:
-            caught.append((sim.now, str(err)))
-
-    sim.process(proc())
-    sim.run()
-    assert caught == [(0, "early failure")]
-
-
-def test_all_of_already_processed_successes_fire_immediately():
-    sim = Simulator()
-    a = sim.timeout(1, "a")
-    b = sim.timeout(2, "b")
-    sim.run()
-    assert a.processed and b.processed
-
-    got = []
-
-    def proc():
-        values = yield sim.all_of([a, b])
-        got.append((sim.now, values))
-
-    sim.process(proc())
-    sim.run()
-    assert got == [(2, ["a", "b"])]
 
 
 def test_any_of_cancels_losing_timeout():
