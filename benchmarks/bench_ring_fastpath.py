@@ -120,8 +120,8 @@ def test_ring_macro_fastpath_vs_generator():
           f"({slow_fps / 1e3:.0f}k flits/s)")
     print(f"compiled path:  {fast_n} flits in {fast_s:.3f}s CPU "
           f"({fast_fps / 1e3:.0f}k flits/s)")
-    print(f"speedup {speedup:.2f}x, take rate {stats['take_rate']:.3f}, "
-          f"{stats['demoted']} demoted")
+    print(f"speedup {speedup:.2f}x on {os.cpu_count()} CPU(s), take rate "
+          f"{stats['take_rate']:.3f}, {stats['demoted']} demoted")
 
     # the self-timed workload must keep the eligibility predicate engaged
     assert stats["take_rate"] > 0.99, (
@@ -149,6 +149,7 @@ def test_ring_macro_fastpath_vs_generator():
                       "take_rate": stats["take_rate"],
                       "demoted": stats["demoted"]},
             "timing": {"clock": "process_time", "best_of": BEST_OF},
+            "cpu_count": os.cpu_count(),
             "speedup": speedup,
             "trace_identical": True,
         })

@@ -50,6 +50,19 @@ class StreamModelInfo:
         self.exit = "vG1"
         self.consumer = "vC"
 
+    @property
+    def block_phases(self) -> dict[str, tuple[int]]:
+        """The phases that bound a block, as ``execute``'s ``record``:
+        ``vG0``'s phase 0 starts it and ``vG1``'s last phase ends it."""
+        return {self.entry: (0,), self.exit: (self.eta - 1,)}
+
+    def block_times(self, run) -> list[int | Fraction]:
+        """Per-block times ``τ_s`` of a run of this model that kept
+        :attr:`block_phases` (see :func:`measure_block_time`)."""
+        starts = run.firings_of(self.entry, phase=0)
+        ends = run.firings_of(self.exit, phase=self.eta - 1)
+        return [end.end - start.start for start, end in zip(starts, ends)]
+
 
 def build_stream_csdf(
     system: GatewaySystem,
@@ -158,10 +171,8 @@ def measure_block_time(
     ``vG1``'s last phase (exactly the τ_s of Fig. 6).  Returns one value per
     completed block: a block whose last exit phase never completed has no
     time, so a run that stops short of ``blocks`` returns fewer values, and
-    a caller checking τ̂ must count them.  Only the two gateway actors'
-    firings are recorded, and only the phases read become firings.
+    a caller checking τ̂ must count them.  Only those two phases are
+    recorded (:attr:`StreamModelInfo.block_phases`): two records per block.
     """
-    res = execute(graph, iterations=blocks, record=(info.entry, info.exit))
-    starts = res.firings_of(info.entry, phase=0)
-    ends = res.firings_of(info.exit, phase=info.eta - 1)
-    return [end.end - start.start for start, end in zip(starts, ends)]
+    run = execute(graph, iterations=blocks, record=info.block_phases)
+    return info.block_times(run)

@@ -14,8 +14,8 @@ The engine is event-driven over a completion heap and supports:
 
 * execution for a fixed number of graph *iterations* or up to a time horizon,
 * exact deadlock detection,
-* firing records of every actor (used to build Fig. 6-style schedules) or
-  of named actors only,
+* firing records of every actor (used to build Fig. 6-style schedules),
+  of named actors only, or of named phases of them,
 * state capture hooks used by :mod:`repro.dataflow.statespace` for exact
   steady-state throughput of bounded graphs.
 
@@ -34,13 +34,14 @@ would have arrived.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from copy import copy
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from math import ceil, inf, lcm
-from typing import Collection, Iterable, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .graph import CSDFGraph, GraphError
 from .repetition import firing_repetition_vector
@@ -80,7 +81,7 @@ def time_scale(durations: Iterable[int | Fraction]) -> int:
     The LCM of the denominators: multiplying every duration by it maps the
     graph's time onto integer ticks without changing any comparison.
     """
-    return lcm(*(d.denominator for d in durations))
+    return lcm(*{d.denominator for d in durations})
 
 
 class SelfTimedEngine:
@@ -95,60 +96,86 @@ class SelfTimedEngine:
     counts the completion instants processed one by one, the re-runs of
     :meth:`_probe` included (read-only); the instants a periodic jump
     replays are not among them.
+
+    Each actor's phase table holds one shared entry per distinct (ticks,
+    quanta, wake set, record flag): an η-phase gateway's table is η
+    references to a few entries, alike phases are the same entry, and the
+    next phase is computed, not stored.
     """
 
-    def __init__(self, graph: CSDFGraph, record: bool | Collection[str] = True) -> None:
+    def __init__(self, graph: CSDFGraph,
+                 record: bool | Collection[str] | Mapping[str, Collection[int]] = True,
+                 ) -> None:
         self.graph = graph
         self._actor_order = sorted(graph.actors)
         self._edge_order = sorted(graph.edges)
         self._index = {a: i for i, a in enumerate(self._actor_order)}
         specs = [graph.actor(a) for a in self._actor_order]
-        durations = [d for spec in specs for d in spec.duration]
-        self._exact = not any(isinstance(d, float) for d in durations)
-        self.scale = time_scale(durations) if self._exact else 1
+        self._exact = not any(isinstance(d, float) for spec in specs for d in spec.duration)
+        self.scale = (time_scale(d for spec in specs for d in spec.duration)
+                      if self._exact else 1)
 
-        # Per actor, per phase: (ticks, consumed, produced, wake, next phase).
-        # ``consumed``/``produced`` list (edge, quantum) for nonzero quanta;
-        # ``wake`` is the bit set of actors a completion may enable: the
-        # actor itself and the consumers of the edges it produces to.
+        # per actor, the phases whose firings are kept: ``record`` as a
+        # mapping, a name keeping every phase of its actor.  Only a scoped
+        # run refuses to answer for the others (see _recorded_index)
+        self._scoped = not isinstance(record, bool)
+        if not self._scoped:
+            record = self._actor_order if record else ()
+        if not isinstance(record, Mapping):
+            record = {a: range(specs[self._index[a]].phases)
+                      for a in record if a in self._index}
+        self._kept = [record.get(a, ()) for a in self._actor_order]
+
+        # Per actor, per phase: (ticks, consumed, produced, wake, keep), one
+        # shared entry per distinct value.  ``consumed``/``produced`` list
+        # (edge, quantum) for nonzero quanta; ``wake`` is the bit set of
+        # actors a completion may enable: the actor itself and the consumers
+        # of the edges it produces to; ``keep``: is the firing recorded.
+        # ``_starts`` lists the phases whose entry differs from the one
+        # before, cyclically: the runs of alike phases that a jump may
+        # replay (see _span); empty when every phase is alike.
         edge_index = {e: k for k, e in enumerate(self._edge_order)}
-        self._phases: list[tuple[tuple, ...]] = []
-        for i, (name, spec) in enumerate(zip(self._actor_order, specs)):
+        self._phases: list[list[tuple]] = []
+        self._starts: list[list[int]] = []
+        for i, (name, spec, kept) in enumerate(zip(self._actor_order, specs, self._kept)):
             ins, outs = graph.in_edges(name), graph.out_edges(name)
             in_edges = [edge_index[e.name] for e in ins]
             out_edges = [(edge_index[e.name], 1 << self._index[e.dst]) for e in outs]
-            # per-phase quanta columns; an η-phase gateway repeats a few
-            # patterns, so each distinct (consumed, produced, wake) is built once
-            flows: dict[tuple, tuple] = {}
-            phases = []
+            # an η-phase gateway repeats a few patterns: each is built once.
+            # A float graph's ticks are its durations, whose type is kept
+            entries: dict[tuple, tuple] = {}
+            table: list[tuple] = []
+            starts: list[int] = []
             columns = zip(
                 spec.duration,
                 zip(*(e.consumption for e in ins)) if ins else repeat(()),
                 zip(*(e.production for e in outs)) if outs else repeat(()),
             )
             for p, (d, consumption, production) in enumerate(columns):
-                flow = flows.get((consumption, production))
-                if flow is None:
+                ticks = int(d * self.scale) if self._exact else d
+                key = (ticks, type(ticks), consumption, production, p in kept)
+                entry = entries.get(key)
+                if entry is None:
                     wake = 1 << i
                     for (_k, bit), q in zip(out_edges, production):
                         if q:
                             wake |= bit
-                    flow = flows[consumption, production] = (
+                    entry = entries[key] = (
+                        ticks,
                         tuple((k, q) for k, q in zip(in_edges, consumption) if q),
                         tuple((k, q) for (k, _bit), q in zip(out_edges, production) if q),
                         wake,
+                        key[-1],
                     )
-                ticks = int(d * self.scale) if self._exact else d
-                phases.append((ticks, *flow, (p + 1) % spec.phases))
-            self._phases.append(tuple(phases))
+                if not table or entry is not table[-1]:
+                    starts.append(p)
+                table.append(entry)
+            if table[0] is table[-1]:  # the last run goes on into phase 0
+                starts.pop(0)
+            self._phases.append(table)
+            self._starts.append(starts)
 
         n = len(self._actor_order)
-        # per actor: are its firings recorded?  Only a run scoped to named
-        # actors refuses to answer for the others (see _recorded_index)
-        self._scoped = not isinstance(record, bool)
-        self._kept = ([a in record for a in self._actor_order] if self._scoped
-                      else [record] * n)
-        self.record = any(self._kept)
         self._tokens = [graph.edge(e).tokens for e in self._edge_order]
         self._phase = [0] * n
         self._busy: list = [None] * n  # end tick of the firing in flight
@@ -159,7 +186,6 @@ class SelfTimedEngine:
         self._below = -1
         self._records: list[tuple] = []  # (actor index, phase, end tick)
         self._heap: list[tuple] = []  # (end tick, actor index)
-        self._spans: dict[int, list[int] | None] = {}  # see _span
         self._trace: list | None = None  # see _settle and _probe
         self.clock = 0
         self.instants = 0
@@ -182,16 +208,17 @@ class SelfTimedEngine:
     def _complete(self, i: int, end) -> int:
         """Finish actor ``i``'s firing at tick ``end``; return its wake set."""
         p = self._phase[i]
-        _ticks, _consumed, produced, wake, nxt = self._phases[i][p]
+        table = self._phases[i]
+        _ticks, _consumed, produced, wake, keep = table[p]
         tokens = self._tokens
         for e, q in produced:
             tokens[e] += q
         self._busy[i] = None
-        self._phase[i] = nxt
+        self._phase[i] = p + 1 if p + 1 < len(table) else 0
         self._done[i] += 1
         if self._done[i] == self._target[i]:
             self._below -= 1
-        if self._kept[i]:
+        if keep:
             self._records.append((i, p, end))
         return wake
 
@@ -219,7 +246,7 @@ class SelfTimedEngine:
                 todo ^= low
                 i = low.bit_length() - 1
                 while busy[i] is None:  # an idle actor fires while enabled
-                    ticks, consumed, _produced, _wake, _nxt = phases[i][phase[i]]
+                    ticks, consumed, _produced, _wake, _keep = phases[i][phase[i]]
                     for e, q in consumed:
                         if tokens[e] < q:
                             if trace is not None:
@@ -282,11 +309,10 @@ class SelfTimedEngine:
         structure thus takes one snapshot and a few comparisons per
         doubling of its length.
         """
-        heap, phases, tokens, busy, phase, done, target, kept = (
+        heap, phases, tokens, busy, phase, done, target, records = (
             self._heap, self._phases, self._tokens, self._busy, self._phase,
-            self._done, self._target, self._kept,
+            self._done, self._target, self._records,
         )
-        records = self._records if self.record else None
         # ``n``: instants stepped by this walk; ``woke``: the mark's wake set
         # (-1: compare with nothing); ``renew``: the instant that takes the
         # next mark (0: none)
@@ -301,14 +327,16 @@ class SelfTimedEngine:
                 # firing keeps its own end value, as the reference engine does
                 end, i = heappop(heap)
                 p = phase[i]
-                _ticks, _consumed, produced, wake, phase[i] = phases[i][p]
+                table = phases[i]
+                _ticks, _consumed, produced, wake, keep = table[p]
+                phase[i] = p + 1 if p + 1 < len(table) else 0
                 for e, q in produced:
                     tokens[e] += q
                 busy[i] = None
                 done[i] += 1
                 if done[i] == target[i]:
                     self._below -= 1
-                if records is not None and kept[i]:
+                if keep:
                     records.append((i, p, end))
                 dirty |= wake
             self._settle(dirty)
@@ -332,27 +360,15 @@ class SelfTimedEngine:
     def _span(self, i: int, p: int):
         """Phases from ``p`` on, cyclically, that repeat phase ``p`` of actor ``i``.
 
-        Alike phases have equal ticks and the same quanta (interned per
-        actor, so ``is`` compares them).  None when every phase of the actor
-        is alike, single-phase actors included: such an actor repeats
-        without end.  Computed once per actor, on first use.
+        Alike phases share one table entry: equal ticks, quanta and record
+        flag.  None when every phase of the actor is alike, single-phase
+        actors included: such an actor repeats without end.
         """
-        if i not in self._spans:
-            table = self._phases[i]
-            n = len(table)
-            alike = [a[0] == b[0] and a[1] is b[1] and a[2] is b[2]
-                     for a, b in zip(table, table[1:] + table[:1])]
-            spans = None
-            if not all(alike):
-                spans = [1] * n
-                last = alike.index(False)  # a run ends here
-                for k in range(1, n):  # backwards round the cycle from it
-                    q = (last - k) % n
-                    if alike[q]:
-                        spans[q] = spans[(q + 1) % n] + 1
-            self._spans[i] = spans
-        spans = self._spans[i]
-        return None if spans is None else spans[p]
+        starts = self._starts[i]
+        if not starts:
+            return None
+        k = bisect_right(starts, p)  # the run after p's starts there
+        return (starts[k] if k < len(starts) else starts[0] + len(self._phases[i])) - p
 
     def _jump(self, mark: tuple, count: int, limit) -> tuple[int, int] | None:
         """Replay the interval since ``mark`` as often as it provably recurs.
@@ -425,7 +441,9 @@ class SelfTimedEngine:
             tokens[e] += m * d
         self._heap[:] = [(end, i) for i, end in enumerate(busy) if end is not None]
         heapify(self._heap)
-        if self.record and nrec < len(self._records):
+        if nrec < len(self._records):
+            # alike phases share their record flag, so every replayed firing
+            # is kept exactly when its interval firing was
             block = self._records[nrec:]
             sizes = [len(table) for table in phases]
             self._records.extend([(i, (p + k * steps[i]) % sizes[i], end + k * period)
@@ -452,7 +470,7 @@ class SelfTimedEngine:
             t0, tokens0[:], phase0[:], busy0[:], done0[:])
         probe._heap = [(end, i) for i, end in enumerate(busy0) if end is not None]
         heapify(probe._heap)
-        probe._kept = [False] * len(busy0)
+        probe._records = []  # the re-run's records go unread
         probe._trace = trace = []
         for _ in range(instants):
             probe.advance()
@@ -493,11 +511,17 @@ class SelfTimedEngine:
         return (tuple(self._tokens), tuple(self._phase), remaining)
 
     # -- records --------------------------------------------------------------
-    def _recorded_index(self, actor: str) -> int | None:
-        """``actor``'s index; raises if a scoped run did not record it."""
+    def _recorded_index(self, actor: str, phase: int | None = None) -> int | None:
+        """``actor``'s index; raises if a scoped run did not record it (or
+        that phase of it)."""
         k = self._index.get(actor)
-        if self._scoped and (k is None or not self._kept[k]):
-            raise GraphError(f"actor {actor!r} was not recorded in this run")
+        if self._scoped:
+            kept = () if k is None else self._kept[k]
+            if not kept:
+                raise GraphError(f"actor {actor!r} was not recorded in this run")
+            if phase is not None and phase not in kept:
+                raise GraphError(f"phase {phase} of actor {actor!r} was not recorded "
+                                 "in this run")
         return k
 
     def _firings(self, actor: str | None = None, phase: int | None = None) -> list[Firing]:
@@ -509,7 +533,7 @@ class SelfTimedEngine:
         names, phases, time = self._actor_order, self._phases, self._time
         records = self._records
         if actor is not None:
-            k = self._recorded_index(actor)
+            k = self._recorded_index(actor, phase)
             records = [r for r in records if r[0] == k and (phase is None or r[1] == phase)]
         return [
             Firing(names[i], p, time(end - phases[i][p][0]), time(end))
@@ -563,7 +587,7 @@ def execute(
     graph: CSDFGraph,
     iterations: int | None = None,
     horizon: float | None = None,
-    record: bool | Collection[str] = True,
+    record: bool | Collection[str] | Mapping[str, Collection[int]] = True,
     allow_deadlock: bool = True,
 ) -> ExecutionResult:
     """Run a self-timed execution.
@@ -580,9 +604,13 @@ def execute(
         Stop when simulated time passes this value.
     record:
         Keep the full firing list (needed for schedules/refinement checks),
-        none (False), or a collection of actor names to keep only their
-        firings; asking the result for an actor outside that collection
-        raises :class:`~repro.dataflow.graph.GraphError`.
+        none (False), or only the firings of some phases: a mapping from
+        actor names to the phases kept, or a collection of actor names,
+        which keeps every phase of those actors.  Only kept firings are
+        stored, and a periodic jump replays only those.  Asking the result
+        for an actor with no kept phase, or for a phase not kept, raises
+        :class:`~repro.dataflow.graph.GraphError`; an actor's other
+        accessors return its kept firings.
     allow_deadlock:
         When False, a deadlock raises :class:`DeadlockError` instead of
         returning a result flagged ``deadlocked``.

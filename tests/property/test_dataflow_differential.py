@@ -8,8 +8,9 @@ float and Fraction durations, mixed; zero-duration chains; deadlocks and
 zero-delay livelocks — through both and require every observable result to
 be equal (``==``): firing records, completions, tokens, end time, iteration
 count and deadlock flag of ``execute`` under iteration and horizon stops
-with recording on, off and scoped to named actors (compared with the
-reference's full records of those actors), the whole ``ThroughputResult``,
+with recording on, off and scoped to named actors or to phases of them
+(compared with the reference's full records of those (actor, phase)
+pairs), the whole ``ThroughputResult``,
 and the errors raised.  Any divergence is a bug in the new engine, because the reference
 defines the semantics.
 
@@ -42,7 +43,9 @@ from repro.core import (
     build_stream_csdf,
     build_stream_sdf,
     csdf_builder,
+    epsilon_hat,
     sdf_abstraction,
+    tau_hat,
     verification,
 )
 from repro.dataflow import (
@@ -306,22 +309,68 @@ def _outcome(call, *args, **kwargs):
         return type(err).__name__, str(err)
 
 
+def _kept(graph, record):
+    """The (actor, phase) pairs ``record`` keeps: a name keeps every phase."""
+    if isinstance(record, bool):
+        record = sorted(graph.actors) if record else ()
+    if not isinstance(record, dict):
+        record = {a: range(graph.actor(a).phases) for a in record}
+    return {(a, p) for a, phases in record.items() for p in phases}
+
+
 def _observe(res, graph, record=True):
-    """Everything a run answers; for ``record`` naming actors, only theirs."""
+    """Everything a run answers; for a scoped ``record``, only what it kept."""
     if isinstance(res, tuple):  # raised
         return res
-    actors = sorted(graph.actors) if isinstance(record, bool) else sorted(record)
+    kept = _kept(graph, record)
+
+    def of_actor(actor):  # its kept firings and their production times
+        firings, times = res.firings_of(actor), res.production_times(actor)
+        assert len(firings) == len(times)
+        return ([f for f in firings if (actor, f.phase) in kept],
+                [t for f, t in zip(firings, times) if (actor, f.phase) in kept])
+
     return {
-        "firings": [f for f in res.firings if f.actor in actors],
+        "firings": [f for f in res.firings if (f.actor, f.phase) in kept],
         "completions": res.completions,
         "tokens": res.tokens,
         "end_time": res.end_time,
         "iterations_completed": res.iterations_completed,
         "deadlocked": res.deadlocked,
-        "per_actor": {
-            a: (res.firings_of(a), res.production_times(a)) for a in actors
-        },
+        "per_actor": {a: of_actor(a) for a in sorted({a for a, _p in kept})},
     }
+
+
+def _record(graph):
+    """``execute``'s ``record``: on, off, a set of names, or a mapping from
+    names to the phases kept (a phase set may be empty)."""
+    actors = sorted(graph.actors)
+    names = st.sets(st.sampled_from(actors))
+    return st.booleans() | names | names.flatmap(lambda chosen: st.fixed_dictionaries({
+        a: st.sets(st.integers(0, graph.actor(a).phases - 1)) for a in sorted(chosen)}))
+
+
+def _check_scoped(new, ref, graph, record):
+    """``new`` keeps exactly what ``record`` names of ``ref``'s full records,
+    phase by phase, and refuses to answer for any actor or phase it did not
+    keep."""
+    assert _observe(new, graph, record) == _observe(ref, graph, record)
+    if isinstance(new, tuple) or isinstance(record, bool):
+        assert isinstance(new, tuple) or record or new.firings == []
+        return
+    kept = _kept(graph, record)
+    for actor in sorted(graph.actors):
+        phases = [p for p in range(graph.actor(actor).phases) if (actor, p) in kept]
+        if not phases:
+            with pytest.raises(GraphError, match="not recorded"):
+                new.firings_of(actor)
+        for p in range(graph.actor(actor).phases):
+            if p in phases:
+                assert new.firings_of(actor, p) == [
+                    f for f in ref.firings_of(actor) if f.phase == p]
+            elif phases:
+                with pytest.raises(GraphError, match="not recorded"):
+                    new.firings_of(actor, p)
 
 
 def _guarded():
@@ -373,18 +422,13 @@ def test_execute_matches_reference(graph, iterations, horizon, record, allow_dea
 @given(consistent_graph(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_execute_scoped_records_match_reference(graph, data):
-    """``record`` naming actors keeps exactly their firings, and refuses
-    to answer for any other actor."""
-    actors = sorted(graph.actors)
-    record = data.draw(st.sets(st.sampled_from(actors)), label="record")
+    """``record`` naming actors, or mapping them to phases, keeps exactly
+    those firings, and refuses to answer for any other actor or phase."""
+    record = data.draw(_record(graph), label="record")
     with _guarded():
         new = _outcome(execute, graph, iterations=2, record=record)
         ref = _outcome(refdataflow.execute, graph, iterations=2)
-    assert _observe(new, graph, record) == _observe(ref, graph, record)
-    if not isinstance(new, tuple):
-        for actor in set(actors) - record:
-            with pytest.raises(GraphError, match="not recorded"):
-                new.firings_of(actor)
+    _check_scoped(new, ref, graph, record)
 
 
 #: a step limit past every recurrence, deadlock and livelock of the drawn graphs
@@ -469,9 +513,10 @@ def test_pal_stage2_verify_graphs_match_reference():
     The paper's PAL system, with its block sizes at the 0.127% rate margin
     that reproduces them; each ``execute`` / ``steady_state_throughput``
     call is run on both engines and must agree before the verdict is
-    computed.  Verification records only the actors it reads, so each run
-    is compared on exactly the actors named in its ``record``, against the
-    reference's full records.
+    computed.  Verification records only the phases it reads, so each run
+    is compared on exactly the (actor, phase) pairs its ``record`` keeps,
+    against the reference's full records.  One Fig. 5 model serves both
+    the τ̂ check and the refinement.
     """
     system = Scenario.from_registry(
         "pal_decoder", eta_stage1=10136, eta_stage2=1267, margin_ppm=1270).system
@@ -481,7 +526,7 @@ def test_pal_stage2_verify_graphs_match_reference():
         new = execute(graph, record=record, **kwargs)
         ref = refdataflow.execute(graph, record=True, **kwargs)
         assert _observe(new, graph, record) == _observe(ref, graph, record)
-        calls.append((graph.name, sorted(record)))
+        calls.append((graph.name, record))
         return new
 
     def both_throughput(graph, **kwargs):
@@ -496,9 +541,75 @@ def test_pal_stage2_verify_graphs_match_reference():
         stack.enter_context(mock.patch.object(
             sdf_abstraction, "steady_state_throughput", both_throughput))
         result = verification.verify_stream(system, "ch1.s2")
-    assert calls == ["sdf[ch1.s2]", ("csdf[ch1.s2]", ["vG0", "vG1"]),
-                     ("csdf[ch1.s2]", ["vG1"]), ("sdf[ch1.s2]", ["vS"])]
+    assert calls == ["sdf[ch1.s2]", ("csdf[ch1.s2]", {"vG0": (0,), "vG1": (1266,)}),
+                     ("sdf[ch1.s2]", ("vS",))]
     assert result.ok and result.eta == 1267
+
+
+def _two_model_verdicts(system, name, blocks):
+    """τ̂ and CSDF ⊑ SDF as computed with two Fig. 5 models per stream and
+    full records: a test oracle for :func:`verification.verify_stream`.
+
+    The τ̂ run prequeues two blocks (α0 = α3 = 2η) and runs ``blocks``
+    iterations; the refinement run prequeues four (4η) and compares all
+    3·η exit tokens of its three iterations with the Fig. 7 model's
+    productions.  Returns ``(tau_measured, tau_ok, refinement_ok)``.
+    """
+    eta, fast = system.stream(name).block_size, Fraction(1, 1000)
+    csdf, _info = build_stream_csdf(system, name, producer_period=fast,
+                                    consumer_period=fast, alpha0=2 * eta,
+                                    alpha3=2 * eta, prequeued=2 * eta)
+    run = execute(csdf, iterations=blocks)
+    starts = [f for f in run.firings_of("vG0") if f.phase == 0]
+    ends = [f for f in run.firings_of("vG1") if f.phase == eta - 1]
+    taus = [end.end - start.start for start, end in zip(starts, ends)]
+    eps = epsilon_hat(system, name) if len(system.streams) > 1 else 0
+    measured = max(taus, default=0) - eps
+    tau_ok = len(taus) >= blocks and measured <= tau_hat(system, name)
+
+    csdf, _info = build_stream_csdf(system, name, producer_period=fast,
+                                    consumer_period=fast, alpha0=4 * eta,
+                                    alpha3=4 * eta, prequeued=4 * eta)
+    sdf = build_stream_sdf(system, name, producer_period=fast, consumer_period=fast,
+                           alpha0=4 * eta, alpha3=4 * eta)
+    tokens = execute(csdf, iterations=3).production_times("vG1")
+    productions = execute(sdf, iterations=3).production_times("vS")[:3]
+    refines = len(productions) == 3 and len(tokens) >= 3 * eta and all(
+        max(tokens[b * eta:(b + 1) * eta]) <= end for b, end in enumerate(productions))
+    return measured, tau_ok, refines
+
+
+@st.composite
+def sized_system(draw):
+    """A random gateway system with block sizes up to 300 on every stream,
+    zero exit copies, accelerators and reconfiguration times included (a
+    zero entry copy as well would leave Eq. 5's SDF model without time)."""
+    small = st.integers(min_value=0, max_value=4)
+    streams = [StreamSpec(f"s{k}",
+                          draw(st.builds(Fraction, st.integers(1, 5), st.integers(5, 400))),
+                          draw(st.integers(min_value=0, max_value=40)),
+                          block_size=draw(st.integers(min_value=1, max_value=300)))
+               for k in range(draw(st.integers(min_value=1, max_value=3)))]
+    return GatewaySystem(
+        accelerators=[AcceleratorSpec(f"a{k}", draw(small))
+                      for k in range(draw(st.integers(min_value=1, max_value=3)))],
+        streams=streams,
+        entry_copy=draw(st.sampled_from((1, 15)) | st.integers(min_value=1, max_value=4)),
+        exit_copy=draw(small),
+        ni_capacity=draw(st.integers(min_value=1, max_value=3)),
+    )
+
+
+@given(sized_system(), st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_verify_stream_matches_two_model_oracle(system, blocks, data):
+    """One Fig. 5 run per stream, prequeued ``(max(blocks, 3) + 1)·η`` and
+    keeping two records per block, gives the τ̂ and refinement verdicts (and
+    the measured τ) of the two fully recorded runs it replaced."""
+    name = data.draw(st.sampled_from([s.name for s in system.streams]), label="stream")
+    result = verification.verify_stream(system, name, blocks)
+    assert (result.tau_measured, result.tau_ok, result.refinement_ok) == \
+        _two_model_verdicts(system, name, blocks)
 
 
 _model_horizon = st.one_of(
@@ -519,17 +630,17 @@ _model_horizon = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_gateway_models_match_reference(graph, iterations, horizon, data):
     """Fig. 5 / Fig. 7 models: ``execute`` jumps periods exactly, under
-    iteration and horizon stops, with records on, off and scoped."""
+    iteration and horizon stops, with records on, off and scoped to actors
+    or to phases of them (the records a jump replays included)."""
     if iterations is None and horizon is None:
         iterations = 2
-    actors = sorted(graph.actors)
-    record = data.draw(st.booleans() | st.sets(st.sampled_from(actors)), label="record")
+    record = data.draw(_record(graph), label="record")
     kwargs = dict(iterations=iterations, horizon=horizon)
     with _guarded():
         new = _outcome(execute, graph, record=record, **kwargs)
         # a scoped run is compared with the reference's full records
         ref = _outcome(refdataflow.execute, graph, record=record is not False, **kwargs)
-    assert _observe(new, graph, record) == _observe(ref, graph, record)
+    _check_scoped(new, ref, graph, record)
 
 
 def test_pal_stage2_csdf_jumps_its_periods():

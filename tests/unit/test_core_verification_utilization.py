@@ -67,7 +67,7 @@ def test_verify_system_flags_undersized_blocks():
 
 
 def _losing(actor, count):
-    """``execute`` whose results lost ``actor``'s last ``count`` firings.
+    """``execute`` whose results lost ``actor``'s last ``count`` records.
 
     They are dropped from the run's ``(actor index, phase, end tick)``
     records, so every accessor of the result misses them."""
@@ -82,24 +82,64 @@ def _losing(actor, count):
     return run
 
 
-@pytest.mark.parametrize("count", [1, 4], ids=["last-token", "last-block"])
-def test_refinement_fails_when_the_csdf_run_stops_short(count):
-    # CSDF ⊑ SDF compares exactly blocks·η exit tokens: a run short of
-    # them has tokens the abstraction promises and the refinement never made
+def _one_block_short(graph, iterations, **kwargs):
+    """``execute`` whose Fig. 5 runs stop one block short of their quota."""
+    return execute(graph, iterations=iterations - ("vG1" in graph.actors), **kwargs)
+
+
+# verify_stream runs one Fig. 5 model for max(blocks, 3) blocks: τ̂ reads
+# its first ``blocks`` blocks, the refinement its first three.  A run keeps
+# one vG1 record per block, the block's last exit token.
+@pytest.mark.parametrize("short", [_losing("vG1", 1), _one_block_short],
+                         ids=["last-token", "last-block"])
+def test_refinement_fails_when_the_csdf_run_stops_short(short):
+    # CSDF ⊑ SDF compares the exits of exactly three blocks: a run that
+    # lost the window's last exit token, or stopped a block short, has
+    # tokens the abstraction promises and the refinement never made, while
+    # τ̂'s two blocks are all measured
     system = system_of([Fraction(1, 60)], etas=[4])
     assert verify_system(system).ok
-    with mock.patch.object(verification, "execute", _losing("vG1", count)):
+    with mock.patch.object(verification, "execute", short):
         (stream,) = verify_system(system).streams
     assert not stream.refinement_ok and stream.tau_ok
 
 
 def test_tau_check_fails_when_a_block_never_completes():
-    # τ̂ must bound every measured block: a block whose exit never completed
-    # is not measured, so the check fails instead of passing on fewer
+    # τ̂ must bound every measured block: with four blocks in τ̂'s window, a
+    # fourth whose exit never completed is not measured, so the check fails
+    # instead of passing on fewer, while the refinement's three all exit
     system = system_of([Fraction(1, 60)], etas=[4])
-    with mock.patch.object(csdf_builder, "execute", _losing("vG1", 1)):
-        (stream,) = verify_system(system).streams
+    assert verify_system(system, blocks=4).ok
+    with mock.patch.object(verification, "execute", _losing("vG1", 1)):
+        (stream,) = verify_system(system, blocks=4).streams
     assert not stream.tau_ok and stream.refinement_ok
+
+
+def test_verify_stream_runs_one_fig5_model_keeping_two_records_per_block():
+    # τ̂ and the refinement read one run of one model, which keeps vG0's
+    # phase 0 and vG1's last phase only: at η = 10136, two records per block
+    system = Scenario.from_registry(
+        "pal_decoder", eta_stage1=10136, eta_stage2=1267, margin_ppm=1270).system
+    for blocks in (2, 4):
+        built, kept = [], []
+
+        def build(*args, **kwargs):
+            graph, info = csdf_builder.build_stream_csdf(*args, **kwargs)
+            built.append(graph.name)
+            return graph, info
+
+        def run(graph, **kwargs):
+            res = execute(graph, **kwargs)
+            if graph.name.startswith("csdf"):
+                kept.append(len(res.firings))
+            return res
+
+        with mock.patch.object(verification, "build_stream_csdf", build), \
+                mock.patch.object(verification, "execute", run), \
+                mock.patch.object(csdf_builder, "execute", run):
+            assert verification.verify_stream(system, "ch1.s1", blocks).ok
+        assert built == ["csdf[ch1.s1]"]
+        assert len(kept) == 1 and kept[0] <= 2 * max(blocks, 3)
 
 
 def test_verify_system_requires_block_sizes():
