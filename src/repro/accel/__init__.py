@@ -23,7 +23,6 @@ from .cipher import (
 from .cordic import (
     CORDIC_ITERATIONS,
     CordicKernel,
-    FMDiscriminatorKernel,
     MixerKernel,
     cordic_gain,
     cordic_rotate,
@@ -55,7 +54,6 @@ def __getattr__(name: str):
 __all__ = [
     "CORDIC_ITERATIONS",
     "CordicKernel",
-    "FMDiscriminatorKernel",
     "FirDecimatorKernel",
     "KernelError",
     "KeyMixKernel",

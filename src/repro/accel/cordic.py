@@ -9,7 +9,9 @@ CORDIC core:
 * :func:`cordic_rotate` — rotation mode: rotate ``(x, y)`` by an angle,
 * :func:`cordic_vector` — vectoring mode: magnitude + phase of ``(x, y)``,
 * :class:`MixerKernel` — NCO + complex rotation (down-conversion),
-* :class:`FMDiscriminatorKernel` — phase extraction + differentiation.
+* :class:`CordicKernel` — the shared accelerator: a mixer (``"mix"``) or an
+  FM discriminator (``"fm"``: phase extraction + differentiation), as its
+  context selects.
 
 The kernels follow the :class:`~repro.accel.base.StreamKernel` contract so
 they can be mounted on simulated accelerator tiles and context-switched by
@@ -33,7 +35,6 @@ __all__ = [
     "cordic_rotate",
     "cordic_vector",
     "MixerKernel",
-    "FMDiscriminatorKernel",
     "CordicKernel",
     "mix_batch",
     "fm_demod_batch",
@@ -175,39 +176,6 @@ class MixerKernel(StreamKernel):
             raise KernelError(f"bad mixer state: missing {err}") from err
 
 
-class FMDiscriminatorKernel(StreamKernel):
-    """FM demodulation: CORDIC phase extraction + differentiation.
-
-    Output is the wrapped phase increment per sample, proportional to the
-    instantaneous frequency (scaled so that a deviation of ``f_dev``
-    at sample rate ``fs`` yields ``2π·f_dev/fs``).  State: previous phase.
-    """
-
-    rho = 1
-
-    def __init__(self) -> None:
-        self.prev_phase = 0.0
-        self._init_kwargs: dict[str, Any] = {}
-
-    def process(self, sample: complex | float) -> list:
-        s = complex(sample)
-        _mag, phase = cordic_vector(s.real, s.imag)
-        delta = phase - self.prev_phase
-        # wrap into (-pi, pi]
-        delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
-        self.prev_phase = phase
-        return [delta]
-
-    def get_state(self) -> dict[str, Any]:
-        return {"prev_phase": self.prev_phase}
-
-    def set_state(self, state: dict[str, Any]) -> None:
-        try:
-            self.prev_phase = float(state["prev_phase"])
-        except KeyError as err:
-            raise KernelError(f"bad discriminator state: missing {err}") from err
-
-
 class CordicKernel(StreamKernel):
     """The *configurable* CORDIC accelerator of the demonstrator.
 
@@ -296,7 +264,7 @@ def mix_batch(samples: np.ndarray, freq_over_fs: float, phase0: float = 0.0) -> 
 
 
 def fm_demod_batch(samples: np.ndarray, prev_phase: float = 0.0) -> np.ndarray:
-    """Vectorised ideal FM discriminator (reference for the kernel)."""
+    """Vectorised ideal FM discriminator (reference for ``CordicKernel("fm")``)."""
     import numpy as np
 
     phases = np.angle(np.asarray(samples, dtype=complex))

@@ -55,7 +55,7 @@ from .core.conformance import (
     ModalConformanceReport,
 )
 from .core.params import GatewaySystem, ParameterError
-from .sim.faults import AdmissionController, FaultPlan, WatchdogConfig
+from .sim.faults import FaultPlan
 from .sim.metrics import GatewayUtilization, StreamMetrics
 
 __all__ = ["Scenario", "RunResult", "load_scenario"]
@@ -74,8 +74,7 @@ class Scenario:
     blocks: int = 4
     faults: FaultPlan | None = None
     spares: int = 0
-    watchdog: WatchdogConfig | None = None
-    admission: AdmissionController | bool | None = None
+    admission: bool = True
     max_cycles: int | None = None
     trace: bool = True
     no_fastpath: bool = False
@@ -114,14 +113,9 @@ class Scenario:
             raise ParameterError(f"spares must be >= 0, got {spares}")
         return replace(self, spares=spares)
 
-    def with_watchdog(self, watchdog: WatchdogConfig | None) -> "Scenario":
-        """Override the default calibrated watchdog."""
-        return replace(self, watchdog=watchdog)
-
-    def with_admission(
-        self, admission: AdmissionController | bool | None
-    ) -> "Scenario":
-        """Override (or disable, with ``False``) graceful degradation."""
+    def with_admission(self, admission: bool) -> "Scenario":
+        """Enable or (with ``False``) disable a faulted run's graceful
+        degradation."""
         return replace(self, admission=admission)
 
     def with_max_cycles(self, max_cycles: int | None) -> "Scenario":
@@ -193,7 +187,6 @@ class Scenario:
             "blocks": self.blocks,
             "trace": self.trace,
             "faults": self.faults,
-            "watchdog": self.watchdog,
             "admission": self.admission,
             "spares": self.spares,
             "no_fastpath": self.no_fastpath,

@@ -256,8 +256,7 @@ def simulate_system(
     blocks: int = 4,
     trace: bool = True,
     faults: FaultPlan | None = None,
-    watchdog: WatchdogConfig | None = None,
-    admission: AdmissionController | bool | None = None,
+    admission: bool = True,
     max_cycles: int | None = None,
     spares: int = 0,
     no_fastpath: bool = False,
@@ -273,10 +272,11 @@ def simulate_system(
     and streams.
 
     A non-empty ``faults`` plan arms a :class:`~repro.sim.faults.FaultInjector`
-    and (unless overridden) a default watchdog whose per-stream budgets are
-    the calibrated τ̂ block-time bounds, plus an admission controller built
-    from the streams' μ requirements.  Pass a ``watchdog`` explicitly to
-    guard a fault-free run, or ``admission=False`` to disable degradation.
+    and a watchdog whose per-stream budgets are the calibrated τ̂
+    block-time bounds, plus, on a system of two or more streams, an
+    admission controller built from the streams' μ requirements
+    (``admission=False`` disables that degradation).  A fault-free run has
+    neither.
 
     ``max_cycles``, when given, replaces the conservative deadlock cap.
 
@@ -353,16 +353,16 @@ def simulate_system(
     if faults is not None and len(faults):
         injector = FaultInjector(faults, soc.sim,
                                  tracer=soc.tracer if trace else None)
-    wd = watchdog
-    adm = admission if isinstance(admission, AdmissionController) else None
-    if injector is not None or wd is not None:
+    wd = adm = None
+    if injector is not None:
         cal = calibrated_system(system)
-        if wd is None:
-            # budget = calibrated block-time bound + generous slack for
-            # injected per-flit delays that stay within recoverable range
-            budgets = {s.name: tau_hat(cal, s.name) for s in system.streams}
-            wd = WatchdogConfig(budgets=budgets, slack=256)
-        if adm is None and admission is not False and len(system.streams) > 1:
+        # budget = calibrated block-time bound + generous slack for injected
+        # per-flit delays that stay within recoverable range; a failed
+        # stream never completes, so it counts as done
+        budgets = {s.name: tau_hat(cal, s.name) for s in system.streams}
+        wd = WatchdogConfig(budgets=budgets, slack=256,
+                            on_stream_failed=completion.mark_done)
+        if admission and len(system.streams) > 1:
             adm = AdmissionController([
                 StreamRequirement(
                     name=s.name, mu=s.throughput,
@@ -370,15 +370,6 @@ def simulate_system(
                 )
                 for s in system.streams
             ])
-        # a failed stream never completes: count it as done
-        user_failed_cb = wd.on_stream_failed
-
-        def _on_stream_failed(name: str) -> None:
-            completion.mark_done(name)
-            if user_failed_cb is not None:
-                user_failed_cb(name)
-
-        wd.on_stream_failed = _on_stream_failed
 
     chain = soc.shared_chain(
         "sys", kernels, configs,

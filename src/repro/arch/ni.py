@@ -98,10 +98,6 @@ class HardwareFifoChannel:
                 f"{self.name}: buffer overflow despite credits — protocol bug"
             )
 
-    def try_send_ready(self) -> bool:
-        """Non-blocking check: is a credit available right now?"""
-        return self._credits.count > 0
-
     # -- consumer side ---------------------------------------------------
     def recv(self):
         """Generator: pop the next word, then return a credit to the producer."""
@@ -134,11 +130,6 @@ class HardwareFifoChannel:
     def _credit_lands(self, _payload: Any) -> None:
         self.credits_in_flight -= 1
         self._credits.release(1)
-
-    @property
-    def credits(self) -> int:
-        """Send credits currently held by the producer side."""
-        return self._credits.count
 
     def repair(self, data_drops: int = 0, credit_drops: int = 0) -> int:
         """Restore credits lost to faults or aborted transfers (recovery).

@@ -62,8 +62,3 @@ class ProcessorTile:
         )
         self._fifos.append(fifo)
         return fifo
-
-    @property
-    def utilization_cycles(self) -> int:
-        """Cycles this tile's core spent executing task code."""
-        return self.scheduler.busy_cycles

@@ -94,29 +94,6 @@ class SharedChain:
 
         return gateway_utilization(self.entry, horizon)
 
-    def utilization(self, horizon: int) -> dict[str, float]:
-        """Measured gateway utilization over ``horizon`` cycles.
-
-        The measured counterpart of
-        :func:`repro.core.utilization.analyze_utilization`: fractions of
-        time the entry-gateway spent copying samples, reconfiguring the
-        accelerators, and polling for an admissible stream.
-        """
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        copy = self.entry.copy_cycles / horizon
-        reconf = self.entry.reconfig_cycles / horizon
-        wait = self.entry.wait_cycles / horizon
-        samples = sum(b.samples_in for b in self.bindings.values())
-        return {
-            "copy": copy,
-            "reconfig": reconf,
-            "wait": wait,
-            "data_transfer": samples / horizon,  # 1 cycle/sample of movement
-            "samples": samples,
-            "blocks": self.entry.blocks_admitted,
-        }
-
 
 class MPSoC:
     """Top-level container for one simulated multiprocessor system."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .params import AcceleratorSpec, GatewaySystem, ParameterError, StreamSpec
 
@@ -69,30 +69,63 @@ def system_to_dict(system: GatewaySystem) -> dict[str, Any]:
 
 
 def _stream_from(entry: dict[str, Any]) -> StreamSpec:
-    try:
-        name = entry["name"]
-        reconfigure = entry["reconfigure"]
-    except KeyError as err:
-        raise ParameterError(f"stream entry missing key {err}") from err
+    name = entry["name"]
+    reconfigure = entry["reconfigure"]
     if "throughput" in entry:
-        num, den = entry["throughput"]
-        mu = Fraction(num, den)
-        return StreamSpec(name, mu, reconfigure, entry.get("block_size"))
+        throughput = entry["throughput"]
+        if not isinstance(throughput, (list, tuple)) or len(throughput) != 2:
+            raise ParameterError(f"stream {name!r}: throughput must be "
+                                 f"[numerator, denominator], got {throughput!r}")
+        num, den = throughput
+        return StreamSpec(name, Fraction(num, den), reconfigure, entry.get("block_size"))
     if "samples_per_second" in entry:
-        try:
-            clock = entry["clock_hz"]
-        except KeyError as err:
+        if not entry.get("clock_hz"):
             raise ParameterError(
-                f"stream {name!r}: samples_per_second needs clock_hz"
-            ) from err
+                f"stream {name!r}: samples_per_second needs a nonzero clock_hz")
         return StreamSpec.from_rate(
-            name, entry["samples_per_second"], clock, reconfigure,
+            name, entry["samples_per_second"], entry["clock_hz"], reconfigure,
             entry.get("block_size"),
         )
     raise ParameterError(
         f"stream {name!r}: give 'throughput' [num, den] or "
         "'samples_per_second' + 'clock_hz'"
     )
+
+
+#: the keys, top-level or in an entry, that count cycles or samples
+_INTEGER_KEYS = ("entry_copy", "exit_copy", "ni_capacity", "rho", "reconfigure",
+                 "block_size")
+
+
+def _require_integers(where: str, obj: dict[str, Any]) -> None:
+    for key in _INTEGER_KEYS:
+        value = obj.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ParameterError(f"{where}: {key} must be an integer, got {value!r}")
+
+
+def _entries(kind: str, entries: Any, build: Callable[[dict[str, Any]], Any]) -> tuple:
+    """``build`` applied to each entry of a config section; a malformed
+    entry raises a :class:`ParameterError` that names it."""
+    specs = []
+    for index, entry in enumerate(entries):
+        where = f"{kind} entry {index}"
+        if not isinstance(entry, dict):
+            raise ParameterError(f"{where} must be a JSON object, got {entry!r}")
+        if "name" in entry:
+            where += f" ({entry['name']!r})"
+        _require_integers(where, entry)
+        try:
+            specs.append(build(entry))
+        except ParameterError:
+            raise
+        except KeyError as err:
+            raise ParameterError(f"{where}: missing key {err}") from err
+        except ZeroDivisionError as err:
+            raise ParameterError(f"{where}: zero denominator in {err}") from err
+        except (TypeError, ValueError) as err:
+            raise ParameterError(f"{where}: {err}") from err
+    return tuple(specs)
 
 
 #: every key a system JSON object may carry at the top level
@@ -131,13 +164,18 @@ def system_from_dict(data: dict[str, Any]) -> GatewaySystem:
         streams = data["streams"]
     except KeyError as err:
         raise ParameterError(f"system dict missing key {err}") from err
-    return GatewaySystem(
-        accelerators=tuple(AcceleratorSpec(a["name"], a["rho"]) for a in accs),
-        streams=tuple(_stream_from(s) for s in streams),
-        entry_copy=data.get("entry_copy", 15),
-        exit_copy=data.get("exit_copy", 1),
-        ni_capacity=data.get("ni_capacity", 2),
-    )
+    _require_integers("system config", data)
+    try:
+        return GatewaySystem(
+            accelerators=_entries(
+                "accelerator", accs, lambda a: AcceleratorSpec(a["name"], a["rho"])),
+            streams=_entries("stream", streams, _stream_from),
+            entry_copy=data.get("entry_copy", 15),
+            exit_copy=data.get("exit_copy", 1),
+            ni_capacity=data.get("ni_capacity", 2),
+        )
+    except TypeError as err:  # e.g. a number where a list belongs
+        raise ParameterError(f"malformed system config: {err}") from err
 
 
 def dump_system(system: GatewaySystem, indent: int | None = 2) -> str:

@@ -403,9 +403,6 @@ class ModeWindow:
     end: int | None
     system: GatewaySystem
 
-    def contains(self, time: int) -> bool:
-        return self.start <= time and (self.end is None or time < self.end)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "index": self.index,

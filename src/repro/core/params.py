@@ -134,6 +134,10 @@ class GatewaySystem:
         names = [s.name for s in self.streams]
         if len(set(names)) != len(names):
             raise ParameterError("duplicate stream names")
+        if self.c0 == 0 and all(s.reconfigure == 0 for s in self.streams):
+            raise ParameterError(
+                "a round-robin rotation takes 0 cycles (ε, δ, every ρ and every "
+                "R_s are 0), so γ̂ is 0 and no throughput bound exists")
         object.__setattr__(self, "accelerators", tuple(self.accelerators))
         object.__setattr__(self, "streams", tuple(self.streams))
 

@@ -11,31 +11,20 @@ from .buffers import (
     bound_channel,
     bounded_graph,
     capacity_lower_bound,
-    max_throughput,
     min_capacities,
     min_capacity_for_liveness,
     min_capacity_single,
 )
-from .csdf_to_sdf import csdf_to_sdf
-from .export import schedule_to_csv, to_dot
-from .graph import Actor, CSDFGraph, Edge, GraphError, SDFGraph, as_sdf, cyclic
+from .graph import Actor, CSDFGraph, Edge, GraphError, SDFGraph
 from .hsdf import expand_to_hsdf, hsdf_node
 from .latency import TokenLatencyReport, measure_latency, token_latencies
 from .mcm import CycleRatioResult, max_cycle_ratio, mcm_throughput
-from .refinement import RefinementChain, RefinementReport, refines_execution, refines_times
-from .repetition import (
-    firing_repetition_vector,
-    is_consistent,
-    iteration_tokens,
-    repetition_vector,
-)
+from .refinement import RefinementReport, refines_times
+from .repetition import firing_repetition_vector, is_consistent, repetition_vector
 from .schedule import Schedule, admissible_schedule
-from .serialize import dumps as graph_dumps
-from .serialize import graph_from_dict, graph_to_dict
-from .serialize import loads as graph_loads
 from .simulation import DeadlockError, ExecutionResult, Firing, SelfTimedEngine, execute
 from .statespace import ThroughputResult, steady_state_throughput
-from .validate import ValidationReport, check_liveness, is_deadlock_free, validate_graph
+from .validate import ValidationReport, check_liveness, validate_graph
 
 __all__ = [
     "Actor",
@@ -47,7 +36,6 @@ __all__ = [
     "ExecutionResult",
     "Firing",
     "GraphError",
-    "RefinementChain",
     "RefinementReport",
     "SDFGraph",
     "Schedule",
@@ -56,37 +44,24 @@ __all__ = [
     "TokenLatencyReport",
     "ValidationReport",
     "admissible_schedule",
-    "as_sdf",
     "bound_channel",
     "bounded_graph",
     "capacity_lower_bound",
     "check_liveness",
-    "csdf_to_sdf",
-    "cyclic",
     "execute",
     "expand_to_hsdf",
     "firing_repetition_vector",
-    "graph_dumps",
-    "graph_from_dict",
-    "graph_loads",
-    "graph_to_dict",
     "hsdf_node",
     "is_consistent",
-    "is_deadlock_free",
-    "iteration_tokens",
     "max_cycle_ratio",
-    "max_throughput",
     "mcm_throughput",
     "measure_latency",
     "token_latencies",
     "min_capacities",
     "min_capacity_for_liveness",
     "min_capacity_single",
-    "refines_execution",
     "refines_times",
     "repetition_vector",
-    "schedule_to_csv",
     "steady_state_throughput",
-    "to_dot",
     "validate_graph",
 ]

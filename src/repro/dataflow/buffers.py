@@ -11,7 +11,6 @@ Algorithm 1 followed by buffer sizing.
 This module implements:
 
 * :func:`bound_channel` / :func:`bounded_graph` — add capacity back-edges,
-* :func:`max_throughput` — throughput with (conceptually) unbounded buffers,
 * :func:`min_capacity_single` — exact minimum capacity of one channel under a
   throughput constraint (linear scan; valid because throughput is monotone
   in buffer capacity),
@@ -33,7 +32,6 @@ from .statespace import steady_state_throughput
 __all__ = [
     "bound_channel",
     "bounded_graph",
-    "max_throughput",
     "min_capacity_single",
     "min_capacity_for_liveness",
     "min_capacities",
@@ -85,18 +83,6 @@ def capacity_lower_bound(graph: CSDFGraph, edge_name: str) -> int:
     """
     e = graph.edge(edge_name)
     return max(max(e.production), max(e.consumption), e.tokens, 1)
-
-
-def max_throughput(graph: CSDFGraph, actor: str | None = None) -> Fraction:
-    """Firing rate of ``actor`` with all channels unbounded.
-
-    Computed by state-space execution on the graph as-is; the caller must
-    ensure the graph as given is bounded enough to recur (e.g. strongly
-    connected, or with existing back-edges).  For acyclic graphs the rate is
-    limited only by the slowest actor's self-edge, which the engine models
-    implicitly, so recurrence is still reached.
-    """
-    return steady_state_throughput(graph, actor=actor).firing_rate
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ defines the graph model used throughout :mod:`repro.dataflow`:
   enforced by the execution engine rather than materialised as an edge.
 
 Quanta and durations are stored as tuples whose length equals the actor's
-phase count.  The helper :func:`cyclic` builds the ``z × 1, 0``-style
-parametric quanta notation used in the paper.
+phase count.
 """
 
 from __future__ import annotations
@@ -26,27 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-__all__ = ["Actor", "Edge", "CSDFGraph", "SDFGraph", "cyclic", "as_sdf", "GraphError"]
+__all__ = ["Actor", "Edge", "CSDFGraph", "SDFGraph", "GraphError"]
 
 
 class GraphError(ValueError):
     """Raised for malformed dataflow graphs."""
-
-
-def cyclic(*groups: tuple[int, int | float]) -> tuple[int | float, ...]:
-    """Expand ``(count, value)`` groups into a flat phase list.
-
-    ``cyclic((3, 1), (1, 0))`` produces ``(1, 1, 1, 0)`` — the paper's
-    ``3 × 1, 0`` notation.
-    """
-    out: list[int | float] = []
-    for count, value in groups:
-        if count < 0:
-            raise GraphError(f"negative repetition count {count}")
-        out.extend([value] * count)
-    if not out:
-        raise GraphError("cyclic() produced an empty phase list")
-    return tuple(out)
 
 
 def _as_phase_tuple(value: int | float | Sequence[int | float], phases: int, what: str):
@@ -300,12 +283,3 @@ class SDFGraph(CSDFGraph):
             duration = seq[0]
         return super().add_actor(name, duration, 1)
 
-
-def as_sdf(graph: CSDFGraph) -> SDFGraph:
-    """Reinterpret a single-phase CSDF graph as an :class:`SDFGraph`."""
-    if not graph.is_sdf:
-        raise GraphError("graph has multi-phase actors; convert with csdf_to_sdf first")
-    g = SDFGraph(graph.name)
-    g._actors = dict(graph.actors)
-    g._edges = dict(graph.edges)
-    return g

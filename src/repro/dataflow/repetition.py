@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 from .graph import CSDFGraph, GraphError
 
-__all__ = ["repetition_vector", "firing_repetition_vector", "is_consistent", "iteration_tokens"]
+__all__ = ["repetition_vector", "firing_repetition_vector", "is_consistent"]
 
 
 def repetition_vector(graph: CSDFGraph) -> dict[str, int]:
@@ -83,10 +83,3 @@ def is_consistent(graph: CSDFGraph) -> bool:
         return True
     except GraphError:
         return False
-
-
-def iteration_tokens(graph: CSDFGraph, edge_name: str) -> int:
-    """Tokens transported over an edge during one complete graph iteration."""
-    q = repetition_vector(graph)
-    e = graph.edge(edge_name)
-    return q[e.src] * e.total_production

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import CSDFGraph, GraphError
-from .repetition import is_consistent, repetition_vector
+from .repetition import repetition_vector
 from .simulation import execute
 
-__all__ = ["ValidationReport", "validate_graph", "check_liveness", "is_deadlock_free"]
+__all__ = ["ValidationReport", "validate_graph", "check_liveness"]
 
 
 @dataclass
@@ -43,11 +43,6 @@ def check_liveness(graph: CSDFGraph) -> bool:
     """
     result = execute(graph, iterations=1, record=False, allow_deadlock=True)
     return not result.deadlocked
-
-
-def is_deadlock_free(graph: CSDFGraph) -> bool:
-    """Alias of :func:`check_liveness` with consistency pre-check."""
-    return is_consistent(graph) and check_liveness(graph)
 
 
 def validate_graph(graph: CSDFGraph, require_live: bool = True) -> ValidationReport:

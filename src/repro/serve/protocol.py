@@ -100,10 +100,6 @@ class Request:
     #: seconds the client is willing to wait; ``None`` = no deadline
     deadline: float | None = None
 
-    @property
-    def mutates(self) -> bool:
-        return self.op in ("join", "leave")
-
 
 def parse_request(data: Any) -> Request:
     """Validate one decoded JSON request eagerly, or raise :class:`ProtocolError`."""

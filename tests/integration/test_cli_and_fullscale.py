@@ -131,19 +131,61 @@ def test_cli_analyze_infeasible_config(tmp_path, capsys):
     assert "INFEASIBLE" in out
 
 
-@pytest.mark.parametrize("text", [None, '{"entry_copy": 6,'],
-                         ids=["missing", "malformed"])
-def test_cli_analyze_bad_config_exits_2(tmp_path, capsys, text):
-    """A config that cannot be read or parsed is a usage error (exit 2),
-    told apart from analyze's INFEASIBLE / failed-verification exit 1."""
+def _config(accelerator='{"name": "a", "rho": 1}',
+            stream='"throughput": [1, 100], "reconfigure": 4', top=""):
+    return (f'{{{top}"accelerators": [{accelerator}],'
+            f' "streams": [{{"name": "s0", {stream}}}]}}')
+
+
+_ZERO_ROTATION = _config(
+    top='"entry_copy": 0, "exit_copy": 0, ', accelerator='{"name": "a", "rho": 0}',
+    stream='"throughput": [1, 5], "reconfigure": 0, "block_size": 1')
+
+
+@pytest.mark.parametrize("cmd, text, reason", [
+    ("analyze", None, "cannot read"),
+    ("analyze", '{"entry_copy": 6,', "invalid system JSON"),
+    ("analyze", '{"accelerators": 5, "streams": []}', "malformed system config"),
+    ("analyze", _config(accelerator='{"rho": 1}'),
+     "accelerator entry 0: missing key 'name'"),
+    ("analyze", _config(accelerator='{"name": "a"}'),
+     "accelerator entry 0 ('a'): missing key 'rho'"),
+    ("analyze", _config(stream='"throughput": [1, 0], "reconfigure": 4'),
+     "stream entry 0 ('s0'): zero denominator"),
+    ("analyze", _config(stream='"throughput": "x", "reconfigure": 4'),
+     "stream 's0': throughput must be [numerator, denominator]"),
+    ("analyze", _config(stream='"samples_per_second": 44100, "clock_hz": 0, '
+                               '"reconfigure": 4'),
+     "stream 's0': samples_per_second needs a nonzero clock_hz"),
+    ("analyze", _config(top='"entry_copy": "x", '),
+     "system config: entry_copy must be an integer, got 'x'"),
+    ("analyze", _config(stream='"throughput": [1, 100], "reconfigure": 40.5'),
+     "stream entry 0 ('s0'): reconfigure must be an integer, got 40.5"),
+    ("analyze", _ZERO_ROTATION, "rotation takes 0 cycles"),
+    ("metrics", _config(stream='"throughput": [1, 0], "reconfigure": 4, "block_size": 2'),
+     "stream entry 0 ('s0'): zero denominator"),
+    ("metrics", _config(stream='"throughput": [1, 100], "reconfigure": 4, '
+                               '"block_size": 2.5'),
+     "stream entry 0 ('s0'): block_size must be an integer, got 2.5"),
+], ids=["missing", "malformed", "section-not-a-list", "accelerator-without-name",
+        "accelerator-without-rho", "zero-denominator", "throughput-not-a-pair",
+        "zero-clock", "string-entry-copy", "fractional-reconfigure", "zero-cycle-rotation",
+        "metrics-zero-denominator", "metrics-fractional-block-size"])
+def test_cli_analyze_bad_config_exits_2(tmp_path, capsys, cmd, text, reason):
+    """A config that cannot be read, parsed or built into a system is a
+    usage error (exit 2, one ``error:`` line), told apart from analyze's
+    INFEASIBLE / failed-verification exit 1; other subcommands read
+    configs the same way."""
     cfg = tmp_path / "system.json"
     if text is not None:
         cfg.write_text(text)
-    code = cli.main(["analyze", str(cfg)])
+    code = cli.main([cmd, str(cfg)])
     err = capsys.readouterr().err
     assert code == 2
     (line,) = err.strip().splitlines()
-    assert line.startswith("error: ") and str(cfg) in line
+    assert line.startswith("error: ") and reason in line
+    if cmd == "analyze":
+        assert str(cfg) in line
     assert "Traceback" not in err
 
 

@@ -62,7 +62,7 @@ def run_saturated(etas, eps, R, blocks=6):
 def test_measured_split_matches_analysis():
     etas, eps, R = (32, 16), 15, 500
     chain, end = run_saturated(etas, eps, R)
-    measured = chain.utilization(end)
+    measured = chain.utilization_breakdown(end)
 
     system = GatewaySystem(
         accelerators=(AcceleratorSpec("a", 1),),
@@ -76,12 +76,12 @@ def test_measured_split_matches_analysis():
     predicted = analyze_utilization(system)
 
     # copy fraction within 15% relative of the analytical round split
-    assert measured["copy"] == pytest.approx(
+    assert measured.copy == pytest.approx(
         float(predicted.gateway_copy_fraction), rel=0.15
     )
     # reconfiguration: the simulation only pays R on actual switches, the
     # analysis charges it per block — measured must not exceed predicted
-    assert measured["reconfig"] <= float(predicted.reconfig_fraction) * 1.05
+    assert measured.reconfig <= float(predicted.reconfig_fraction) * 1.05
 
 
 def test_measured_counters_consistent():
@@ -89,22 +89,24 @@ def test_measured_counters_consistent():
     chain, end = run_saturated(etas, eps, R)
     # counters are cumulative since t=0: measure over the full sim span
     now = int(chain.entry.sim.now)
-    m = chain.utilization(now)
-    assert m["samples"] == sum(e * 6 for e in etas)
-    assert m["blocks"] == 12
-    assert 0 <= m["wait"] <= 1
-    assert m["data_transfer"] < m["copy"]  # ε > 1 cycle/sample
+    m = chain.utilization_breakdown(now)
+    samples = sum(b.samples_in for b in chain.bindings.values())
+    assert samples == sum(e * 6 for e in etas)
+    assert m.blocks_admitted == 12
+    assert 0 <= m.poll <= 1
+    data_transfer = samples / now  # 1 cycle/sample of movement
+    assert data_transfer < m.copy  # ε > 1 cycle/sample
 
 
 def test_utilization_requires_positive_horizon():
     etas, eps, R = (8,), 5, 50
     chain, _end = run_saturated(etas, eps, R, blocks=2)
     with pytest.raises(ValueError):
-        chain.utilization(0)
+        chain.utilization_breakdown(0)
 
 
 def test_wait_dominates_when_underloaded():
-    """A gateway with nothing to do polls: wait fraction ≈ 1 over a long
+    """A gateway with nothing to do polls: poll fraction ≈ 1 over a long
     horizon after the work drains."""
     etas, eps, R = (8,), 5, 50
     chain, end = run_saturated(etas, eps, R, blocks=2)
@@ -112,5 +114,5 @@ def test_wait_dominates_when_underloaded():
     long_horizon = max(10 * end, int(sim.now) * 10)
     # run further with no new work: the gateway just polls
     sim.run(until=long_horizon)
-    m = chain.utilization(long_horizon)
-    assert m["wait"] > 0.7
+    m = chain.utilization_breakdown(long_horizon)
+    assert m.poll > 0.7

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.accel import (
     CordicKernel,
     FirDecimatorKernel,
-    FMDiscriminatorKernel,
     MixerKernel,
     cordic_rotate,
     cordic_vector,
@@ -45,11 +44,9 @@ def complex_signal(draw, max_len=48):
 
 @st.composite
 def kernel_instance(draw):
-    kind = draw(st.sampled_from(["mixer", "fm", "cordic-mix", "cordic-fm", "fir"]))
+    kind = draw(st.sampled_from(["mixer", "cordic-mix", "cordic-fm", "fir"]))
     if kind == "mixer":
         return MixerKernel(draw(freq))
-    if kind == "fm":
-        return FMDiscriminatorKernel()
     if kind == "cordic-mix":
         return CordicKernel("mix", draw(freq))
     if kind == "cordic-fm":
@@ -134,7 +131,7 @@ def test_decimator_output_count_exact(signal, factor):
 @settings(max_examples=40, deadline=None)
 def test_fm_output_always_wrapped(phases):
     s = np.exp(1j * np.cumsum(phases))
-    out = run_kernel(FMDiscriminatorKernel(), s)
+    out = run_kernel(CordicKernel("fm"), s)
     assert np.all(out <= math.pi + 1e-9)
     assert np.all(out >= -math.pi - 1e-9)
 

@@ -1,4 +1,5 @@
-"""Unit tests for the CORDIC core and the two CORDIC-based kernels."""
+"""Unit tests for the CORDIC core, the mixer kernel and the shared CORDIC
+kernel's FM-discriminator mode."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 from repro.accel import (
     CORDIC_ITERATIONS,
-    FMDiscriminatorKernel,
+    CordicKernel,
     KernelError,
     MixerKernel,
     cordic_gain,
@@ -110,12 +111,12 @@ def test_mixer_rho_is_one_cycle_per_sample():
     assert MixerKernel(0.1).rho == 1
 
 
-# ------------------------------------------------------ FMDiscriminatorKernel
+# ---------------------------------------------------- CordicKernel("fm")
 def test_fm_demod_constant_offset_frequency():
     # pure tone at frequency f: phase step 2*pi*f per sample
     f = 0.05
     s = np.exp(2j * np.pi * f * np.arange(64))
-    out = run_kernel(FMDiscriminatorKernel(), s)
+    out = run_kernel(CordicKernel("fm"), s)
     assert np.allclose(out[1:], 2 * np.pi * f, atol=1e-3)
 
 
@@ -123,7 +124,7 @@ def test_fm_demod_matches_batch_reference():
     rng = np.random.default_rng(3)
     phase = np.cumsum(rng.uniform(-0.5, 0.5, 100))
     s = np.exp(1j * phase)
-    stream = run_kernel(FMDiscriminatorKernel(), s)
+    stream = run_kernel(CordicKernel("fm"), s)
     batch = fm_demod_batch(s)
     assert np.max(np.abs(stream - batch)) < 1e-3
 
@@ -133,7 +134,7 @@ def test_fm_demod_recovers_modulating_tone():
     t = np.arange(2048) / fs
     audio = 0.7 * np.sin(2 * np.pi * 400 * t)
     sig = np.exp(1j * 2 * np.pi * np.cumsum(dev * audio) / fs)
-    out = run_kernel(FMDiscriminatorKernel(), sig)
+    out = run_kernel(CordicKernel("fm"), sig)
     rec = out / (2 * np.pi * dev / fs)
     # ignore the first transient sample
     assert np.corrcoef(rec[1:], audio[1:])[0, 1] > 0.999
@@ -141,9 +142,9 @@ def test_fm_demod_recovers_modulating_tone():
 
 def test_fm_demod_state_roundtrip():
     s = np.exp(1j * np.linspace(0, 6, 20))
-    k1 = FMDiscriminatorKernel()
+    k1 = CordicKernel("fm")
     run_kernel(k1, s[:10])
-    k2 = FMDiscriminatorKernel()
+    k2 = CordicKernel("fm")
     k2.set_state(k1.get_state())
     assert np.allclose(run_kernel(k1, s[10:]), run_kernel(k2, s[10:]))
 
@@ -151,10 +152,9 @@ def test_fm_demod_state_roundtrip():
 def test_fm_demod_output_wrapped():
     # a phase jump of ~2π-ε must not appear as a huge frequency
     s = [1.0, np.exp(1j * 3.0), np.exp(-1j * 3.0)]
-    out = run_kernel(FMDiscriminatorKernel(), np.array(s))
+    out = run_kernel(CordicKernel("fm"), np.array(s))
     assert all(-np.pi <= v <= np.pi for v in out)
 
 
 def test_state_words_reported():
     assert MixerKernel(0.1).state_words == 2
-    assert FMDiscriminatorKernel().state_words == 1

@@ -40,16 +40,12 @@ def test_cordic_kernel_mode_switch_via_state():
 
 
 def test_cordic_kernel_matches_specialised_kernels():
-    from repro.accel import FMDiscriminatorKernel, MixerKernel
+    from repro.accel import MixerKernel
 
     s = np.exp(2j * np.pi * 0.03 * np.arange(16)) * (1 + 0.5j)
     assert np.allclose(
         run_kernel(CordicKernel("mix", 0.03), s.copy()),
         run_kernel(MixerKernel(0.03), s.copy()),
-    )
-    assert np.allclose(
-        run_kernel(CordicKernel("fm"), s.copy()),
-        run_kernel(FMDiscriminatorKernel(), s.copy()),
     )
 
 

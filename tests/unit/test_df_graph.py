@@ -2,21 +2,7 @@
 
 import pytest
 
-from repro.dataflow import Actor, CSDFGraph, GraphError, SDFGraph, as_sdf, cyclic
-
-
-def test_cyclic_expands_groups():
-    assert cyclic((3, 1), (1, 0)) == (1, 1, 1, 0)
-
-
-def test_cyclic_rejects_negative_count():
-    with pytest.raises(GraphError):
-        cyclic((-1, 1))
-
-
-def test_cyclic_rejects_empty():
-    with pytest.raises(GraphError):
-        cyclic((0, 1))
+from repro.dataflow import Actor, CSDFGraph, GraphError, SDFGraph
 
 
 def test_actor_make_scalar_duration():
@@ -157,23 +143,6 @@ def test_sdfgraph_rejects_phases():
         g.add_actor("a", duration=[1, 2])
     with pytest.raises(GraphError):
         g.add_actor("a", duration=1, phases=2)
-
-
-def test_as_sdf_round_trip():
-    g = CSDFGraph("x")
-    g.add_actor("a", 1)
-    g.add_actor("b", 2)
-    g.add_edge("a", "b", name="e")
-    s = as_sdf(g)
-    assert isinstance(s, SDFGraph)
-    assert set(s.actors) == {"a", "b"}
-
-
-def test_as_sdf_rejects_multiphase():
-    g = CSDFGraph()
-    g.add_actor("a", duration=[1, 2], phases=2)
-    with pytest.raises(GraphError):
-        as_sdf(g)
 
 
 def test_len_and_iter():

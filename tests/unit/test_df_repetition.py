@@ -8,7 +8,6 @@ from repro.dataflow import (
     SDFGraph,
     firing_repetition_vector,
     is_consistent,
-    iteration_tokens,
     repetition_vector,
 )
 
@@ -93,11 +92,6 @@ def test_csdf_repetition_counts_cycles():
     assert repetition_vector(g) == {"p": 1, "c": 3}
     # firings: p has 2 phases
     assert firing_repetition_vector(g) == {"p": 2, "c": 3}
-
-
-def test_iteration_tokens():
-    g = chain([(2, 3)])
-    assert iteration_tokens(g, "e0") == 6
 
 
 def test_self_edge_consistency():

@@ -1,4 +1,4 @@
-"""Unit tests for graph and system JSON serialisation."""
+"""Unit tests for gateway-system JSON serialisation."""
 
 from fractions import Fraction
 
@@ -14,85 +14,8 @@ from repro.core import (
     load_system,
     system_from_dict,
 )
-from repro.dataflow import (
-    CSDFGraph,
-    GraphError,
-    SDFGraph,
-    graph_dumps,
-    graph_from_dict,
-    graph_loads,
-    graph_to_dict,
-    repetition_vector,
-    steady_state_throughput,
-)
 
 
-# ------------------------------------------------------------------ graphs
-def sample_csdf():
-    g = CSDFGraph("model")
-    g.add_actor("gw", duration=[20, 5, 5], phases=3)
-    g.add_actor("acc", duration=2)
-    g.add_edge("gw", "acc", production=[1, 1, 0], consumption=1, tokens=1, name="ch")
-    g.add_edge("acc", "gw", production=1, consumption=[1, 1, 0], tokens=2, name="cap:ch")
-    return g
-
-
-def test_graph_roundtrip_structure():
-    g = sample_csdf()
-    g2 = graph_loads(graph_dumps(g))
-    assert g2.name == g.name
-    assert set(g2.actors) == set(g.actors)
-    assert set(g2.edges) == set(g.edges)
-    assert g2.actor("gw").duration == g.actor("gw").duration
-    assert g2.edge("ch").production == g.edge("ch").production
-    assert g2.edge("cap:ch").tokens == 2
-
-
-def test_graph_roundtrip_preserves_behaviour():
-    g = sample_csdf()
-    g2 = graph_loads(graph_dumps(g))
-    assert repetition_vector(g2) == repetition_vector(g)
-    r1 = steady_state_throughput(g, actor="acc").firing_rate
-    r2 = steady_state_throughput(g2, actor="acc").firing_rate
-    assert r1 == r2
-
-
-def test_graph_roundtrip_sdf_kind():
-    g = SDFGraph("s")
-    g.add_actor("A", 1)
-    g.add_actor("B", 2)
-    g.add_edge("A", "B")
-    g2 = graph_loads(graph_dumps(g))
-    assert isinstance(g2, SDFGraph)
-
-
-def test_graph_fraction_durations_exact():
-    g = SDFGraph("f")
-    g.add_actor("A", Fraction(10, 3))
-    g.add_actor("B", 1)
-    g.add_edge("A", "B")
-    g2 = graph_loads(graph_dumps(g))
-    assert g2.actor("A").duration[0] == Fraction(10, 3)
-    assert isinstance(g2.actor("A").duration[0], Fraction)
-
-
-def test_graph_bad_json_rejected():
-    with pytest.raises(GraphError):
-        graph_loads("{not json")
-
-
-def test_graph_missing_keys_rejected():
-    with pytest.raises(GraphError):
-        graph_from_dict({"name": "x"})
-
-
-def test_graph_dict_is_json_plain():
-    import json
-
-    json.dumps(graph_to_dict(sample_csdf()))  # must not raise
-
-
-# ------------------------------------------------------------------ systems
 def sample_system():
     return GatewaySystem(
         accelerators=(AcceleratorSpec("cordic", 1), AcceleratorSpec("fir", 2)),
